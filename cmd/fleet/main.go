@@ -69,7 +69,9 @@
 //
 // Calibration (solo profiles + the all-pairs interference campaign) is
 // cached on disk per device configuration exactly like cmd/experiments
-// — set REPRO_CALIBRATION to choose the path, or to "off" to disable.
+// — set REPRO_CALIBRATION to choose the path (each device type gets
+// its own file, "-<device>" inserted before the extension), or to "off"
+// to disable.
 // The group-execution memo is deliberately NOT persisted here, so
 // device-count comparisons measure real simulation work.
 package main

@@ -9,10 +9,8 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/classify"
 	"repro/internal/config"
-	"repro/internal/interference"
-	"repro/internal/profile"
+	"repro/internal/core"
 	"repro/internal/workloads"
 )
 
@@ -21,28 +19,20 @@ func main() {
 	pairs := flag.Bool("pairs", false, "also print every pair measurement")
 	flag.Parse()
 
-	cfg := config.GTX480()
-	prof := profile.New(cfg)
-	profiles, err := prof.RunAll(workloads.All(), 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	th := classify.CalibrateThresholds(cfg, profiles)
-	classes := make(map[string]classify.Class)
-	for _, c := range classify.Table(th, profiles) {
-		classes[c.Name] = c.Class
-	}
+	// Init runs the solo profiles and the pair co-runs on one worker
+	// pool, then classifies and folds the pairs into the class matrix.
+	p := core.MustNew(config.GTX480())
 	start := time.Now()
-	m, err := interference.Compute(cfg, prof, classes, workloads.All())
-	if err != nil {
+	if err := p.Init(workloads.All()); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("all-pairs campaign (%d co-runs) finished in %v", len(m.Pairs), time.Since(start).Round(time.Second))
+	m := p.Matrix()
+	log.Printf("solo profiles and all-pairs campaign (%d co-runs) finished in %v", len(m.Pairs), time.Since(start).Round(time.Second))
 	fmt.Println(m)
 	if *pairs {
-		for _, p := range m.Pairs {
+		for _, pr := range m.Pairs {
 			fmt.Printf("%-6s + %-6s  slowdownA=%.2f slowdownB=%.2f  (co %d vs solo %d / %d)\n",
-				p.A, p.B, p.SlowdownA, p.SlowdownB, p.CoRunCycles, p.SoloCyclesA, p.SoloCyclesB)
+				pr.A, pr.B, pr.SlowdownA, pr.SlowdownB, pr.CoRunCycles, pr.SoloCyclesA, pr.SoloCyclesB)
 		}
 	}
 }

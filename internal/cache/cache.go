@@ -99,7 +99,11 @@ type Cache struct {
 	mshrs     *mshrTable
 	mshrLimit int
 	useClock  uint64
-	stats     Stats
+	// epoch counts the changes that can alter a Probe, ProbeMiss or
+	// CanMerge answer: misses, merges, fills and invalidation. Hits and
+	// dirtying leave it alone.
+	epoch uint64
+	stats Stats
 }
 
 // New builds a cache from a validated configuration.
@@ -177,6 +181,11 @@ func (c *Cache) ProbeMiss(lineAddr uint64) bool {
 	return c.mshrs.get(lineAddr) == nil
 }
 
+// Epoch returns a counter that advances whenever a Probe, ProbeMiss or
+// CanMerge answer may change; while it stands still every probe repeats
+// its last answer.
+func (c *Cache) Epoch() uint64 { return c.epoch }
+
 // MSHRFree returns the number of unallocated MSHR entries.
 func (c *Cache) MSHRFree() int { return c.mshrLimit - c.mshrs.len() }
 
@@ -231,6 +240,7 @@ func (c *Cache) Access(lineAddr uint64, write bool, waiter uint64, owner int16) 
 			return Stall
 		}
 		e.waiters = append(e.waiters, waiter)
+		c.epoch++
 		c.stats.Accesses++
 		c.stats.Merged++
 		return MissMerged
@@ -240,6 +250,7 @@ func (c *Cache) Access(lineAddr uint64, write bool, waiter uint64, owner int16) 
 		return Stall
 	}
 	c.mshrs.insert(lineAddr, waiter)
+	c.epoch++
 	c.stats.Accesses++
 	c.stats.Misses++
 	return Miss
@@ -260,6 +271,7 @@ type Eviction struct {
 // Filling a line with no outstanding MSHR entry is allowed (prefetch or
 // write-validate style fills) and returns no waiters.
 func (c *Cache) Fill(lineAddr uint64, owner int16, dirty bool) (waiters []uint64, ev Eviction, evicted bool) {
+	c.epoch++
 	waiters = c.mshrs.remove(lineAddr)
 	set := c.sets[c.setIndex(lineAddr)]
 	victim := 0
@@ -316,6 +328,7 @@ func (c *Cache) OutstandingMisses() int { return c.mshrs.len() }
 // application, where the synthetic address spaces are disjoint). MSHR
 // state is preserved so in-flight fills still complete.
 func (c *Cache) InvalidateAll() {
+	c.epoch++
 	for s := range c.sets {
 		for i := range c.sets[s] {
 			c.sets[s][i] = line{}

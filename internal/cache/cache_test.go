@@ -272,3 +272,62 @@ func TestMSHRTableRandomOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEpochCoversProbeAnswers pins the Epoch contract the SM's stalled
+// load replay relies on: across random loads, stores, fills, dirtying
+// and invalidation, whenever Epoch is unchanged by an operation every
+// Probe, ProbeMiss, CanMerge and MSHRFree answer is unchanged too.
+func TestEpochCoversProbeAnswers(t *testing.T) {
+	type answers struct {
+		probe, probeMiss, canMerge []bool
+		free                       int
+	}
+	snapshot := func(c *Cache) answers {
+		var a answers
+		for i := 0; i < 48; i++ {
+			a.probe = append(a.probe, c.Probe(lineAt(i)))
+			a.probeMiss = append(a.probeMiss, c.ProbeMiss(lineAt(i)))
+			a.canMerge = append(a.canMerge, c.CanMerge(lineAt(i)))
+		}
+		a.free = c.MSHRFree()
+		return a
+	}
+	same := func(a, b answers) bool {
+		for i := range a.probe {
+			if a.probe[i] != b.probe[i] || a.probeMiss[i] != b.probeMiss[i] || a.canMerge[i] != b.canMerge[i] {
+				return false
+			}
+		}
+		return a.free == b.free
+	}
+	f := func(ops []uint16) bool {
+		for _, cfg := range []config.CacheConfig{testConfig(), writeBackConfig()} {
+			c := MustNew(cfg)
+			for _, op := range ops {
+				ln := lineAt(int(op>>3) % 48)
+				before, epoch := snapshot(c), c.Epoch()
+				switch op % 8 {
+				case 0, 1, 2:
+					c.Access(ln, false, uint64(op), 0)
+				case 3:
+					c.Access(ln, true, uint64(op), 0)
+				case 4, 5:
+					c.Fill(ln, 0, op%2 == 0)
+				case 6:
+					c.MarkDirty(ln, 1)
+				case 7:
+					if op%64 == 7 {
+						c.InvalidateAll()
+					}
+				}
+				if c.Epoch() == epoch && !same(before, snapshot(c)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -59,28 +59,26 @@ func MustNew(cfg config.GPUConfig) *Pipeline {
 
 // Init profiles, classifies and measures interference for the given
 // application universe. It is the expensive step: one solo simulation
-// per application plus one co-run per pair (executed in parallel).
+// per application plus one co-run per pair, all on one pool of
+// runtime.NumCPU() workers; classification and the class matrix fold
+// the finished campaign.
 func (p *Pipeline) Init(apps []kernel.Params) error {
 	if len(apps) == 0 {
 		return fmt.Errorf("core: empty application universe")
 	}
 	p.apps = apps
-	profiles, err := p.prof.RunAll(apps, 0)
+	camp, err := interference.RunCampaign(p.cfg, p.prof, apps)
 	if err != nil {
 		return err
 	}
-	p.profiles = profiles
-	p.thresholds = classify.CalibrateThresholds(p.cfg, profiles)
+	p.profiles = camp.Solo
+	p.thresholds = classify.CalibrateThresholds(p.cfg, p.profiles)
 	p.classes = make(map[string]classify.Class, len(apps))
-	for _, c := range classify.Table(p.thresholds, profiles) {
+	for _, c := range classify.Table(p.thresholds, p.profiles) {
 		p.classes[c.Name] = c.Class
 	}
-	m, err := interference.Compute(p.cfg, p.prof, p.classes, apps)
-	if err != nil {
-		return err
-	}
-	p.matrix = m
-	p.scheduler = sched.New(p.cfg, p.prof, m)
+	p.matrix = camp.Fold(p.classes)
+	p.scheduler = sched.New(p.cfg, p.prof, p.matrix)
 	p.ready = true
 	return nil
 }

@@ -1,8 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/interference"
+	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/testkit"
 )
@@ -89,4 +96,43 @@ func TestPipelineSerialSlowerThanCoRun(t *testing.T) {
 		t.Errorf("co-scheduling (%d cycles) should beat serial (%d cycles) on underutilized kernels",
 			ilp.TotalCycles, serial.TotalCycles)
 	}
+}
+
+// TestInitDeterministicAcrossGOMAXPROCS pins Init's shared solo and pair
+// pool against scheduling order: calibrating on one thread and on four
+// must save byte-identical files, and Init's matrix must equal the one
+// interference.Compute builds on its own.
+func TestInitDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	var files [][]byte
+	var p *Pipeline
+	for _, procs := range []int{1, 4} {
+		p = initPipelineAt(t, procs)
+		path := filepath.Join(dir, "cal.json")
+		if err := p.SaveCalibration(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, data)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("calibration at GOMAXPROCS(1) and GOMAXPROCS(4) differ")
+	}
+	cfg := testkit.Config()
+	m, err := interference.Compute(cfg, profile.New(cfg), p.Classes(), testkit.Universe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, p.Matrix()) {
+		t.Fatalf("Init matrix\n%s differs from interference.Compute\n%s", p.Matrix(), m)
+	}
+}
+
+func initPipelineAt(t *testing.T, procs int) *Pipeline {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return initPipeline(t)
 }

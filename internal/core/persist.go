@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/classify"
 	"repro/internal/config"
@@ -20,8 +21,10 @@ const calibrationFileVersion = 1
 
 // CalibrationCachePath resolves where a device's calibration cache
 // lives, honoring the REPRO_CALIBRATION environment variable: "off"
-// disables caching (empty return), an explicit value is used verbatim,
-// and by default the cache sits in the OS temp directory keyed by
+// disables caching (empty return), an explicit path is keyed by device
+// by inserting "-<device>" before its extension (so "cal.json" becomes
+// "cal-GTX480-60SM.json" and a mixed roster keeps one file per device
+// type), and by default the cache sits in the OS temp directory keyed by
 // device name. cmd/experiments and cmd/fleet share this resolution so
 // one calibration serves both.
 func CalibrationCachePath(device string) string {
@@ -31,7 +34,8 @@ func CalibrationCachePath(device string) string {
 	case "":
 		return filepath.Join(os.TempDir(), "repro-calibration-"+device+".json")
 	default:
-		return v
+		ext := filepath.Ext(v)
+		return strings.TrimSuffix(v, ext) + "-" + device + ext
 	}
 }
 
@@ -40,9 +44,9 @@ func CalibrationCachePath(device string) string {
 // name, same workload fingerprint) and otherwise runs the expensive
 // Init — solo profiles plus the all-pairs interference campaign — and
 // saves the result best-effort. REPRO_CALIBRATION governs the cache
-// location ("off" disables it). cmd/experiments, cmd/fleet and
-// heterogeneous fleet rosters all share this path, so one calibration
-// per device name serves them all.
+// location, one file per device name ("off" disables it).
+// cmd/experiments, cmd/fleet and heterogeneous fleet rosters all share
+// this path, so one calibration per device name serves them all.
 func LoadOrInit(cfg config.GPUConfig, apps []kernel.Params) (*Pipeline, error) {
 	p, err := New(cfg)
 	if err != nil {

@@ -82,6 +82,27 @@ func TestLoadCalibrationValidation(t *testing.T) {
 	}
 }
 
+func TestCalibrationCachePathKeyedByDevice(t *testing.T) {
+	tmp := os.TempDir()
+	for _, tc := range []struct {
+		env, device, want string
+	}{
+		{"off", "GTX480-60SM", ""},
+		{"off", "Small-8SM", ""},
+		{"", "GTX480-60SM", filepath.Join(tmp, "repro-calibration-GTX480-60SM.json")},
+		{"", "Small-8SM", filepath.Join(tmp, "repro-calibration-Small-8SM.json")},
+		{"/data/cal.json", "GTX480-60SM", "/data/cal-GTX480-60SM.json"},
+		{"/data/cal.json", "Small-8SM", "/data/cal-Small-8SM.json"},
+		{"/data.d/cal", "GTX480-60SM", "/data.d/cal-GTX480-60SM"},
+		{"cal.v1.json", "Small-8SM", "cal.v1-Small-8SM.json"},
+	} {
+		t.Setenv("REPRO_CALIBRATION", tc.env)
+		if got := CalibrationCachePath(tc.device); got != tc.want {
+			t.Errorf("REPRO_CALIBRATION=%q, device %s: path %q, want %q", tc.env, tc.device, got, tc.want)
+		}
+	}
+}
+
 func TestSaveCalibrationRequiresInit(t *testing.T) {
 	p := MustNew(testkit.Config())
 	if err := p.SaveCalibration(filepath.Join(t.TempDir(), "x.json")); err == nil {

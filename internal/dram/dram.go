@@ -22,9 +22,34 @@ type bank struct {
 	busyUntil uint64
 }
 
+// queued is one waiting request with its (bank, row) decoded once, at
+// enqueue time, so the per-tick scheduler scans compare stored fields.
 type queued struct {
-	req     memreq.Request
-	arrival uint64
+	req  memreq.Request
+	row  uint64
+	bank int
+}
+
+// reqQueue is one FIFO of waiting requests plus, per bank, the count of
+// entries targeting it. The counts let the scheduler prove "no bank with
+// work is ready" and find the earliest bank release in O(banks) instead
+// of O(queue).
+type reqQueue struct {
+	q       []queued
+	perBank []int32
+}
+
+func (rq *reqQueue) push(e queued) {
+	rq.q = append(rq.q, e)
+	rq.perBank[e.bank]++
+}
+
+// take removes and returns entry idx, preserving arrival order.
+func (rq *reqQueue) take(idx int) queued {
+	e := rq.q[idx]
+	rq.q = append(rq.q[:idx], rq.q[idx+1:]...)
+	rq.perBank[e.bank]--
+	return e
 }
 
 type inflight struct {
@@ -60,8 +85,8 @@ type Controller struct {
 	// read queue is empty or the write buffer passes its high watermark,
 	// as real GPU memory controllers do. Read requests therefore do not
 	// sit behind store bursts.
-	queue      []queued
-	writeQ     []queued
+	queue      reqQueue
+	writeQ     reqQueue
 	writeDrain bool
 	inflight   []inflight
 	busBusy    uint64
@@ -91,6 +116,8 @@ func New(cfg config.DRAMConfig, lineBytes int) (*Controller, error) {
 		cfg:       cfg,
 		lineBytes: lineBytes,
 		banks:     make([]bank, cfg.Banks),
+		queue:     reqQueue{perBank: make([]int32, cfg.Banks)},
+		writeQ:    reqQueue{perBank: make([]int32, cfg.Banks)},
 	}, nil
 }
 
@@ -129,11 +156,11 @@ func (c *Controller) chargeApp(app int16, bytes uint64) {
 }
 
 // QueueLen returns the number of waiting (unscheduled) requests.
-func (c *Controller) QueueLen() int { return len(c.queue) + len(c.writeQ) }
+func (c *Controller) QueueLen() int { return len(c.queue.q) + len(c.writeQ.q) }
 
 // CanAccept reports whether Enqueue would succeed for either kind.
 func (c *Controller) CanAccept() bool {
-	return len(c.queue) < c.cfg.QueueSize && len(c.writeQ) < 2*c.cfg.QueueSize
+	return len(c.queue.q) < c.cfg.QueueSize && len(c.writeQ.q) < 2*c.cfg.QueueSize
 }
 
 // Enqueue adds a request to the controller. It returns false when the
@@ -141,31 +168,31 @@ func (c *Controller) CanAccept() bool {
 // retries.
 func (c *Controller) Enqueue(req memreq.Request, now uint64) bool {
 	if req.Kind == memreq.Write {
-		if len(c.writeQ) >= 2*c.cfg.QueueSize {
+		if len(c.writeQ.q) >= 2*c.cfg.QueueSize {
 			return false
 		}
-		c.writeQ = append(c.writeQ, queued{req: req, arrival: now})
-		return true
-	}
-	if len(c.queue) >= c.cfg.QueueSize {
+	} else if len(c.queue.q) >= c.cfg.QueueSize {
 		return false
 	}
-	c.queue = append(c.queue, queued{req: req, arrival: now})
+	c.EnqueueForced(req, now)
 	return true
 }
 
 // EnqueueForced adds a request even when its queue is over the limit.
 // Used only for write-backs evicted by fills, which cannot be refused
 // without deadlock; the overflow is bounded by L2 associativity.
-func (c *Controller) EnqueueForced(req memreq.Request, now uint64) {
+func (c *Controller) EnqueueForced(req memreq.Request, _ uint64) {
+	b, row := c.bankAndRow(req.Line)
+	e := queued{req: req, row: row, bank: b}
 	if req.Kind == memreq.Write {
-		c.writeQ = append(c.writeQ, queued{req: req, arrival: now})
+		c.writeQ.push(e)
 		return
 	}
-	c.queue = append(c.queue, queued{req: req, arrival: now})
+	c.queue.push(e)
 }
 
-// bankAndRow decomposes a line address: consecutive rows interleave
+// bankAndRow is the single address decoder; it runs once per request,
+// at enqueue. It decomposes a line address: consecutive rows interleave
 // across banks, and the bank index is swizzled with higher-order row
 // bits (as real controllers do) so power-of-two strided streams spread
 // across banks instead of camping on one.
@@ -181,6 +208,8 @@ func (c *Controller) bankAndRow(line uint64) (int, uint64) {
 // and returns the read requests whose data transfer completed this
 // cycle (writes complete silently). The returned slice is reused by the
 // next Tick; callers consume it before ticking again.
+//
+//simlint:hotpath
 func (c *Controller) Tick(now uint64) []memreq.Request {
 	if now > c.lastNow+1 && c.busBusy > c.lastNow+1 {
 		// Catch up the bus-busy counter over skipped cycles (lastNow+1
@@ -193,11 +222,11 @@ func (c *Controller) Tick(now uint64) []memreq.Request {
 		c.stats.BusyCycles += hi - c.lastNow
 	}
 	c.lastNow = now
-	completed := c.doneBuf[:0]
+	c.doneBuf = c.doneBuf[:0]
 	for i := 0; i < len(c.inflight); {
 		if c.inflight[i].done <= now {
 			if c.inflight[i].req.Kind == memreq.Read {
-				completed = append(completed, c.inflight[i].req)
+				c.doneBuf = append(c.doneBuf, c.inflight[i].req)
 			}
 			c.inflight[i] = c.inflight[len(c.inflight)-1]
 			c.inflight = c.inflight[:len(c.inflight)-1]
@@ -205,7 +234,6 @@ func (c *Controller) Tick(now uint64) []memreq.Request {
 			i++
 		}
 	}
-	c.doneBuf = completed
 	if c.busBusy > now {
 		c.stats.BusyCycles++
 	}
@@ -216,58 +244,66 @@ func (c *Controller) Tick(now uint64) []memreq.Request {
 	// Reads are served ahead of buffered writes; the write buffer drains
 	// in bursts once it passes its high watermark or when no read is
 	// serviceable (write-drain hysteresis).
-	if !c.writeDrain && len(c.writeQ) >= 3*c.cfg.QueueSize/2 {
+	if !c.writeDrain && len(c.writeQ.q) >= 3*c.cfg.QueueSize/2 {
 		c.writeDrain = true
 	}
-	if c.writeDrain && len(c.writeQ) <= c.cfg.QueueSize/4 {
+	if c.writeDrain && len(c.writeQ.q) <= c.cfg.QueueSize/4 {
 		c.writeDrain = false
 	}
 	if !c.writeDrain {
-		if idx := c.pick(c.queue, now); idx >= 0 {
-			q := c.queue[idx]
-			c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
-			c.service(q.req, now)
-			return completed
+		if idx := c.pick(&c.queue, now); idx >= 0 {
+			c.service(c.queue.take(idx), now)
+			return c.doneBuf
 		}
 	}
-	if idx := c.pick(c.writeQ, now); idx >= 0 {
-		q := c.writeQ[idx]
-		c.writeQ = append(c.writeQ[:idx], c.writeQ[idx+1:]...)
-		c.service(q.req, now)
+	if idx := c.pick(&c.writeQ, now); idx >= 0 {
+		c.service(c.writeQ.take(idx), now)
 	} else if c.writeDrain {
 		// No serviceable write this cycle: let reads through anyway.
-		if idx := c.pick(c.queue, now); idx >= 0 {
-			q := c.queue[idx]
-			c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
-			c.service(q.req, now)
+		if idx := c.pick(&c.queue, now); idx >= 0 {
+			c.service(c.queue.take(idx), now)
 		}
 	}
-	return completed
+	return c.doneBuf
 }
 
-// pick selects the next request index to service from q, or -1.
+// pick selects the next request index to service from rq, or -1.
 //
 // FR-FCFS: the oldest request that hits an open row in a ready bank; if
 // none, the oldest request whose bank is ready. FCFS: the head request,
 // only if its bank is ready (head-of-line blocking is the point).
-func (c *Controller) pick(q []queued, now uint64) int {
+//
+//simlint:hotpath
+func (c *Controller) pick(rq *reqQueue, now uint64) int {
+	q := rq.q
 	if len(q) == 0 {
 		return -1
 	}
 	if c.cfg.Sched == config.MemFCFS {
-		b, _ := c.bankAndRow(q[0].req.Line)
-		if c.banks[b].busyUntil <= now {
+		if c.banks[q[0].bank].busyUntil <= now {
 			return 0
 		}
 		return -1
 	}
+	// Saturated controllers spend most ticks with every requested bank
+	// busy; the per-bank counts prove that without touching the queue.
+	ready := false
+	for b, n := range rq.perBank {
+		if n > 0 && c.banks[b].busyUntil <= now {
+			ready = true
+			break
+		}
+	}
+	if !ready {
+		return -1
+	}
 	firstReady := -1
 	for i := range q {
-		b, row := c.bankAndRow(q[i].req.Line)
-		if c.banks[b].busyUntil > now {
+		bk := &c.banks[q[i].bank]
+		if bk.busyUntil > now {
 			continue
 		}
-		if c.banks[b].hasOpen && c.banks[b].openRow == row {
+		if bk.hasOpen && bk.openRow == q[i].row {
 			return i // first-ready row hit
 		}
 		if firstReady < 0 {
@@ -282,9 +318,9 @@ func (c *Controller) pick(q []queued, now uint64) int {
 // a hit occupies its bank only for the data burst, while a miss holds it
 // through precharge and activation. Completion (data arrival) always
 // includes the access latency.
-func (c *Controller) service(req memreq.Request, now uint64) {
-	bIdx, row := c.bankAndRow(req.Line)
-	b := &c.banks[bIdx]
+func (c *Controller) service(e queued, now uint64) {
+	req, row := e.req, e.row
+	b := &c.banks[e.bank]
 	var lat, occupancy uint64
 	if b.hasOpen && b.openRow == row {
 		lat = uint64(c.cfg.CASLatency)
@@ -317,7 +353,7 @@ func (c *Controller) service(req memreq.Request, now uint64) {
 }
 
 // Pending returns queued plus in-flight requests (drain check).
-func (c *Controller) Pending() int { return len(c.queue) + len(c.writeQ) + len(c.inflight) }
+func (c *Controller) Pending() int { return len(c.queue.q) + len(c.writeQ.q) + len(c.inflight) }
 
 // NoEvent is the NextEvent result of a controller with no outstanding
 // work.
@@ -330,6 +366,8 @@ const NoEvent = ^uint64(0)
 // tick. The result is a sound lower bound: ticking the controller
 // strictly before it is a no-op (modulo the bus-busy counter, which
 // FastForward accrues arithmetically).
+//
+//simlint:hotpath
 func (c *Controller) NextEvent(now uint64) uint64 {
 	next := uint64(NoEvent)
 	for i := range c.inflight {
@@ -339,32 +377,36 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 			next = d
 		}
 	}
-	if t := c.queueNext(c.queue, now); t < next {
+	if t := c.queueNext(&c.queue, now); t < next {
 		next = t
 	}
-	if t := c.queueNext(c.writeQ, now); t < next {
+	if t := c.queueNext(&c.writeQ, now); t < next {
 		next = t
 	}
 	return next
 }
 
-// queueNext returns the earliest cycle a request in q could be
+// queueNext returns the earliest cycle a request in rq could be
 // scheduled. Under FCFS only the head can ever be picked; under FR-FCFS
-// any request whose bank is ready competes.
-func (c *Controller) queueNext(q []queued, now uint64) uint64 {
-	if len(q) == 0 {
+// any request whose bank is ready competes, so the answer is the earliest
+// release among the banks that have requests.
+//
+//simlint:hotpath
+func (c *Controller) queueNext(rq *reqQueue, now uint64) uint64 {
+	if len(rq.q) == 0 {
 		return NoEvent
 	}
 	if c.cfg.Sched == config.MemFCFS {
-		b, _ := c.bankAndRow(q[0].req.Line)
-		if bu := c.banks[b].busyUntil; bu > now {
+		if bu := c.banks[rq.q[0].bank].busyUntil; bu > now {
 			return bu
 		}
 		return now + 1
 	}
 	next := uint64(NoEvent)
-	for i := range q {
-		b, _ := c.bankAndRow(q[i].req.Line)
+	for b, n := range rq.perBank {
+		if n == 0 {
+			continue
+		}
 		bu := c.banks[b].busyUntil
 		if bu <= now {
 			return now + 1

@@ -39,7 +39,8 @@ type Suite struct {
 // the expensive step; it is cached on disk keyed by device name and a
 // fingerprint of every workload parameter, so repeated regenerations of
 // the figures within one environment skip it. Set REPRO_CALIBRATION to
-// choose the cache path, or to "off" to disable caching.
+// choose the cache path ("-<device>" is inserted before its extension),
+// or to "off" to disable caching.
 func NewSuite(cfg config.GPUConfig) (*Suite, error) {
 	apps := workloads.All()
 	p, err := core.LoadOrInit(cfg, apps)

@@ -25,6 +25,10 @@ type partition struct {
 	// waiting maps an outstanding L2 miss line to the original upstream
 	// read requests to answer when DRAM fills it.
 	waiting map[uint64][]memreq.Request
+	// spareWaiters recycles the waiter lists of filled lines, so
+	// steady-state L2 misses allocate nothing; it never holds more lists
+	// than there were lines outstanding at once.
+	spareWaiters [][]memreq.Request
 
 	// respQ holds responses awaiting interconnect bandwidth; entries
 	// become eligible at their readyAt cycle (L2 hit latency).
@@ -164,10 +168,10 @@ func (p *partition) process(req memreq.Request, now uint64) bool {
 				// the request alive if it ever does.
 				return false
 			}
-			p.waiting[req.Line] = append(p.waiting[req.Line], req)
+			p.addWaiter(req)
 			return true
 		case cache.MissMerged:
-			p.waiting[req.Line] = append(p.waiting[req.Line], req)
+			p.addWaiter(req)
 			return true
 		default: // Stall
 			return false
@@ -191,10 +195,25 @@ func (p *partition) fillAndRespond(done memreq.Request, now uint64) {
 			Size: int32(p.lineBytes),
 		}, now)
 	}
-	for _, orig := range p.waiting[done.Line] {
+	waiters, ok := p.waiting[done.Line]
+	if !ok {
+		return
+	}
+	for _, orig := range waiters {
 		p.respQ.Push(delayedResp{req: p.reply(orig), readyAt: now})
 	}
 	delete(p.waiting, done.Line)
+	p.spareWaiters = append(p.spareWaiters, waiters[:0])
+}
+
+// addWaiter records req as waiting on its line's outstanding L2 miss.
+func (p *partition) addWaiter(req memreq.Request) {
+	w, ok := p.waiting[req.Line]
+	if n := len(p.spareWaiters); !ok && n > 0 {
+		w = p.spareWaiters[n-1]
+		p.spareWaiters = p.spareWaiters[:n-1]
+	}
+	p.waiting[req.Line] = append(w, req)
 }
 
 func (p *partition) reply(orig memreq.Request) memreq.Request {

@@ -124,60 +124,63 @@ func (m *Matrix) String() string {
 	return s
 }
 
-// Compute runs the all-pairs campaign and folds it into the class
-// matrix. classes maps each application name to its class (from the
-// classification step). Pair simulations run in parallel, one device
-// per worker.
-func Compute(cfg config.GPUConfig, prof *profile.Profiler, classes map[string]classify.Class, apps []kernel.Params) (*Matrix, error) {
+// Campaign is the measured half of the interference analysis: every
+// application's solo profile and every pair's co-run cycles, before
+// classes are known. Fold turns it into the class matrix.
+type Campaign struct {
+	// Solo holds the full-device solo profiles in universe order.
+	Solo []profile.Result
+	// Pairs holds one entry per pair (i<j in universe order) with the
+	// co-run cycles filled in; Fold adds the solo cycles and slowdowns.
+	Pairs []PairResult
+}
+
+// RunCampaign runs every solo profile (through the profiler's memo) and
+// every pair co-run on one pool of runtime.NumCPU() workers, so at most
+// that many devices are live at once. Jobs are taken in a fixed order,
+// solos first, and write index-addressed slots, so the result does not
+// depend on scheduling. (Solos first rather than longest-first: on a
+// two-core host both orders finish together, but pairs-first raised the
+// peak resident set by about a third.)
+func RunCampaign(cfg config.GPUConfig, prof *profile.Profiler, apps []kernel.Params) (*Campaign, error) {
 	type pairJob struct{ i, j int }
-	var jobs []pairJob
+	var pairs []pairJob
 	for i := 0; i < len(apps); i++ {
 		for j := i + 1; j < len(apps); j++ {
-			jobs = append(jobs, pairJob{i, j})
+			pairs = append(pairs, pairJob{i, j})
 		}
 	}
-	// Solo profiles first (memoized; sequential to share the cache).
-	solo := make(map[string]uint64, len(apps))
-	for _, a := range apps {
-		r, err := prof.Run(a, 0)
+	c := &Campaign{Solo: make([]profile.Result, len(apps)), Pairs: make([]PairResult, len(pairs))}
+	n := len(apps) + len(pairs)
+	errs := make([]error, n)
+	run := func(idx int) {
+		if idx < len(apps) {
+			c.Solo[idx], errs[idx] = prof.Run(apps[idx], 0)
+			return
+		}
+		k := idx - len(apps)
+		a, b := apps[pairs[k].i], apps[pairs[k].j]
+		sts, err := CoRun(cfg, []kernel.Params{a, b}, EvenSplit(cfg.NumSMs, 2))
 		if err != nil {
-			return nil, err
+			errs[idx] = fmt.Errorf("pair %s+%s: %w", a.Name, b.Name, err)
+			return
 		}
-		solo[a.Name] = r.Cycles
+		c.Pairs[k] = PairResult{A: a.Name, B: b.Name, CyclesA: sts[0].Cycles(), CyclesB: sts[1].Cycles()}
 	}
-	results := make([]PairResult, len(jobs))
-	errs := make([]error, len(jobs))
+	jobs := make(chan int, n)
+	for idx := 0; idx < n; idx++ {
+		jobs <- idx
+	}
+	close(jobs)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for idx, job := range jobs {
+	for w := min(runtime.NumCPU(), n); w > 0; w-- {
 		wg.Add(1)
-		go func(idx int, job pairJob) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			a, b := apps[job.i], apps[job.j]
-			sets := EvenSplit(cfg.NumSMs, 2)
-			sts, err := CoRun(cfg, []kernel.Params{a, b}, sets)
-			if err != nil {
-				errs[idx] = fmt.Errorf("pair %s+%s: %w", a.Name, b.Name, err)
-				return
+			for idx := range jobs {
+				run(idx)
 			}
-			pr := PairResult{
-				A: a.Name, B: b.Name,
-				CyclesA:     sts[0].Cycles(),
-				CyclesB:     sts[1].Cycles(),
-				SoloCyclesA: solo[a.Name],
-				SoloCyclesB: solo[b.Name],
-			}
-			if pr.CyclesA > pr.CyclesB {
-				pr.CoRunCycles = pr.CyclesA
-			} else {
-				pr.CoRunCycles = pr.CyclesB
-			}
-			pr.SlowdownA = float64(pr.CyclesA) / float64(pr.SoloCyclesA)
-			pr.SlowdownB = float64(pr.CyclesB) / float64(pr.SoloCyclesB)
-			results[idx] = pr
-		}(idx, job)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -185,12 +188,25 @@ func Compute(cfg config.GPUConfig, prof *profile.Profiler, classes map[string]cl
 			return nil, err
 		}
 	}
-	m := &Matrix{}
+	return c, nil
+}
+
+// Fold completes every pair with its solo cycles and slowdowns and
+// averages the slowdowns per (class, co-runner class) cell. classes maps
+// each application name to its class (from the classification step).
+func (c *Campaign) Fold(classes map[string]classify.Class) *Matrix {
+	solo := make(map[string]uint64, len(c.Solo))
+	for _, r := range c.Solo {
+		solo[r.Name] = r.Cycles
+	}
+	m := &Matrix{Pairs: make([]PairResult, 0, len(c.Pairs))}
 	var sums [classify.NumClasses][classify.NumClasses]float64
-	for idx, job := range jobs {
-		pr := results[idx]
-		ca := classes[apps[job.i].Name]
-		cb := classes[apps[job.j].Name]
+	for _, pr := range c.Pairs {
+		pr.SoloCyclesA, pr.SoloCyclesB = solo[pr.A], solo[pr.B]
+		pr.CoRunCycles = max(pr.CyclesA, pr.CyclesB)
+		pr.SlowdownA = float64(pr.CyclesA) / float64(pr.SoloCyclesA)
+		pr.SlowdownB = float64(pr.CyclesB) / float64(pr.SoloCyclesB)
+		ca, cb := classes[pr.A], classes[pr.B]
 		sums[ca][cb] += pr.SlowdownA
 		m.Samples[ca][cb]++
 		sums[cb][ca] += pr.SlowdownB
@@ -204,7 +220,18 @@ func Compute(cfg config.GPUConfig, prof *profile.Profiler, classes map[string]cl
 			}
 		}
 	}
-	return m, nil
+	return m
+}
+
+// Compute runs the all-pairs campaign and folds it into the class
+// matrix. classes maps each application name to its class (from the
+// classification step).
+func Compute(cfg config.GPUConfig, prof *profile.Profiler, classes map[string]classify.Class, apps []kernel.Params) (*Matrix, error) {
+	c, err := RunCampaign(cfg, prof, apps)
+	if err != nil {
+		return nil, err
+	}
+	return c.Fold(classes), nil
 }
 
 // TripleSlowdown estimates the slowdown of class a co-running with

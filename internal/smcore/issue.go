@@ -221,25 +221,28 @@ func (sm *SM) recordIssue(st *stats.App, op isa.Op) {
 
 // issueLoad performs the L1 lookups for every coalesced line of a load.
 // All-or-nothing: capacity (MSHR entries, merge slots, output queue) is
-// verified before any state changes.
+// verified before any state changes. Every false return is such a
+// stall, so the checks may run in any order: the room for new misses is
+// computed first, a replay whose L1 epoch has not moved and whose room
+// has not grown since its last stall fails without probing, and the
+// probe loop bails as soon as the room is exceeded.
+//
+//simlint:hotpath
 func (sm *SM) issueLoad(slot int32, lines []uint64, now uint64) bool {
-	newMisses := 0
-	for _, ln := range lines {
-		if sm.l1.ProbeMiss(ln) {
-			newMisses++
-		} else if !sm.l1.CanMerge(ln) {
-			return false
-		}
-	}
-	if newMisses > 0 {
-		if sm.l1.MSHRFree() < newMisses {
-			return false
-		}
-		if sm.outLimit-sm.OutPending() < newMisses {
-			return false
-		}
+	room := sm.l1.MSHRFree()
+	if out := sm.outLimit - sm.OutPending(); out < room {
+		room = out
 	}
 	w := &sm.warps[slot]
+	epoch := sm.l1.Epoch()
+	if w.stalled && w.stallEpoch == epoch && room <= int(w.stallRoom) {
+		return false
+	}
+	if !sm.loadFits(lines, room) {
+		w.stalled, w.stallEpoch, w.stallRoom = true, epoch, int32(room)
+		return false
+	}
+	w.stalled = false
 	waits := int32(0)
 	for _, ln := range lines {
 		res := sm.l1.Access(ln, false, uint64(slot), sm.app)
@@ -269,6 +272,25 @@ func (sm *SM) issueLoad(slot int32, lines []uint64, now uint64) bool {
 		w.blockedUntil = now + uint64(sm.cfg.L1.LatencyCycles) + 1
 	}
 	w.pc++
+	return true
+}
+
+// loadFits reports whether a load's lines can all be accessed now: each
+// is resident, mergeable into an outstanding miss, or one of at most
+// room new misses.
+//
+//simlint:hotpath
+func (sm *SM) loadFits(lines []uint64, room int) bool {
+	newMisses := 0
+	for _, ln := range lines {
+		if sm.l1.ProbeMiss(ln) {
+			if newMisses++; newMisses > room {
+				return false
+			}
+		} else if !sm.l1.CanMerge(ln) {
+			return false
+		}
+	}
 	return true
 }
 

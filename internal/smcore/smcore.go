@@ -41,7 +41,13 @@ type warp struct {
 	pendingLoads int32
 	blockedUntil uint64
 	launchSeq    uint64
-	cachedLines  []uint64
+	// stallEpoch and stallRoom record the L1 epoch and the miss room of
+	// the replayed load's last structural stall (valid while stalled):
+	// the replay fails again, unprobed, until either one moves.
+	stalled     bool
+	stallRoom   int32
+	stallEpoch  uint64
+	cachedLines []uint64
 	// opRow is the warp's row of the kernel's opcode table (nil for
 	// grids above the table cap); it makes the compute fast path a
 	// single byte index.
