@@ -38,11 +38,12 @@
 // first -hybrid-warm occurrences of each (device type, composition) to
 // calibrate the model and serves the rest from it, reporting the
 // model's fidelity delta in the summary. With -engine modeled, -shards
-// N partitions the roster across N parallel event loops coupled by a
-// deterministic router: a given seed and shard count always reproduce
-// the same bytes (-shards 1 byte-matches the single loop), and N > 1
-// trades the global backlog for K split queues — lower wall time on
-// big rosters, with the K-way schedule echoed in a "shards:" header.
+// N models an N-way split fleet: the roster is partitioned into N event
+// loops, fed by a deterministic router and run one after another. A
+// given seed and shard count always reproduce the same bytes (-shards 1
+// is the single loop), and N > 1 trades the global backlog for N split
+// queues — a different schedule, never a faster run — echoed in a
+// "shards:" header.
 //
 // Failure injection: -chaos "fail@CYCLE:DEV,drain@CYCLE:DEV,
 // restore@CYCLE:DEV" executes a deterministic failure schedule mid-run
@@ -114,7 +115,7 @@ func main() {
 	csvPath := flag.String("csv", "", "also write the per-job records as CSV to this file")
 	engineFlag := flag.String("engine", "cycle", "completion engine: cycle | modeled | hybrid")
 	hybridWarm := flag.Int("hybrid-warm", 0, "cycle-accurate runs per group composition before the hybrid engine trusts the model (0 = default)")
-	shards := flag.Int("shards", 0, "parallel event-loop shards for -engine modeled (0/1 = single loop; same seed and count reproduce the same bytes)")
+	shards := flag.Int("shards", 0, "partition the roster into this many event loops, run sequentially, for -engine modeled (0/1 = single loop; same seed and count reproduce the same bytes)")
 	closedFlag := flag.Bool("closed", false, "closed-loop clients replace the arrival stream (equivalent to -arrivals closed)")
 	clients := flag.Int("clients", 8, "closed-loop client pools, each with one request outstanding (with -closed)")
 	requests := flag.Int("requests", 0, "requests per client (0 = default, with -closed)")

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -186,6 +188,51 @@ func TestChaosDrainRetires(t *testing.T) {
 	}
 	if drain.Drains != 2 || fail.Failures != 2 {
 		t.Errorf("drains=%d failures=%d, want 2 each", drain.Drains, fail.Failures)
+	}
+}
+
+// TestChaosDeadRosterErrors pins the stall contract: once every device
+// has failed (or drained) with no restore scheduled, the queued jobs can
+// never run, and Run must say so with an error that counts them —
+// never hang, never return a short Result. It covers the single loop
+// under the Cycle engine and the Modeled engine at one and two
+// partitions.
+func TestChaosDeadRosterErrors(t *testing.T) {
+	p := testPipeline(t)
+	arr := testArrivals(t, 16, 0xDEAD)
+	// Kill the roster after a few arrivals, so in-flight work meets the
+	// outage and later arrivals queue behind it.
+	at := arr[3].Cycle
+	outstanding := regexp.MustCompile(`(\d+) jobs outstanding`)
+	for _, kind := range []ChaosKind{ChaosFail, ChaosDrain} {
+		for _, tc := range []struct {
+			engine EngineMode
+			shards int
+		}{{Cycle, 0}, {Modeled, 1}, {Modeled, 2}} {
+			label := fmt.Sprintf("%v/%v/shards=%d", kind, tc.engine, tc.shards)
+			f, err := New(Config{
+				Devices: homo(p, 2), NC: 2, Policy: sched.ILPSMRA,
+				Engine: tc.engine, Shards: tc.shards,
+				Chaos: ChaosConfig{Enabled: true, Trace: []ChaosEvent{
+					{Cycle: at, Device: 0, Kind: kind},
+					{Cycle: at, Device: 1, Kind: kind},
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := f.Run(arr)
+			if err == nil {
+				t.Fatalf("%s: Run returned no error with the whole roster down", label)
+			}
+			m := outstanding.FindStringSubmatch(err.Error())
+			if m == nil || m[1] == "0" {
+				t.Errorf("%s: error %q does not count the outstanding jobs", label, err)
+			}
+			if res.Jobs != nil || res.Devices != 0 {
+				t.Errorf("%s: Run returned a partial result (%d job records) alongside its error", label, len(res.Jobs))
+			}
+		}
 	}
 }
 

@@ -26,14 +26,13 @@ import (
 //     route on.
 //
 // All of it is driven through one deterministic control-event heap
-// (loopCtl) owned by each event loop — the classic loop owns one, each
-// shard owns its own — ordered by (cycle, push sequence). Every random
-// draw comes from per-client internal/rng streams derived only from the
-// configured seed and the client id, never from which shard runs the
-// client, so reruns are byte-identical at any shard count. With every
-// feature disabled the loops carry a nil *loopCtl and the hot path pays
-// one pointer check per event — the steady-state zero-allocation
-// dispatch contract is untouched.
+// (loopCtl) owned by each event loop, ordered by (cycle, push
+// sequence). Every random draw comes from per-client internal/rng
+// streams derived only from the configured seed and the client id,
+// never from which loop runs the client, so reruns are byte-identical
+// at any shard count. With every feature disabled the loops carry a
+// nil *loopCtl and the hot path pays one pointer check per event — the
+// steady-state zero-allocation dispatch contract is untouched.
 
 // ClosedConfig parameterizes the closed-loop arrival source
 // (Config.Closed). Enabled runs replace the open arrival stream: Run
@@ -283,38 +282,29 @@ type clientState struct {
 	cursor int
 }
 
-// loopCtl is one event loop's control state: the classic loop owns one,
-// each shard owns its own over its clients and devices. It mutates only
-// state the owning loop already owns (queue, idle heap, counters), so
-// shards stay lock-free.
+// loopCtl is one event loop's control state over its clients and
+// devices. It mutates only state its loop owns (queue, idle heap,
+// flights, counters).
 type loopCtl struct {
-	f   *Fleet
-	res *Result
-	// The owning loop's structures. slot maps global device index to the
-	// loop's flightOf slot (identity for the classic loop).
-	queue     *jobQueue
-	idleDevs  *deviceHeap
-	flightOf  []*inflight
-	slot      []int
-	remaining *int
+	f *Fleet
+	l *loop
 
 	events ctlHeap
 	seq    int
 
 	// clients is indexed by global client id; entries owned by other
-	// shards keep a nil stream and are never touched here.
+	// loops keep a nil stream and are never touched here.
 	clients []clientState
 
-	// Elastic-roster state over the loop's devices. active and pending
-	// are indexed by global device index; devices lists the loop's
-	// devices in placement order (fastest first).
+	// Elastic-roster state over the loop's devices (l.order lists them in
+	// placement order). active and pending are indexed by global device
+	// index.
 	active      []bool
 	pending     []bool
 	activeCount int
 	pendingProv int
 	minDev      int
 	maxDev      int
-	devices     []int
 	epoch       uint64
 	// scaleArmed tracks whether an evScale tick is scheduled; the tick
 	// disarms itself once the loop has no outstanding work, so a drained
@@ -335,11 +325,6 @@ type loopCtl struct {
 	failedCount   int
 	drainingCount int
 	downActive    int
-	// onChaosEvict is the owning loop's bookkeeping hook for a chaos
-	// eviction (sampler busy span, hybrid warm-up refund, worker
-	// tracking); the shared handler does the queue/heap/accounting
-	// work first, then invokes it.
-	onChaosEvict func(fl *inflight, now uint64)
 }
 
 // ctlEnabled reports whether any control surface is configured — the
@@ -349,31 +334,22 @@ func (f *Fleet) ctlEnabled() bool {
 		f.cfg.Chaos.Enabled
 }
 
-// newLoopCtl wires a control block to one event loop. devices is the
-// loop's device set in placement order; minDev/maxDev are the loop's
-// share of the autoscale bounds (ignored unless autoscaling). A nil
-// slot means flightOf is indexed by global device (the classic loop).
-func (f *Fleet) newLoopCtl(res *Result, queue *jobQueue, idleDevs *deviceHeap, flightOf []*inflight, slot []int, remaining *int, devices []int, minDev, maxDev int) *loopCtl {
+// newLoopCtl wires a control block to loop l. minDev/maxDev are the
+// loop's share of the autoscale bounds (ignored unless autoscaling).
+func (f *Fleet) newLoopCtl(l *loop, minDev, maxDev int) *loopCtl {
 	total := len(f.devType)
-	if slot == nil {
-		slot = make([]int, total)
-		for i := range slot {
-			slot[i] = i
-		}
-	}
 	c := &loopCtl{
-		f: f, res: res, queue: queue, idleDevs: idleDevs,
-		flightOf: flightOf, slot: slot, remaining: remaining,
+		f: f, l: l,
 		active: make([]bool, total), pending: make([]bool, total),
 		failed: make([]bool, total), draining: make([]bool, total),
-		minDev: minDev, maxDev: maxDev, devices: devices,
+		minDev: minDev, maxDev: maxDev,
 	}
-	want := len(devices)
+	want := len(l.order)
 	if f.cfg.Autoscale.Enabled {
 		want = minDev
 		c.epoch = f.cfg.Autoscale.Epoch
 	}
-	for i, d := range devices {
+	for i, d := range l.order {
 		if i < want {
 			c.active[d] = true
 			c.activeCount++
@@ -428,7 +404,7 @@ func (c *loopCtl) step(now uint64) {
 	case evScale:
 		c.scaleTick(now)
 	case evFail:
-		c.chaosFail(ev.aux, now)
+		c.chaosFail(ev.aux)
 	case evDrain:
 		c.chaosDrain(ev.aux)
 	case evRestore:
@@ -436,13 +412,12 @@ func (c *loopCtl) step(now uint64) {
 	}
 }
 
-// initChaos schedules this loop's share of the chaos events (the
-// classic loop owns every device; a shard skips devices it does not
-// own). Called before initClients so the heap's tie-break sequence is
-// a pure function of the configuration.
+// initChaos schedules this loop's share of the chaos events, skipping
+// devices another loop owns. Called before initClients so the heap's
+// tie-break sequence is a pure function of the configuration.
 func (c *loopCtl) initChaos(events []ChaosEvent) {
 	for _, ev := range events {
-		if c.slot[ev.Device] < 0 {
+		if c.l.slot[ev.Device] < 0 {
 			continue
 		}
 		var k ctlKind
@@ -470,11 +445,11 @@ func (c *loopCtl) deviceUp(d int) bool { return !c.failed[d] && !c.draining[d] }
 // meaning.
 func (c *loopCtl) upActive() int { return c.activeCount - c.downActive }
 
-// chaosFail kills device d at cycle now. An in-flight group is evicted
+// chaosFail kills device d at the loop's cycle. An in-flight group is evicted
 // with checkpointed progress (trigger "chaos") and its jobs re-enter
 // the queue; an idle device just leaves the idle heap. Failing a
 // draining or already-failed device only hardens the state.
-func (c *loopCtl) chaosFail(d int, now uint64) {
+func (c *loopCtl) chaosFail(d int) {
 	if c.failed[d] {
 		return
 	}
@@ -485,23 +460,16 @@ func (c *loopCtl) chaosFail(d int, now uint64) {
 	}
 	c.failed[d] = true
 	c.failedCount++
-	c.res.Failures++
+	c.l.res.Failures++
 	if c.active[d] && !wasDown {
 		c.downActive++
 	}
-	if fl := c.flightOf[c.slot[d]]; fl != nil {
-		c.f.evictAs(fl, chaosTriggerID, now, c.res)
-		c.res.ChaosEvictions++
-		fl.state = flightEvicted
-		c.flightOf[c.slot[d]] = nil
-		if c.onChaosEvict != nil {
-			c.onChaosEvict(fl, now)
-		}
-		for _, j := range fl.jobs {
-			c.queue.insert(j)
-		}
+	if fl := c.l.flightOf[c.l.slot[d]]; fl != nil {
+		// The freed device stays out of the idle heap: it is down.
+		c.l.release(fl, chaosTriggerID)
+		c.l.res.ChaosEvictions++
 	} else {
-		c.idleDevs.remove(d)
+		c.l.idleDevs.remove(d)
 	}
 }
 
@@ -514,11 +482,11 @@ func (c *loopCtl) chaosDrain(d int) {
 	}
 	c.draining[d] = true
 	c.drainingCount++
-	c.res.Drains++
+	c.l.res.Drains++
 	if c.active[d] {
 		c.downActive++
 	}
-	c.idleDevs.remove(d)
+	c.l.idleDevs.remove(d)
 }
 
 // chaosRestore returns a failed or draining device to service: if the
@@ -536,11 +504,11 @@ func (c *loopCtl) chaosRestore(d int) {
 		c.draining[d] = false
 		c.drainingCount--
 	}
-	c.res.Restores++
+	c.l.res.Restores++
 	if c.active[d] {
 		c.downActive--
-		if c.flightOf[c.slot[d]] == nil {
-			c.idleDevs.push(d)
+		if c.l.flightOf[c.l.slot[d]] == nil {
+			c.l.idleDevs.push(d)
 		}
 	}
 }
@@ -551,17 +519,17 @@ func (c *loopCtl) submit(j *job, now uint64, retry bool) {
 	cc := &c.f.cfg.Closed
 	j.attempts++
 	j.arrival = now
-	c.res.Submitted++
+	c.l.res.Submitted++
 	if retry {
-		c.res.Retried++
+		c.l.res.Retried++
 	}
 	c.armScale(now)
 	if !c.admit(j, now) {
-		c.res.Rejected++
+		c.l.res.Rejected++
 		c.fail(j, now, jsRejected)
 		return
 	}
-	c.queue.insert(j)
+	c.l.queue.insert(j)
 	if cc.Timeout > 0 {
 		c.push(ctlEvent{cycle: now + cc.Timeout, kind: evAbandon, j: j, aux: j.attempts})
 	}
@@ -573,14 +541,14 @@ func (c *loopCtl) submit(j *job, now uint64, retry bool) {
 // skips the queue insert.
 func (c *loopCtl) admitOpen(j *job, now uint64) bool {
 	j.attempts = 1
-	c.res.Submitted++
+	c.l.res.Submitted++
 	c.armScale(now)
 	if c.admit(j, now) {
 		return true
 	}
-	c.res.Rejected++
+	c.l.res.Rejected++
 	j.state = jsRejected
-	*c.remaining -= 1
+	c.l.remaining--
 	return false
 }
 
@@ -593,7 +561,7 @@ func (c *loopCtl) admit(j *job, now uint64) bool {
 	}
 	if ad.Degrade {
 		if j.slo == Latency {
-			c.res.Degraded++
+			c.l.res.Degraded++
 			j.slo = Batch
 			j.deadline = 0
 		}
@@ -614,11 +582,11 @@ func (c *loopCtl) admit(j *job, now uint64) bool {
 // Admission.Modeled the backlog term uses the interference-aware
 // per-job estimate (queue.cowork) instead of the plain solo sum.
 func (c *loopCtl) predictedWait(now uint64) uint64 {
-	if len(c.idleDevs.v) > 0 {
+	if len(c.l.idleDevs.v) > 0 {
 		return 0
 	}
 	earliest := uint64(math.MaxUint64)
-	for _, fl := range c.flightOf {
+	for _, fl := range c.l.flightOf {
 		if fl == nil {
 			continue
 		}
@@ -634,9 +602,9 @@ func (c *loopCtl) predictedWait(now uint64) uint64 {
 		wait = earliest - now
 	}
 	if up := c.upActive(); up > 0 {
-		work := c.queue.work
+		work := c.l.queue.work
 		if c.f.cfg.Admission.Modeled {
-			work = c.queue.cowork
+			work = c.l.queue.cowork
 		}
 		wait += work / uint64(up)
 	}
@@ -652,8 +620,8 @@ func (c *loopCtl) abandon(j *job, attempt int, now uint64) {
 		return
 	}
 	c.rmBuf[0] = j
-	c.queue.removeJobs(c.rmBuf[:1])
-	c.res.Abandoned++
+	c.l.queue.removeJobs(c.rmBuf[:1])
+	c.l.res.Abandoned++
 	c.fail(j, now, jsAbandoned)
 }
 
@@ -672,7 +640,7 @@ func (c *loopCtl) fail(j *job, now uint64, terminal uint8) {
 		return
 	}
 	j.state = terminal
-	*c.remaining -= 1
+	c.l.remaining--
 	if j.client >= 0 {
 		c.clientAdvance(j.client, now, now)
 	}
@@ -730,7 +698,7 @@ func (c *loopCtl) armScale(now uint64) {
 // With no outstanding work it disarms instead, so a finished loop's
 // event heap drains (armScale re-arms on the next submission).
 func (c *loopCtl) scaleTick(now uint64) {
-	if *c.remaining <= 0 {
+	if c.l.remaining <= 0 {
 		c.scaleArmed = false
 		return
 	}
@@ -741,13 +709,13 @@ func (c *loopCtl) scaleTick(now uint64) {
 	// the walk may provision a spare around it. (With every device
 	// down the division yields +Inf, which always trips the high
 	// watermark.) Without chaos, upActive == activeCount exactly.
-	pressure := float64(c.queue.Len()) / float64(c.upActive())
+	pressure := float64(c.l.queue.Len()) / float64(c.upActive())
 	if pressure > as.High && c.upActive()+c.pendingProv < c.maxDev {
 		// Scale up: the first inactive, non-provisioning, serving
 		// device in placement order starts provisioning and joins
 		// after the delay. Down devices are skipped — provisioning a
 		// failed device would add no capacity.
-		for _, d := range c.devices {
+		for _, d := range c.l.order {
 			if !c.active[d] && !c.pending[d] && c.deviceUp(d) {
 				c.pending[d] = true
 				c.pendingProv++
@@ -761,13 +729,13 @@ func (c *loopCtl) scaleTick(now uint64) {
 		// never released — they retire their flight first — and down
 		// devices are not decommissioned: their outage is transient
 		// state the restore undoes, not a roster decision.
-		for i := len(c.devices) - 1; i >= 0; i-- {
-			d := c.devices[i]
-			if c.active[d] && c.deviceUp(d) && c.flightOf[c.slot[d]] == nil {
+		for i := len(c.l.order) - 1; i >= 0; i-- {
+			d := c.l.order[i]
+			if c.active[d] && c.deviceUp(d) && c.l.flightOf[c.l.slot[d]] == nil {
 				c.active[d] = false
 				c.activeCount--
-				c.idleDevs.remove(d)
-				c.res.Decommissions++
+				c.l.idleDevs.remove(d)
+				c.l.res.Decommissions++
 				break
 			}
 		}
@@ -782,12 +750,12 @@ func (c *loopCtl) provision(d int) {
 	c.pendingProv--
 	c.active[d] = true
 	c.activeCount++
-	c.res.Provisions++
+	c.l.res.Provisions++
 	if !c.deviceUp(d) {
 		c.downActive++
 		return
 	}
-	c.idleDevs.push(d)
+	c.l.idleDevs.push(d)
 }
 
 // resolveClosed materializes the closed-loop request universe: every
@@ -824,15 +792,4 @@ func (f *Fleet) resolveClosed() ([]*job, [][]*job, error) {
 		perClient[c] = reqs
 	}
 	return jobs, perClient, nil
-}
-
-// splitBound is shard i's share of a fleet-wide device bound n dealt
-// over k shards — the same round-robin split newShards deals the
-// roster with, so per-shard autoscale bounds sum to the global ones.
-func splitBound(n, k, i int) int {
-	b := n / k
-	if i < n%k {
-		b++
-	}
-	return b
 }

@@ -56,10 +56,9 @@ func (f *Fleet) windowFor(q []*job, t int) int {
 // dispatcher owns one event loop's dispatch scratch state: the solve
 // memo, the aging-weight and class-pattern buffers group formation and
 // the analytic engine reuse across calls, and the retired-flight pool.
-// The classic loop builds one; each shard of a sharded run builds its
-// own, so parallel loops never share mutable state (the Fleet itself is
-// read-only after New). Everything here is buffer reuse and
-// memoization — a dispatcher never changes what is dispatched.
+// Every loop builds its own (the Fleet itself is read-only after New).
+// Everything here is buffer reuse and memoization — a dispatcher never
+// changes what is dispatched.
 type dispatcher struct {
 	f *Fleet
 	// solveMemo memoizes matcher solves per (type, window composition);
@@ -68,7 +67,7 @@ type dispatcher struct {
 	// agingW is the window-aligned aging-weight scratch agingWeights
 	// fills (index i weights window[i]).
 	agingW []float64
-	// patBuf is the reused class-pattern scratch for modelReportInto.
+	// patBuf is the reused class-pattern scratch for modelReport.
 	patBuf match.Pattern
 	// free pools retired modeled flights for reuse: their member slice
 	// and report buffers keep their capacity, so steady-state dispatch
@@ -435,8 +434,8 @@ func (f *Fleet) ncPatternTable(t int) ([]match.Pattern, []float64) {
 // per device type: with aging off the solve is a pure function of the
 // class counts, and saturated phases present the same composition for
 // thousands of consecutive dispatches. The memo lives on the
-// dispatcher (not the Fleet) so each shard's event loop memoizes
-// privately and the Fleet stays read-only under concurrency.
+// dispatcher (not the Fleet) so each event loop memoizes privately and
+// the Fleet stays read-only.
 func (d *dispatcher) solveWindow(t int, counts [classify.NumClasses]int) (match.Result, error) {
 	f := d.f
 	if d.solveMemo == nil {

@@ -21,7 +21,7 @@
 //     efficiency by member wait time (dispatch.go);
 //   - group executions run concurrently on a worker pool, one in-flight
 //     group per device, through sched.Scheduler.RunGroup — the same
-//     single-group path the offline scheduler uses (sim.go);
+//     single-group path the offline scheduler uses (loop.go);
 //   - per-job latency (wait, turnaround, deadline slack) and per-device
 //     utilization are accounted and summarized with stats.Summarize
 //     (report.go), and persist as per-job CSV artifacts (csv.go).
@@ -36,6 +36,12 @@
 // queue.go). One event costs O(log n) whatever the fleet size, which is
 // what lets the same loop serve 4 devices × 60 jobs and 64 devices ×
 // 100k jobs.
+//
+// One loop type (loop.go) serves every engine and shard count. A loop
+// owns one device partition; Config.Shards = K > 1 deals the roster
+// into K partitions whose loops run one after another behind a
+// deterministic epoch router, modeling a K-way split fleet. The single
+// loop owns the whole roster.
 //
 // Config.Engine selects how a dispatched group's completion is learned
 // (engine.go). Cycle simulates every group cycle-accurately — the

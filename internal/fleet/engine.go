@@ -69,78 +69,34 @@ func ParseEngine(s string) (EngineMode, error) {
 // composition) the Hybrid engine simulates before trusting the model.
 const DefaultHybridWarm = 2
 
-// modelReport predicts a group's execution analytically, in the shape
-// RunGroup would report it: per-member end cycles and retired
+// modelReport predicts a group's execution analytically into rep, in
+// the shape RunGroup would report it: per-member end cycles and retired
 // instructions. Member i's end is its solo duration scaled by the
 // interference matrix's predicted slowdown under the group's class
 // pattern (Equation 3.4's s_i ingredient); a lone member runs at solo
 // speed exactly, so Serial dispatch is identical under every engine.
 // calib scales the modeled ends (1 = the raw model; the Hybrid engine
 // passes the mean observed actual/model ratio for the composition).
-func (f *Fleet) modelReport(members []*job, t int, calib float64) (sched.GroupReport, error) {
-	m := f.types[t].Matrix()
-	var pat match.Pattern
-	if m != nil && len(members) > 1 {
-		pat = make(match.Pattern, len(members))
-		for i, j := range members {
-			pat[i] = j.apps[t].Class
-		}
-	}
-	rep := sched.GroupReport{}
-	for i, j := range members {
-		sp := j.solo[t]
-		if !sp.ok {
-			return sched.GroupReport{}, fmt.Errorf("fleet: no solo profile for %q on %s (modeled engine needs a calibrated universe)",
-				j.name(), f.types[t].Config().Name)
-		}
-		s := 1.0
-		if pat != nil {
-			s = match.MemberSlowdown(m, pat, i)
-		}
-		end := uint64(math.Ceil(float64(sp.cycles) * s * calib))
-		if end < 1 {
-			end = 1
-		}
-		rep.Apps = append(rep.Apps, j.name())
-		rep.Classes = append(rep.Classes, j.apps[t].Class)
-		rep.Stats = append(rep.Stats, stats.App{
-			Name:               j.name(),
-			ThreadInstructions: sp.instrs,
-			EndCycle:           end,
-			Done:               true,
-		})
-		if end > rep.Cycles {
-			rep.Cycles = end
-		}
-	}
-	return rep, nil
-}
-
-// modelReportInto is modelReport rewritten for the steady state: the
-// prediction lands in the flight's own (recycled) report buffers and
-// the class pattern in the dispatcher's scratch, so a modeled dispatch
-// allocates nothing once the pools are warm. Semantics are identical
-// to modelReport — same solo data, same slowdowns, same rounding.
+// The report's buffers are reused and the class pattern lands in the
+// dispatcher's scratch, so a modeled dispatch into a recycled flight
+// allocates nothing once the pools are warm.
 //
 //simlint:hotpath
-func (d *dispatcher) modelReportInto(fl *inflight, calib float64) error {
-	f := d.f
-	t := fl.typ
-	m := f.types[t].Matrix()
+func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*job, t int, calib float64) error {
+	m := d.f.types[t].Matrix()
 	d.patBuf = d.patBuf[:0]
-	if m != nil && len(fl.jobs) > 1 {
-		for _, j := range fl.jobs {
+	if m != nil && len(members) > 1 {
+		for _, j := range members {
 			d.patBuf = append(d.patBuf, j.apps[t].Class)
 		}
 	}
 	pat := d.patBuf
-	rep := &fl.rep
 	rep.Apps = rep.Apps[:0]
 	rep.Classes = rep.Classes[:0]
 	rep.Stats = rep.Stats[:0]
 	rep.Cycles = 0
 	rep.SMMoves = 0
-	for i, j := range fl.jobs {
+	for i, j := range members {
 		sp := j.solo[t]
 		if !sp.ok {
 			return d.missingSolo(j, t)
@@ -178,16 +134,14 @@ func (d *dispatcher) missingSolo(j *job, t int) error {
 // commitModeled resolves a modeled flight at dispatch time: one
 // analytic report and one completion-heap event cover the whole group,
 // where the group's members each used to pay their own allocations.
-// The flight is born resolved — its pre-closed done channel keeps
-// eviction bookkeeping uniform with simulated flights.
+// The flight is born resolved, so nothing ever waits on it.
 //
 //simlint:hotpath
 func (d *dispatcher) commitModeled(fl *inflight, now uint64, calib float64, resolved *flightHeap) error {
-	if err := d.modelReportInto(fl, calib); err != nil {
+	if err := d.modelReport(&fl.rep, fl.jobs, fl.typ, calib); err != nil {
 		return err
 	}
 	fl.modeled = true
-	fl.done = closedDone
 	fl.state = flightResolved
 	fl.complete = now + d.f.flightCycles(fl)
 	fl.earliest = fl.complete

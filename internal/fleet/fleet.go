@@ -72,19 +72,16 @@ type Config struct {
 	// sampling entirely; the collector is purely an observer and never
 	// changes dispatch decisions or event order.
 	SampleEvery uint64
-	// Shards partitions the roster into this many independent event
-	// loops, each running on its own goroutine with its own clock,
-	// queue and completion heap, coupled only through the arrival
-	// router's epoch barrier (see shard.go). 0 or 1 — the default —
-	// runs the single classic loop, byte-identical to previous
-	// releases. The determinism contract holds at every count: a given
-	// seed and shard count always reproduce byte-identical summaries
-	// and time series, however the host schedules the shard
-	// goroutines. Counts above 1 partition the backlog, so the
-	// simulated schedule is that of a K-way-split fleet — reproducible
-	// for that K, not a byte-copy of the single-loop schedule.
-	// Requires the Modeled engine (the Cycle and Hybrid engines
-	// already parallelize across their worker pool).
+	// Shards partitions the roster into this many event loops, each
+	// with its own clock, queue and completion heap, coupled only
+	// through the arrival router's epoch barrier and run one after
+	// another (see loop.go). It is a modeling axis, not a speed-up. 0
+	// or 1 — the default — runs the single loop over the whole roster.
+	// A given seed and shard count always reproduce byte-identical
+	// summaries and time series. Counts above 1 partition the backlog,
+	// so the simulated schedule is that of a K-way-split fleet —
+	// reproducible for that K, not a byte-copy of the single-loop
+	// schedule. Counts above 1 require the Modeled engine.
 	Shards int
 	// ShardEpoch is the router's synchronization quantum in fleet
 	// cycles: arrivals are assigned to shards one epoch at a time, at a
@@ -344,7 +341,7 @@ type Fleet struct {
 	// per device type. Nil outside the ILP policies (or for NC outside
 	// the packed-key range), where the direct computation is used
 	// instead. All read-only after New — the mutable solve memo lives on
-	// each event loop's dispatcher so shards never share writes.
+	// each event loop's dispatcher.
 	patIndex   map[uint64]int
 	effAll     [][]float64
 	ncPatterns []match.Pattern

@@ -110,10 +110,10 @@ type Result struct {
 	// Devices is the total device count across the roster.
 	Devices int
 	NC      int
-	// Shards is how many parallel event loops produced the result (0 or
-	// 1 = the classic single loop). Counts above 1 partition the
-	// backlog, so the accounting is that of a K-way-split fleet;
-	// repeat runs at the same count are byte-identical.
+	// Shards is the configured partition count (Config.Shards; 0 or 1 =
+	// the single loop). Counts above 1 partition the backlog, so the
+	// accounting is that of a K-way-split fleet; repeat runs at the same
+	// count are byte-identical.
 	Shards int
 	// Jobs holds every job in arrival order.
 	Jobs []JobRecord

@@ -74,10 +74,9 @@ func TestShardedGolden(t *testing.T) {
 }
 
 // TestShardedDeterminism is the reproducibility contract on the
-// concurrent path: with goroutine-per-shard execution, repeated runs at
-// every shard count must produce byte-identical summaries, eviction
-// traces and time series. Runs under -race in CI, so a data race
-// between shard loops fails loudly rather than flaking.
+// partitioned path: repeated runs at every shard count — router, epoch
+// barriers and merge included — must produce byte-identical summaries,
+// eviction traces and time series.
 func TestShardedDeterminism(t *testing.T) {
 	for _, shards := range []int{2, 3, 4} {
 		_, firstSum, firstCSV := runShardedCase(t, shards)
@@ -94,10 +93,10 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardsOneMatchesGoldens pins shards=1 to the classic loop: an
+// TestShardsOneMatchesGoldens pins shards=1 to the single loop: an
 // explicit Shards: 1 must reproduce the existing Cycle-engine goldens
-// byte for byte (it takes the identical code path, and validation must
-// accept the shard count under every engine).
+// byte for byte (one partition is the whole roster, and validation
+// must accept the shard count under every engine).
 func TestShardsOneMatchesGoldens(t *testing.T) {
 	for _, tc := range goldenCases(t) {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,19 +50,20 @@ type sampler struct {
 	interval uint64
 	devices  int
 	// extra selects the control-column block (submitted/rejected/…,
-	// control.go); fixed is the per-device columns' base offset —
-	// numFixedCols, plus numCtlCols when extra is on. Keeping the block
-	// conditional keeps control-free series byte-identical to the
-	// historical (golden-locked) layout.
+	// control.go), set exactly when the loop has a control block; fixed
+	// is the per-device columns' base offset — numFixedCols, plus
+	// numCtlCols when extra is on. Keeping the block conditional keeps
+	// control-free series byte-identical to the historical
+	// (golden-locked) layout.
 	extra bool
 	// chaos appends the chaos-column block (failed/draining gauges)
 	// after the control block; it is only ever set together with extra,
 	// because chaos enables the control surface.
 	chaos bool
 	fixed int
-	// ctl is the owning loop's control block (nil without one); emit
-	// reads its active-device gauge.
-	ctl    *loopCtl
+	// l is the owning loop, whose queue, flights, counters and control
+	// gauges emit reads (nil on a merge target).
+	l      *loop
 	series *obs.Series
 	// scratch is the reused row buffer Append copies from.
 	scratch []uint64
@@ -160,9 +161,9 @@ func newSampler(interval uint64, devices int, extra, chaos bool) *sampler {
 // emitted one and next, with the current (pre-advance) state. Events at
 // next have not happened yet, so boundaries equal to next wait for a
 // later advance (or finish) — their rows then include those events.
-func (s *sampler) advanceTo(next uint64, q *jobQueue, flightOf []*inflight, res *Result) {
+func (s *sampler) advanceTo(next uint64) {
 	for edge := s.lastEdge + s.interval; edge < next; edge += s.interval {
-		s.emit(edge, q, flightOf, res)
+		s.emit(edge)
 	}
 }
 
@@ -212,14 +213,15 @@ func (s *sampler) growBuckets(b uint64) {
 // emit appends one row at cycle edge from the live loop state.
 //
 //simlint:hotpath
-func (s *sampler) emit(edge uint64, q *jobQueue, flightOf []*inflight, res *Result) {
+func (s *sampler) emit(edge uint64) {
+	q, res := &s.l.queue, &s.l.res
 	row := s.scratch
 	row[colCycle] = edge
 	row[colQueue] = uint64(q.Len())
 	row[colQueueLatency] = uint64(q.latency)
 	row[colQueueBatch] = uint64(q.Len() - q.latency)
 	running, busyDevs := uint64(0), uint64(0)
-	for d, fl := range flightOf {
+	for d, fl := range s.l.flightOf {
 		n := uint64(0)
 		if fl != nil {
 			n = uint64(len(fl.jobs))
@@ -242,20 +244,11 @@ func (s *sampler) emit(edge uint64, q *jobQueue, flightOf []*inflight, res *Resu
 		row[colDegraded] = uint64(res.Degraded)
 		row[colAbandoned] = uint64(res.Abandoned)
 		row[colRetried] = uint64(res.Retried)
-		active := uint64(0)
-		if s.ctl != nil {
-			active = uint64(s.ctl.activeCount)
-		}
-		row[colActiveDevices] = active
+		row[colActiveDevices] = uint64(s.l.ctl.activeCount)
 	}
 	if s.chaos {
-		failed, draining := uint64(0), uint64(0)
-		if s.ctl != nil {
-			failed = uint64(s.ctl.failedCount)
-			draining = uint64(s.ctl.drainingCount)
-		}
-		row[colFailedDevices] = failed
-		row[colDrainingDevices] = draining
+		row[colFailedDevices] = uint64(s.l.ctl.failedCount)
+		row[colDrainingDevices] = uint64(s.l.ctl.drainingCount)
 	}
 	// Busy cycles are merged later (finish), once every overlapping
 	// flight has retired; zero them here so a reused scratch row cannot
@@ -267,38 +260,36 @@ func (s *sampler) emit(edge uint64, q *jobQueue, flightOf []*inflight, res *Resu
 	s.lastEdge = edge
 }
 
-// mergeShardSeries folds the per-shard samplers into one fleet-wide
-// series, row by row in interval order. Every shard samples the same
-// edge grid (same interval, clocks start at 0) and is finished against
-// the global makespan, so row r means the same cycle everywhere: the
-// fixed columns — all either gauges of disjoint state or cumulative
-// counters of disjoint events — sum across shards, and each shard's
-// local device columns land at their global indices. The result is
-// byte-identical to what a single sampler over the same merged event
-// stream would have produced.
-func mergeShardSeries(f *Fleet, shards []*shard, makespan uint64) (*obs.Series, error) {
-	devices := len(f.devType)
-	merged := newSampler(f.cfg.SampleEvery, devices, f.ctlEnabled(), f.cfg.Chaos.Enabled)
-	// Control events (abandons, retries, scale ticks) can fire after a
-	// shard's last completion, pushing its sampler past the fleet-wide
-	// makespan; finishing every shard against the furthest horizon keeps
-	// the per-shard row grids identical.
+// mergeSeries finishes every loop's sampler and folds them into one
+// fleet-wide series, row by row in interval order. Control events
+// (abandons, retries, scale ticks) can fire after a loop's last
+// completion, pushing its sampler past the fleet-wide makespan, so
+// every loop finishes against the furthest horizon: all loops then
+// share one row grid (same interval, clocks start at 0), and row r
+// means the same cycle everywhere. The fixed columns — gauges of
+// disjoint state or cumulative counters of disjoint events — sum
+// across loops, and each loop's local device columns land at their
+// global indices. A single loop's series is returned as it stands.
+func mergeSeries(f *Fleet, loops []*loop, makespan uint64) (*obs.Series, error) {
 	horizon := makespan
-	for _, s := range shards {
-		if s.col.lastEdge > horizon {
-			horizon = s.col.lastEdge
-		}
+	for _, l := range loops {
+		horizon = max(horizon, l.col.lastEdge)
 	}
-	parts := make([]*obs.Series, len(shards))
-	for i, s := range shards {
-		parts[i] = s.col.finish(horizon, &s.queue, s.flightOf, &s.res)
+	parts := make([]*obs.Series, len(loops))
+	for i, l := range loops {
+		parts[i] = l.col.finish(horizon)
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
 	}
 	rows := parts[0].Rows()
 	for _, p := range parts[1:] {
 		if p.Rows() != rows {
-			return nil, fmt.Errorf("fleet: shard series diverge (%d rows vs %d)", p.Rows(), rows)
+			return nil, fmt.Errorf("fleet: loop series diverge (%d rows vs %d)", p.Rows(), rows)
 		}
 	}
+	devices := len(f.devType)
+	merged := newSampler(f.cfg.SampleEvery, devices, f.ctlEnabled(), f.cfg.Chaos.Enabled)
 	row := merged.scratch
 	for r := 0; r < rows; r++ {
 		for c := range row {
@@ -306,15 +297,12 @@ func mergeShardSeries(f *Fleet, shards []*shard, makespan uint64) (*obs.Series, 
 		}
 		row[colCycle] = parts[0].At(r, colCycle)
 		for i, p := range parts {
-			// Every fixed column past the cycle — the control block
-			// included — is a gauge of disjoint state or a counter of
-			// disjoint events, so summing across shards is exact.
 			for c := colQueue; c < merged.fixed; c++ {
 				row[c] += p.At(r, c)
 			}
-			s := shards[i]
-			nd := len(s.devices)
-			for local, d := range s.devices {
+			l := loops[i]
+			nd := len(l.devices)
+			for local, d := range l.devices {
 				row[merged.fixed+d] = p.At(r, merged.fixed+local)
 				row[merged.fixed+devices+d] = p.At(r, merged.fixed+nd+local)
 			}
@@ -328,12 +316,12 @@ func mergeShardSeries(f *Fleet, shards []*shard, makespan uint64) (*obs.Series, 
 // final state, appends a partial row at the makespan itself when it is
 // not on a boundary, merges the per-interval busy accounting into the
 // d<N>_busy columns, and returns the completed series.
-func (s *sampler) finish(makespan uint64, q *jobQueue, flightOf []*inflight, res *Result) *obs.Series {
+func (s *sampler) finish(makespan uint64) *obs.Series {
 	for edge := s.lastEdge + s.interval; edge <= makespan; edge += s.interval {
-		s.emit(edge, q, flightOf, res)
+		s.emit(edge)
 	}
 	if s.lastEdge < makespan {
-		s.emit(makespan, q, flightOf, res)
+		s.emit(makespan)
 	}
 	// Row k covers bucket k by construction: full rows sit at edge
 	// (k+1)*interval, and the single partial row (if any) is last, over
