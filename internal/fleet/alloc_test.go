@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sched"
@@ -116,4 +117,53 @@ func BenchmarkFleetDispatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
+}
+
+// TestModeledRunMemoryBounded runs a million-job overloaded Modeled
+// fleet — 16 test devices, Poisson arrivals at one per kilocycle, a
+// tenth of them latency jobs under preemptive SLO dispatch — and bounds
+// what Run and Summary allocate per job. Per-job state is one small
+// record plus its JobRecord; per-application state is shared, and
+// Summary sorts each class once. The backlog grows to hundreds of
+// thousands of batch jobs, so the test also pins latency arrivals to an
+// O(1) insert instead of a shift of the whole backlog.
+func TestModeledRunMemoryBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("million-job run")
+	}
+	const jobs = 1 << 20
+	const maxBytesPerJob = 400
+	p := testPipeline(t)
+	f, err := New(Config{
+		Devices: homo(p, 16), NC: 2, Policy: sched.ILP, Engine: Modeled,
+		SLO: SLOConfig{Enabled: true, Preempt: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := ArrivalConfig{Kind: Poisson, Jobs: jobs, Rate: 1, LatencyFrac: 0.1, Seed: 1}.Generate(testNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := f.Run(arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary := res.Summary()
+	runtime.ReadMemStats(&after)
+	if len(res.Jobs) != jobs || summary == "" {
+		t.Fatalf("%d job records for %d arrivals", len(res.Jobs), jobs)
+	}
+	for _, j := range res.Jobs {
+		if j.Outcome != Done {
+			t.Fatalf("job %d ended %v, want done", j.ID, j.Outcome)
+		}
+	}
+	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	t.Logf("Run + Summary allocated %.0f B/job", perJob)
+	if perJob > maxBytesPerJob {
+		t.Fatalf("Run + Summary allocated %.0f B/job, want at most %d", perJob, maxBytesPerJob)
+	}
 }

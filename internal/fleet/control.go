@@ -87,7 +87,7 @@ type AdmissionConfig struct {
 	// Modeled switches the predictor's backlog estimate from the plain
 	// solo-work sum to the interference-aware one: each queued job's
 	// solo duration scaled by its class's expected co-run slowdown from
-	// the Modeled engine's MemberSlowdown tables (job.coEst), so a
+	// the Modeled engine's MemberSlowdown tables (appInfo.coEst), so a
 	// backlog of mutually hostile classes predicts longer waits than an
 	// equal amount of friendly work.
 	Modeled bool

@@ -9,7 +9,7 @@ import (
 	"repro/internal/sched"
 )
 
-// windowFor sizes the ILP window for one dispatch. A pinned
+// windowFor sizes the ILP window for one dispatch from queue q. A pinned
 // Config.Window wins; otherwise the window adapts to what the matcher
 // can actually exploit:
 //
@@ -21,24 +21,21 @@ import (
 //     of classes", 1..NumClasses). A one-class queue offers the matcher
 //     no pairing choice, so a big window only delays jobs it will never
 //     reorder; a uniform mix earns the full depth-sized window.
-func (f *Fleet) windowFor(q []*job, t int) int {
+func (f *Fleet) windowFor(q *jobQueue, t int) int {
 	if f.cfg.Window > 0 {
 		return f.cfg.Window
 	}
-	w := len(q) / 2
+	w := q.Len() / 2
 	if w < MinWindow {
 		w = MinWindow
 	}
 	if w > MaxWindow {
 		w = MaxWindow
 	}
-	prefix := q
-	if len(prefix) > MaxWindow {
-		prefix = prefix[:MaxWindow]
-	}
+	prefix := q.window(MaxWindow)
 	var counts [classify.NumClasses]int
 	for _, j := range prefix {
-		counts[j.apps[t].Class]++
+		counts[j.class(t)]++
 	}
 	h := 0.0
 	for _, n := range counts {
@@ -192,11 +189,8 @@ func (d *dispatcher) formGroup(dst []*job, queue *jobQueue, t int, now uint64) (
 		queue.advance(1)
 		return dst, false
 	case sched.FCFS, sched.ProfileBased:
-		n := f.cfg.NC
-		if n > queue.Len() {
-			n = queue.Len()
-		}
-		dst = append(dst, queue.view()[:n]...)
+		n := min(f.cfg.NC, queue.Len())
+		dst = append(dst, queue.window(n)...)
 		queue.advance(n)
 		return dst, false
 	}
@@ -218,13 +212,9 @@ func (d *dispatcher) formGroup(dst []*job, queue *jobQueue, t int, now uint64) (
 //simlint:hotpath
 func (d *dispatcher) formGreedyGroup(dst []*job, queue *jobQueue, t int, now uint64) []*job {
 	f := d.f
-	q := queue.view()
-	window := q
-	if w := f.windowFor(q, t); len(window) > w {
-		window = window[:w]
-	}
+	window := queue.window(f.windowFor(queue, t))
 	aging := d.agingWeights(window, now)
-	dst = append(dst, q[0])
+	dst = append(dst, window[0])
 	for len(dst) < f.cfg.NC {
 		best := -1
 		bestEff := -1.0
@@ -261,14 +251,10 @@ func (d *dispatcher) formGreedyGroup(dst []*job, queue *jobQueue, t int, now uin
 //simlint:hotpath
 func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64) []*job {
 	f := d.f
-	q := queue.view()
-	window := q
-	if w := f.windowFor(q, t); len(window) > w {
-		window = window[:w]
-	}
+	window := queue.window(f.windowFor(queue, t))
 	var counts [classify.NumClasses]int
 	for _, j := range window {
-		counts[j.apps[t].Class]++
+		counts[j.class(t)]++
 	}
 	var res match.Result
 	var err error
@@ -279,8 +265,8 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 		patterns, eff := f.ncPatternTable(t)
 		var classWait [classify.NumClasses]float64
 		for wi, j := range window {
-			if w := aging[wi]; w > classWait[j.apps[t].Class] {
-				classWait[j.apps[t].Class] = w
+			if w := aging[wi]; w > classWait[j.class(t)] {
+				classWait[j.class(t)] = w
 			}
 		}
 		eff = match.AgedEfficiencies(patterns, eff, classWait, f.cfg.Aging)
@@ -293,7 +279,7 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 	}
 	// Among the patterns the ILP selected, take the most efficient one
 	// that can dispatch the head waiting job.
-	oldest := q[0].apps[t].Class
+	oldest := window[0].class(t)
 	best := -1
 	for k, n := range res.Counts {
 		if n == 0 || res.Patterns[k].Count(oldest) == 0 {
@@ -310,7 +296,7 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 	for _, cls := range res.Patterns[best] {
 		found := false
 		for _, cand := range window {
-			if cand.apps[t].Class == cls && !containsJob(dst, cand) {
+			if cand.class(t) == cls && !containsJob(dst, cand) {
 				dst = append(dst, cand)
 				found = true
 				break
@@ -402,10 +388,10 @@ func (f *Fleet) patternEff(t int, members []*job, extra *job) float64 {
 	var buf [8]classify.Class
 	n := 0
 	for _, m := range members {
-		buf[n] = m.apps[t].Class
+		buf[n] = m.class(t)
 		n++
 	}
-	buf[n] = extra.apps[t].Class
+	buf[n] = extra.class(t)
 	n++
 	for i := 1; i < n; i++ {
 		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
@@ -458,9 +444,9 @@ func (d *dispatcher) solveWindow(t int, counts [classify.NumClasses]int) (match.
 func pattern(members []*job, extra *job, t int) match.Pattern {
 	p := make(match.Pattern, 0, len(members)+1)
 	for _, m := range members {
-		p = append(p, m.apps[t].Class)
+		p = append(p, m.class(t))
 	}
-	p = append(p, extra.apps[t].Class)
+	p = append(p, extra.class(t))
 	sort.SliceStable(p, func(i, j int) bool { return p[i] < p[j] })
 	return p
 }

@@ -87,7 +87,7 @@ func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*job, t int, 
 	d.patBuf = d.patBuf[:0]
 	if m != nil && len(members) > 1 {
 		for _, j := range members {
-			d.patBuf = append(d.patBuf, j.apps[t].Class)
+			d.patBuf = append(d.patBuf, j.class(t))
 		}
 	}
 	pat := d.patBuf
@@ -97,7 +97,7 @@ func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*job, t int, 
 	rep.Cycles = 0
 	rep.SMMoves = 0
 	for i, j := range members {
-		sp := j.solo[t]
+		sp := j.app.solo[t]
 		if !sp.ok {
 			return d.missingSolo(j, t)
 		}
@@ -110,7 +110,7 @@ func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*job, t int, 
 			end = 1
 		}
 		rep.Apps = append(rep.Apps, j.name())
-		rep.Classes = append(rep.Classes, j.apps[t].Class)
+		rep.Classes = append(rep.Classes, j.class(t))
 		rep.Stats = append(rep.Stats, stats.App{
 			Name:               j.name(),
 			ThreadInstructions: sp.instrs,

@@ -351,9 +351,14 @@ type Fleet struct {
 	// interference matrix predicts for a class-cls job over uniform
 	// NC-1-partner company, averaged across partner classes — the
 	// modeled admission predictor's per-job inflation factor (resolve
-	// bakes it into job.coEst). Nil when any type lacks a matrix or
+	// bakes it into appInfo.coEst). Nil when any type lacks a matrix or
 	// NC < 2; coEst then equals soloEst.
 	meanSlow [][]float64
+	// worstSlow[t][cls] is the same company's worst slowdown (at least
+	// 1), the preemption test's pessimistic co-run factor (coRunCycles).
+	// worstSlow[t] is nil for a type without a matrix, and the whole
+	// table is nil when NC < 2.
+	worstSlow [][]float64
 }
 
 // New builds a fleet over the configured roster.
@@ -384,41 +389,53 @@ func New(cfg Config) (*Fleet, error) {
 		f.orderPos[d] = pos
 	}
 	f.buildMatchTables()
-	f.buildMeanSlow()
+	f.buildSlowTables()
 	return f, nil
 }
 
-// buildMeanSlow precomputes the per-type per-class mean co-run slowdown
-// tables the modeled admission predictor reads. It mirrors
-// coRunCycles's uniform-company patterns but takes the mean over
-// partner classes instead of the worst case: admission wants the
-// expected backlog drain time, not deadline-protection pessimism.
-func (f *Fleet) buildMeanSlow() {
+// buildSlowTables precomputes the per-type per-class co-run slowdown
+// tables over uniform company: NC-1 partners of one class, for every
+// partner class — which covers the pairwise and triple matrix entries
+// exactly and stays O(NT) rather than enumerating mixed partner
+// multisets. meanSlow averages over partner classes (admission wants
+// the expected backlog drain time); worstSlow takes the maximum
+// (deadline protection wants the least favorable partner).
+func (f *Fleet) buildSlowTables() {
 	if f.cfg.NC < 2 {
 		return
 	}
-	tables := make([][]float64, len(f.types))
+	mean := make([][]float64, len(f.types))
+	f.worstSlow = make([][]float64, len(f.types))
+	allTyped := true
 	for t, pipe := range f.types {
 		m := pipe.Matrix()
 		if m == nil {
-			return
+			allTyped = false
+			continue
 		}
-		table := make([]float64, classify.NumClasses)
+		mean[t] = make([]float64, classify.NumClasses)
+		f.worstSlow[t] = make([]float64, classify.NumClasses)
 		p := make(match.Pattern, f.cfg.NC)
 		for cls := classify.Class(0); cls < classify.NumClasses; cls++ {
-			sum := 0.0
+			sum, worst := 0.0, 1.0
 			for c := classify.Class(0); c < classify.NumClasses; c++ {
 				p[0] = cls
 				for i := 1; i < f.cfg.NC; i++ {
 					p[i] = c
 				}
-				sum += match.MemberSlowdown(m, p, 0)
+				s := match.MemberSlowdown(m, p, 0)
+				sum += s
+				if s > worst {
+					worst = s
+				}
 			}
-			table[cls] = sum / float64(classify.NumClasses)
+			mean[t][cls] = sum / float64(classify.NumClasses)
+			f.worstSlow[t][cls] = worst
 		}
-		tables[t] = table
 	}
-	f.meanSlow = tables
+	if allTyped {
+		f.meanSlow = mean
+	}
 }
 
 // NewHomogeneous builds a fleet of count identical devices over one

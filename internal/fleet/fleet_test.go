@@ -258,9 +258,11 @@ func TestLowerBoundCyclesSound(t *testing.T) {
 					t.Fatal(err)
 				}
 				bound := f.lowerBoundCycles(jobs, 0)
-				g := make(sched.Group, len(jobs))
+				g := group(jobs, 0)
 				for k, m := range jobs {
-					g[k] = m.apps[0]
+					if g[k].Arrival != m.id || g[k].Params.Name != m.name() {
+						t.Fatalf("group member %d is %s arriving at %d, want job %d (%s)", k, g[k].Params.Name, g[k].Arrival, m.id, m.name())
+					}
 				}
 				rep, err := p.Scheduler().RunGroup(g, sched.FCFS)
 				if err != nil {

@@ -521,11 +521,7 @@ func (l *loop) start(fl *inflight) error {
 	go func() {
 		l.sem <- struct{}{}
 		defer func() { <-l.sem }()
-		g := make(sched.Group, len(fl.jobs))
-		for i, m := range fl.jobs {
-			g[i] = m.apps[fl.typ]
-		}
-		fl.rep, fl.err = f.types[fl.typ].Scheduler().RunGroup(g, f.cfg.Policy)
+		fl.rep, fl.err = f.types[fl.typ].Scheduler().RunGroup(group(fl.jobs, fl.typ), f.cfg.Policy)
 		close(fl.done)
 	}()
 	return nil
@@ -705,12 +701,12 @@ func (l *loop) speculate() {
 		return
 	}
 	// formGroup filters the queue in place, so work on a copy (the copy
-	// owns its buffer, so compaction cannot touch the real queue). Busy
-	// devices are predicted in placement order — the same order real
+	// owns its runs' buffers, so compaction cannot touch the real queue).
+	// Busy devices are predicted in placement order — the same order real
 	// dispatch would offer them work if they all freed at once. With
 	// aging on the prediction also guesses the dispatch time (now); a
 	// stale guess costs one wasted simulation, never correctness.
-	spec := jobQueue{slo: f.cfg.SLO.Enabled, buf: append([]*job(nil), l.queue.view()...)}
+	spec := l.queue.clone()
 	for _, d := range l.order {
 		if l.flightOf[l.slot[d]] == nil || spec.Len() == 0 {
 			continue
@@ -725,10 +721,7 @@ func (l *loop) speculate() {
 			continue
 		}
 		l.speculated[sig] = true
-		g := make(sched.Group, len(members))
-		for j, m := range members {
-			g[j] = m.apps[t]
-		}
+		g := group(members, t)
 		l.specWG.Add(1)
 		go func() {
 			defer l.specWG.Done()
@@ -748,6 +741,8 @@ func (l *loop) speculate() {
 // unreachable even on a device freed right now (eviction would burn
 // batch progress without saving anything). Only the loop's own devices
 // can rescue the trigger: the router decided its partition.
+//
+//simlint:hotpath
 func (l *loop) preemptVictim(trigger *job) *inflight {
 	f, now := l.f, l.now
 	// Waiting means the dispatch loop hands the queue head to the FIRST
@@ -882,8 +877,9 @@ func (f *Fleet) merge(loops []*loop, jobs []*job) (Result, error) {
 	if samples > 0 {
 		res.ModelDelta = delta / float64(samples)
 	}
-	for _, j := range jobs {
-		res.Jobs = append(res.Jobs, f.jobRecord(j))
+	res.Jobs = make([]JobRecord, len(jobs))
+	for i, j := range jobs {
+		f.jobRecord(&res.Jobs[i], j)
 	}
 	return res, nil
 }

@@ -3,69 +3,95 @@ package fleet
 import "sort"
 
 // jobQueue is the live dispatch queue: jobs that have arrived and are
-// not (currently) dispatched, in dispatch-priority order. It is
-// head-indexed so the two operations the event loop performs per
-// dispatch stay cheap at warehouse scale:
+// not (currently) dispatched, in dispatch-priority order. It is two
+// head-indexed runs, seg[Latency] then seg[Batch], each sorted by
+// (arrival cycle, arrival index); with SLO dispatch off every job goes
+// in seg[Batch], so admission order is preserved exactly. Priority
+// order is the latency run followed by the batch run: evicted batch
+// jobs re-enter the batch run at their arrival-order position, ahead of
+// younger waiting batch work and behind every latency job. The split
+// keeps each operation the event loop performs per dispatch cheap at
+// warehouse scale:
 //
-//   - insert: binary search for the position (latency class before
-//     batch when SLO-aware, then arrival cycle, then arrival index).
-//     Arrivals are admitted in cycle order, so in the common case the
-//     position is the tail and insertion is an O(1) append; only
-//     evicted jobs re-entering the queue pay the mid-queue copy.
+//   - insert: binary search within the job's own run. Arrivals are
+//     admitted in cycle order, so in the common case the position is
+//     that run's tail and insertion is an O(1) append — a latency
+//     arrival never shifts the batch backlog. Only evicted jobs
+//     re-entering a run pay a mid-run copy.
+//   - window: the first n jobs in priority order, aliasing one run, or
+//     assembled into a reused scratch slice when the prefix spans both.
 //   - removeJobs: group formation only ever draws members from the
-//     queue's window prefix (at most MaxWindow deep, or the FCFS/Serial
-//     head), so removal compacts the surviving prefix entries onto the
-//     freed slots and advances the head — O(window), independent of the
-//     backlog depth behind it.
-//
-// A 100k-job bursty backlog would make the old []*job representation
-// (full-slice filter per dispatch, full-slice copy per mid-queue
-// insert) quadratic; this keeps the queue out of the event core's
-// O(log n) budget.
+//     window (at most MaxWindow deep, or the FCFS/Serial head), so each
+//     run compacts its surviving prefix entries onto the freed slots and
+//     advances its head — O(window), independent of the backlog depth
+//     behind it.
 type jobQueue struct {
-	buf  []*job
-	head int
+	seg [2]jobRun
 	// slo selects SLO-aware ordering (latency before batch).
 	slo bool
+	// scratch assembles windows that span both runs.
+	scratch []*job
 	// latency counts waiting Latency-class jobs, maintained by the
 	// mutators below so the observability sampler reads the queue's class
 	// split in O(1) instead of walking the backlog every interval.
 	latency int
-	// work sums the waiting jobs' mean solo cycles (job.soloEst),
+	// work sums the waiting jobs' mean solo cycles (appInfo.soloEst),
 	// maintained alongside latency so the admission predictor reads the
 	// backlog's service demand in O(1). cowork sums the
-	// interference-inflated estimates (job.coEst) the modeled predictor
-	// reads instead; both are two integer ops per mutation, so they are
-	// kept unconditionally.
+	// interference-inflated estimates (appInfo.coEst) the modeled
+	// predictor reads instead; both are two integer ops per mutation, so
+	// they are kept unconditionally.
 	work   uint64
 	cowork uint64
 }
 
-// Len is the number of waiting jobs.
-func (q *jobQueue) Len() int { return len(q.buf) - q.head }
+// jobRun is one head-indexed run of the queue, sorted by (arrival, id).
+type jobRun struct {
+	buf  []*job
+	head int
+}
 
-// view is the waiting jobs in dispatch-priority order. The slice
-// aliases the queue; callers must not hold it across mutations.
-func (q *jobQueue) view() []*job { return q.buf[q.head:] }
+// live is the run's waiting jobs.
+func (r *jobRun) live() []*job { return r.buf[r.head:] }
+
+// Len is the number of waiting jobs.
+func (q *jobQueue) Len() int { return len(q.seg[Latency].live()) + len(q.seg[Batch].live()) }
+
+// runOf is the run j waits in.
+func (q *jobQueue) runOf(j *job) SLOClass {
+	if q.slo && j.slo == Latency {
+		return Latency
+	}
+	return Batch
+}
 
 // at returns the i-th waiting job (0 = next to dispatch).
-func (q *jobQueue) at(i int) *job { return q.buf[q.head+i] }
+//
+//simlint:hotpath
+func (q *jobQueue) at(i int) *job {
+	lat := q.seg[Latency].live()
+	if i < len(lat) {
+		return lat[i]
+	}
+	return q.seg[Batch].live()[i-len(lat)]
+}
 
-// before is the dispatch-priority order: latency class before batch
-// when SLO-aware dispatch is on, then arrival cycle, then arrival
-// index. With SLO dispatch off every job has equal priority, so
-// admission order (arrival order) is preserved exactly; with it on,
-// evicted batch jobs re-enter among the batch segment at their
-// arrival-order position — ahead of younger waiting batch work, behind
-// every latency job.
-func (q *jobQueue) before(a, b *job) bool {
-	if q.slo && a.slo != b.slo {
-		return a.slo == Latency
+// window returns the first n waiting jobs in priority order (all of
+// them when fewer wait). The slice aliases the queue or its scratch;
+// callers must not hold it across mutations or another window call.
+//
+//simlint:hotpath
+func (q *jobQueue) window(n int) []*job {
+	lat, batch := q.seg[Latency].live(), q.seg[Batch].live()
+	if n <= len(lat) {
+		return lat[:n]
 	}
-	if a.arrival != b.arrival {
-		return a.arrival < b.arrival
+	if len(lat) == 0 {
+		return batch[:min(n, len(batch))]
 	}
-	return a.id < b.id
+	q.scratch = append(q.scratch[:0], lat...)
+	q.scratch = append(q.scratch, batch[:min(n-len(lat), len(batch))]...)
+	return q.scratch
 }
 
 // insert places j at its priority position.
@@ -73,44 +99,68 @@ func (q *jobQueue) insert(j *job) {
 	if j.slo == Latency {
 		q.latency++
 	}
-	q.work += j.soloEst
-	q.cowork += j.coEst
+	q.work += j.app.soloEst
+	q.cowork += j.app.coEst
 	j.state = jsWaiting
-	v := q.view()
-	pos := sort.Search(len(v), func(i int) bool { return q.before(j, v[i]) })
-	q.buf = append(q.buf, j)
+	r := &q.seg[q.runOf(j)]
+	v := r.live()
+	pos := sort.Search(len(v), func(i int) bool {
+		return j.arrival < v[i].arrival || (j.arrival == v[i].arrival && j.id < v[i].id)
+	})
+	r.buf = append(r.buf, j)
 	if pos == len(v) {
 		return
 	}
-	at := q.head + pos
-	copy(q.buf[at+1:], q.buf[at:])
-	q.buf[at] = j
+	at := r.head + pos
+	copy(r.buf[at+1:], r.buf[at:])
+	r.buf[at] = j
+}
+
+// unqueue drops one leaving job from the counters.
+func (q *jobQueue) unqueue(j *job) {
+	if j.slo == Latency {
+		q.latency--
+	}
+	q.work -= j.app.soloEst
+	q.cowork -= j.app.coEst
 }
 
 // advance pops the first n waiting jobs (the FCFS/Serial paths, whose
 // groups are exactly the queue prefix).
 func (q *jobQueue) advance(n int) {
-	for k := q.head; k < q.head+n; k++ {
-		if q.buf[k].slo == Latency {
-			q.latency--
+	for _, s := range [2]SLOClass{Latency, Batch} {
+		r := &q.seg[s]
+		k := min(n, len(r.live()))
+		for i := r.head; i < r.head+k; i++ {
+			q.unqueue(r.buf[i])
+			r.buf[i] = nil
 		}
-		q.work -= q.buf[k].soloEst
-		q.cowork -= q.buf[k].coEst
-		q.buf[k] = nil
+		r.head += k
+		r.compact()
+		n -= k
 	}
-	q.head += n
-	q.compact()
 }
 
 // removeJobs removes the given jobs (a just-formed group, at most NC
 // entries) from the queue, preserving the order of the survivors.
 // Every member must lie in the queue prefix group formation scanned
-// (the dispatch window); the scan stops as soon as all of them are
-// found, so the cost is O(window · NC + survivors in the prefix),
-// never O(backlog), and — unlike the taken-map predecessor — it
-// allocates nothing.
+// (the dispatch window); each run's scan stops as soon as all of its
+// members are found, so the cost is O(window · NC + survivors in the
+// prefix), never O(backlog), and it allocates nothing.
 func (q *jobQueue) removeJobs(members []*job) {
-	if len(members) == 0 {
+	inLat := 0
+	for _, m := range members {
+		if q.runOf(m) == Latency {
+			inLat++
+		}
+	}
+	q.seg[Latency].remove(q, members, inLat)
+	q.seg[Batch].remove(q, members, len(members)-inLat)
+}
+
+// remove takes want of the members out of the run's prefix.
+func (r *jobRun) remove(q *jobQueue, members []*job, want int) {
+	if want == 0 {
 		return
 	}
 	found := 0
@@ -118,28 +168,24 @@ func (q *jobQueue) removeJobs(members []*job) {
 	// so the stack buffer almost always suffices.
 	var keptBuf [MaxWindow]*job
 	kept := keptBuf[:0]
-	i := q.head
-	for ; i < len(q.buf) && found < len(members); i++ {
-		if containsJob(members, q.buf[i]) {
+	i := r.head
+	for ; i < len(r.buf) && found < want; i++ {
+		if containsJob(members, r.buf[i]) {
 			found++
-			if q.buf[i].slo == Latency {
-				q.latency--
-			}
-			q.work -= q.buf[i].soloEst
-			q.cowork -= q.buf[i].coEst
+			q.unqueue(r.buf[i])
 		} else {
-			kept = append(kept, q.buf[i])
+			kept = append(kept, r.buf[i])
 		}
 	}
 	newHead := i - len(kept)
-	copy(q.buf[newHead:i], kept)
+	copy(r.buf[newHead:i], kept)
 	// Nil out the freed slots so completed jobs do not pin the arrays
 	// they reference for the queue's lifetime.
-	for k := q.head; k < newHead; k++ {
-		q.buf[k] = nil
+	for k := r.head; k < newHead; k++ {
+		r.buf[k] = nil
 	}
-	q.head = newHead
-	q.compact()
+	r.head = newHead
+	r.compact()
 }
 
 // compact slides the live suffix back to the front once the dead
@@ -150,14 +196,26 @@ func (q *jobQueue) removeJobs(members []*job) {
 // dispatch stays allocation-free. The copy is amortized O(1) per
 // removed job: each compaction moves at most as many entries as were
 // consumed since the last one.
-func (q *jobQueue) compact() {
-	if q.head < MaxWindow || q.head*2 < len(q.buf) {
+func (r *jobRun) compact() {
+	if r.head < MaxWindow || r.head*2 < len(r.buf) {
 		return
 	}
-	n := copy(q.buf, q.buf[q.head:])
-	for k := n; k < len(q.buf); k++ {
-		q.buf[k] = nil
+	n := copy(r.buf, r.buf[r.head:])
+	for k := n; k < len(r.buf); k++ {
+		r.buf[k] = nil
 	}
-	q.buf = q.buf[:n]
-	q.head = 0
+	r.buf = r.buf[:n]
+	r.head = 0
+}
+
+// clone is an independent copy of the queue's waiting jobs and
+// counters, for speculation to form groups from without touching the
+// real queue.
+func (q *jobQueue) clone() jobQueue {
+	c := *q
+	c.scratch = nil
+	for s := range c.seg {
+		c.seg[s] = jobRun{buf: append([]*job(nil), q.seg[s].live()...)}
+	}
+	return c
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/classify"
@@ -364,11 +365,91 @@ func (r Result) deviceLabel(d int) string {
 	return "?"
 }
 
+// summaryPass is what Summary reads from the job records, gathered in
+// one pass by index: the completed jobs' wait and turnaround samples per
+// SLO class and the completed latency jobs' deadline slacks, in
+// kilocycles, each sorted ascending once; and the job counts.
+type summaryPass struct {
+	wait, turnaround [2][]float64 // by SLOClass
+	slack            []float64
+	completed        int
+	latency          int
+	completedLatency int
+	misses           int
+}
+
+// summarize makes the pass. Each class's samples share one job-count
+// array per metric — latency samples fill it from the front, batch
+// samples from the back — so the pass allocates without counting first.
+func (r Result) summarize() summaryPass {
+	var s summaryPass
+	n := len(r.Jobs)
+	waits, turns := make([]float64, n), make([]float64, n)
+	lat, batch := 0, n
+	for i := range r.Jobs {
+		j := &r.Jobs[i]
+		if j.SLO == Latency {
+			s.latency++
+		}
+		if j.Missed() {
+			s.misses++
+		}
+		if j.Outcome != Done {
+			continue
+		}
+		s.completed++
+		w, t := float64(j.Wait())/1000, float64(j.Turnaround())/1000
+		if j.SLO == Latency {
+			waits[lat], turns[lat] = w, t
+			lat++
+			s.slack = append(s.slack, float64(j.Slack())/1000)
+		} else {
+			batch--
+			waits[batch], turns[batch] = w, t
+		}
+	}
+	s.completedLatency = lat
+	s.wait = [2][]float64{Latency: waits[:lat], Batch: waits[batch:]}
+	s.turnaround = [2][]float64{Latency: turns[:lat], Batch: turns[batch:]}
+	for c := range s.wait {
+		slices.Sort(s.wait[c])
+		slices.Sort(s.turnaround[c])
+	}
+	slices.Sort(s.slack)
+	return s
+}
+
+// mergeSorted merges two ascending slices into one ascending slice,
+// returning either input as it stands when the other is empty.
+func mergeSorted(a, b []float64) []float64 {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]float64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
 // Summary renders the run as a deterministic multi-line report: two
 // runs with the same seed and configuration produce byte-identical
 // output (the reproducibility contract cmd/fleet and the tests rely
-// on).
+// on). It reads the job records once (summarize) and sorts each class's
+// samples once; the fleet-wide rows merge the two sorted classes, the
+// same samples in the same ascending order the per-metric methods
+// (WaitSummary, SlackSummary, ...) sort them into, so every line
+// matches what those methods report.
 func (r Result) Summary() string {
+	s := r.summarize()
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleet: policy=%v devices=%d [%s] nc=%d jobs=%d\n", r.Policy, r.Devices, r.Roster, r.NC, len(r.Jobs))
 	fmt.Fprintf(&b, "makespan    %d cycles\n", r.Makespan)
@@ -389,7 +470,7 @@ func (r Result) Summary() string {
 	// so open-loop runs keep the historical (golden-locked) shape.
 	if r.Closed || r.Admission || r.Autoscale || r.Chaos {
 		fmt.Fprintf(&b, "control     submitted=%d completed=%d rejected=%d degraded=%d abandoned=%d retried=%d\n",
-			r.Submitted, r.CompletedJobs(), r.Rejected, r.Degraded, r.Abandoned, r.Retried)
+			r.Submitted, s.completed, r.Rejected, r.Degraded, r.Abandoned, r.Retried)
 	}
 	if r.Autoscale {
 		fmt.Fprintf(&b, "autoscale   provisions=%d decommissions=%d\n", r.Provisions, r.Decommissions)
@@ -407,17 +488,21 @@ func (r Result) Summary() string {
 		fmt.Fprintf(&b, " d%d[%s]=%.1f%%", d, r.deviceLabel(d), 100*r.Utilization(d))
 	}
 	fmt.Fprintf(&b, " mean=%.1f%%\n", 100*r.MeanUtilization())
-	fmt.Fprintf(&b, "wait        (kcycles) %v\n", r.WaitSummary())
-	fmt.Fprintf(&b, "turnaround  (kcycles) %v\n", r.TurnaroundSummary())
+	fmt.Fprintf(&b, "wait        (kcycles) %v\n", stats.SummarizeSorted(mergeSorted(s.wait[Latency], s.wait[Batch])))
+	fmt.Fprintf(&b, "turnaround  (kcycles) %v\n", stats.SummarizeSorted(mergeSorted(s.turnaround[Latency], s.turnaround[Batch])))
 	// The per-class block appears exactly when the run carries SLO
 	// classes, so class-blind runs keep the historical summary shape.
-	if r.LatencyJobs() > 0 || len(r.Evictions) > 0 {
-		fmt.Fprintf(&b, "latency wait       (kcycles) %v\n", r.WaitSummaryFor(Latency))
-		fmt.Fprintf(&b, "latency turnaround (kcycles) %v\n", r.TurnaroundSummaryFor(Latency))
-		fmt.Fprintf(&b, "latency slack      (kcycles) %v\n", r.SlackSummary())
-		fmt.Fprintf(&b, "batch wait         (kcycles) %v\n", r.WaitSummaryFor(Batch))
-		fmt.Fprintf(&b, "batch turnaround   (kcycles) %v\n", r.TurnaroundSummaryFor(Batch))
-		fmt.Fprintf(&b, "deadline-miss      %d/%d (%.1f%%)\n", r.DeadlineMisses(), r.CompletedLatencyJobs(), 100*r.MissRate())
+	if s.latency > 0 || len(r.Evictions) > 0 {
+		missRate := 0.0
+		if s.completedLatency > 0 {
+			missRate = float64(s.misses) / float64(s.completedLatency)
+		}
+		fmt.Fprintf(&b, "latency wait       (kcycles) %v\n", stats.SummarizeSorted(s.wait[Latency]))
+		fmt.Fprintf(&b, "latency turnaround (kcycles) %v\n", stats.SummarizeSorted(s.turnaround[Latency]))
+		fmt.Fprintf(&b, "latency slack      (kcycles) %v\n", stats.SummarizeSorted(s.slack))
+		fmt.Fprintf(&b, "batch wait         (kcycles) %v\n", stats.SummarizeSorted(s.wait[Batch]))
+		fmt.Fprintf(&b, "batch turnaround   (kcycles) %v\n", stats.SummarizeSorted(s.turnaround[Batch]))
+		fmt.Fprintf(&b, "deadline-miss      %d/%d (%.1f%%)\n", s.misses, s.completedLatency, 100*missRate)
 		fmt.Fprintf(&b, "evictions          %d (wasted %d cycles)\n", len(r.Evictions), r.WastedCycles())
 	}
 	return b.String()

@@ -9,17 +9,14 @@ import (
 	"repro/internal/sched"
 )
 
-// job is the dispatcher's mutable per-job state. A job's class (and the
-// QueuedApp handed to the scheduler) depends on which hardware
-// generation runs it, so apps is indexed by device type.
+// job is the dispatcher's mutable per-job state. Everything a job
+// shares with every other job of its application — the per-type
+// QueuedApp and solo profile, and the type-averaged estimates — lives
+// in one appInfo record that resolve builds per distinct name, so a job
+// is one small fixed record however many device types the roster has.
 type job struct {
-	id   int
-	apps []sched.QueuedApp
-	// solo caches the per-type solo profile (resolve fills it once from
-	// the profiler's memo), so the hot loop's runtime estimates and the
-	// analytic engine never take the profiler's lock or build its
-	// string key per call.
-	solo     []soloProfile
+	id       int
+	app      *appInfo
 	arrival  uint64
 	dispatch uint64
 	complete uint64
@@ -40,20 +37,35 @@ type job struct {
 	client   int
 	attempts int
 	state    uint8
+}
+
+// appInfo is the state every job of one application shares. An
+// application may classify differently across hardware generations, so
+// apps and solo are indexed by device type.
+type appInfo struct {
+	name string
+	// apps holds the QueuedApp handed to each type's scheduler; its
+	// Arrival is meaningless here (group stamps the job's own).
+	apps []sched.QueuedApp
+	// solo caches the per-type solo profile from the profiler's memo, so
+	// the hot loop's runtime estimates and the analytic engine never take
+	// the profiler's lock or build its string key per call.
+	solo []soloProfile
 	// soloEst is the mean calibrated solo duration across device types
 	// (0 when never calibrated): the queue's O(1) backlog-work counter
 	// and the admission predictor read it without touching profiles.
 	soloEst uint64
 	// coEst is soloEst inflated by the interference matrices' mean
-	// co-run slowdown for this job's class (equal to soloEst when no
-	// matrix is calibrated): the modeled admission predictor's
+	// co-run slowdown for this application's class (equal to soloEst
+	// when no matrix is calibrated): the modeled admission predictor's
 	// backlog-work unit.
 	coEst uint64
 }
 
-// soloProfile is one job's cached solo-run profile on one device type:
-// the calibrated cycles and retired thread instructions, and whether
-// the profiler had them at all (ok false = never calibrated).
+// soloProfile is one application's cached solo-run profile on one
+// device type: the calibrated cycles and retired thread instructions,
+// and whether the profiler had them at all (ok false = never
+// calibrated).
 type soloProfile struct {
 	cycles uint64
 	instrs uint64
@@ -61,7 +73,23 @@ type soloProfile struct {
 }
 
 // name returns the application name (identical across device types).
-func (j *job) name() string { return j.apps[0].Params.Name }
+func (j *job) name() string { return j.app.name }
+
+// class is the job's class on device type t.
+func (j *job) class(t int) classify.Class { return j.app.apps[t].Class }
+
+// group builds the sched.Group members run as on device type t. Each
+// member's QueuedApp is its application's, with Arrival set to the
+// job's id, so within-group FCFS ordering is exactly what a per-job
+// Queue call would have produced.
+func group(members []*job, t int) sched.Group {
+	g := make(sched.Group, len(members))
+	for i, m := range members {
+		g[i] = m.app.apps[t]
+		g[i].Arrival = m.id
+	}
+	return g
+}
 
 // deadlineAbs is the absolute fleet cycle the job must complete by
 // (only meaningful for latency jobs).
@@ -146,11 +174,11 @@ type inflight struct {
 //     instruction covers a whole warp.)
 //   - solo profile: a member co-running on an SM partition with memory
 //     contention cannot finish faster than its solo run on the whole
-//     device of the same type. resolve caches every job's solo profile
-//     per type up front, so the lookup is a slice index; half the solo
-//     duration leaves margin for simulator nonmonotonicities
-//     (partitioning shifts cache and DRAM row locality in both
-//     directions).
+//     device of the same type. resolve caches every application's
+//     solo profile per type up front, so the lookup is a slice index;
+//     half the solo duration leaves margin for simulator
+//     nonmonotonicities (partitioning shifts cache and DRAM row
+//     locality in both directions).
 //
 // On a heterogeneous roster the bound must come from the device that
 // will actually run the group — a big device's peak issue rate is not
@@ -162,8 +190,8 @@ func (f *Fleet) lowerBoundCycles(members []*job, t int) uint64 {
 	peak := f.types[t].Config().PeakIPC()
 	bound := 1.0
 	for _, m := range members {
-		lb := float64(m.apps[t].Params.TotalInstrs()) / peak
-		if sp := m.solo[t]; sp.ok {
+		lb := float64(m.app.apps[t].Params.TotalInstrs()) / peak
+		if sp := m.app.solo[t]; sp.ok {
 			if solo := float64(sp.cycles) / 2; solo > lb {
 				lb = solo
 			}
@@ -180,20 +208,20 @@ func (f *Fleet) lowerBoundCycles(members []*job, t int) uint64 {
 }
 
 // jobRecord projects one job's final state onto its record — the one
-// place outcome, device and class are decided.
-func (f *Fleet) jobRecord(j *job) JobRecord {
-	rec := JobRecord{
-		ID:        j.id,
-		Name:      j.name(),
-		SLO:       j.slo,
-		Deadline:  j.deadline,
-		Arrival:   j.arrival,
-		Dispatch:  j.dispatch,
-		Complete:  j.complete,
-		Device:    j.device,
-		Evictions: j.evictions,
-		Attempts:  j.attempts,
-	}
+// place outcome, device and class are decided. It writes the fields of
+// rec in place (merge hands it a zeroed slot of Result.Jobs), so no
+// record is built and then copied.
+func (f *Fleet) jobRecord(rec *JobRecord, j *job) {
+	rec.ID = j.id
+	rec.Name = j.name()
+	rec.SLO = j.slo
+	rec.Deadline = j.deadline
+	rec.Arrival = j.arrival
+	rec.Dispatch = j.dispatch
+	rec.Complete = j.complete
+	rec.Device = j.device
+	rec.Evictions = j.evictions
+	rec.Attempts = j.attempts
 	// Open-loop jobs outside control runs never count attempts; report
 	// the one submission they had.
 	if rec.Attempts == 0 {
@@ -211,43 +239,27 @@ func (f *Fleet) jobRecord(j *job) JobRecord {
 		rec.Outcome = Done
 		t = f.devType[j.device]
 	}
-	rec.Class = j.apps[t].Class
-	return rec
+	rec.Class = j.class(t)
 }
 
 // coRunCycles estimates the trigger's co-run duration on device type t:
-// its remaining solo duration scaled by the least favorable pairwise
-// slowdown the interference matrix predicts, or the plain solo when no
-// matrix is calibrated. Deadline protection deliberately assumes the
+// its remaining solo duration scaled by the least favorable slowdown
+// the interference matrix predicts (worstSlow), or the plain solo when
+// type t has no matrix. Deadline protection deliberately assumes the
 // worst co-partner: the per-class matrix entries are averages, so an
 // optimistic estimate predicts "will meet it" for jobs the simulation
 // then misses by a small margin, and the rescue never fires.
+//
+//simlint:hotpath
 func (f *Fleet) coRunCycles(j *job, t int) (uint64, bool) {
 	solo, ok := f.soloCycles(j, t)
 	if !ok {
 		return 0, false
 	}
-	m := f.types[t].Matrix()
-	if m == nil || f.cfg.NC < 2 {
+	if f.worstSlow == nil || f.worstSlow[t] == nil {
 		return solo, true
 	}
-	// The worst case is modeled as NC-1 partners of one class (the
-	// class whose uniform company slows this job most) — it covers the
-	// pairwise and triple matrix entries exactly and stays O(NT) rather
-	// than enumerating mixed partner multisets.
-	cls := j.apps[t].Class
-	worst := 1.0
-	for c := classify.Class(0); c < classify.NumClasses; c++ {
-		p := make(match.Pattern, f.cfg.NC)
-		p[0] = cls
-		for i := 1; i < f.cfg.NC; i++ {
-			p[i] = c
-		}
-		if s := match.MemberSlowdown(m, p, 0); s > worst {
-			worst = s
-		}
-	}
-	return uint64(float64(solo) * worst), true
+	return uint64(float64(solo) * f.worstSlow[t][j.class(t)]), true
 }
 
 // chaosTriggerID is the EvictionRecord.TriggerJob sentinel for
@@ -275,7 +287,7 @@ func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 	for _, j := range fl.jobs {
 		before := j.progress
 		var solo float64
-		if sp := j.solo[fl.typ]; sp.ok {
+		if sp := j.app.solo[fl.typ]; sp.ok {
 			solo = float64(sp.cycles)
 		}
 		if solo > 0 {
@@ -340,7 +352,7 @@ func (f *Fleet) predictedFree(fl *inflight) uint64 {
 	if m != nil {
 		pat = make(match.Pattern, len(fl.jobs))
 		for i, j := range fl.jobs {
-			pat[i] = j.apps[fl.typ].Class
+			pat[i] = j.class(fl.typ)
 		}
 	}
 	for i, j := range fl.jobs {
@@ -361,10 +373,10 @@ func (f *Fleet) predictedFree(fl *inflight) uint64 {
 
 // soloCycles estimates how long job j would run alone on device type t,
 // scaled to its checkpointed remainder. It is the dispatcher's cheapest
-// (and fastest-possible) runtime estimate — resolve cached every job's
-// solo profile per type, so this is a slice index.
+// (and fastest-possible) runtime estimate — resolve cached every
+// application's solo profile per type, so this is a slice index.
 func (f *Fleet) soloCycles(j *job, t int) (uint64, bool) {
-	sp := j.solo[t]
+	sp := j.app.solo[t]
 	if !sp.ok {
 		return 0, false
 	}
@@ -402,93 +414,74 @@ func (f *Fleet) flightCycles(fl *inflight) uint64 {
 	return end
 }
 
-// resolve materializes jobs from the arrival stream using each device
-// type's workload definitions and classes: the same application may
-// classify differently across hardware generations, so every job
-// carries one QueuedApp per type.
+// resolve materializes jobs from the arrival stream. Arrival streams
+// repeat a small application universe, so the per-type pipeline work
+// (Queue's workload lookup, the profiler's locked solo-profile table) is
+// done once per distinct name into a shared appInfo, and each job costs
+// one map lookup — resolve cost scales with the universe, not the job
+// count. Jobs come from one arena: a single allocation for the run.
 func (f *Fleet) resolve(arrivals []Arrival) ([]*job, error) {
-	// Arrival streams repeat a small application universe, so the
-	// per-type pipeline work (Queue's workload lookup, the profiler's
-	// locked solo-profile table) is done once per distinct name and
-	// fanned out to the jobs — resolve cost scales with the universe,
-	// not the job count.
-	distinct := make([]string, 0, 16)
-	nameIdx := make(map[string]int)
-	for _, a := range arrivals {
-		if _, ok := nameIdx[a.Name]; !ok {
-			nameIdx[a.Name] = len(distinct)
-			distinct = append(distinct, a.Name)
-		}
-	}
-	perType := make([][]sched.QueuedApp, len(f.types))
-	soloByType := make([][]soloProfile, len(f.types))
-	for t, pipe := range f.types {
-		queued, err := pipe.Queue(distinct)
-		if err != nil {
-			return nil, err
-		}
-		perType[t] = queued
-		solos := make([]soloProfile, len(distinct))
-		for d, name := range distinct {
-			if r, ok := pipe.Profiler().Peek(name, 0); ok {
-				solos[d] = soloProfile{cycles: r.Cycles, instrs: r.ThreadInstructions, ok: true}
-			}
-		}
-		soloByType[t] = solos
-	}
-	// Jobs are arena-allocated: one backing array for the records, one
-	// for the per-type QueuedApps and one for the per-type solo cache —
-	// three allocations for the whole run instead of three per job.
-	nt := len(f.types)
+	infos := make(map[string]*appInfo)
 	arena := make([]job, len(arrivals))
-	appsArena := make([]sched.QueuedApp, len(arrivals)*nt)
-	soloArena := make([]soloProfile, len(arrivals)*nt)
 	jobs := make([]*job, len(arrivals))
 	for i := range arrivals {
-		if i > 0 && arrivals[i].Cycle < arrivals[i-1].Cycle {
+		a := &arrivals[i]
+		if i > 0 && a.Cycle < arrivals[i-1].Cycle {
 			return nil, fmt.Errorf("fleet: arrivals not in cycle order (job %d at %d after %d)",
-				i, arrivals[i].Cycle, arrivals[i-1].Cycle)
+				i, a.Cycle, arrivals[i-1].Cycle)
 		}
+		info := infos[a.Name]
+		if info == nil {
+			var err error
+			if info, err = f.newAppInfo(a.Name); err != nil {
+				return nil, err
+			}
+			infos[a.Name] = info
+		}
+		// Field by field: the arena is already zeroed, and a composite
+		// literal would be built aside and copied in.
 		j := &arena[i]
-		j.id = i
-		j.client = -1
-		j.apps = appsArena[i*nt : (i+1)*nt : (i+1)*nt]
-		j.solo = soloArena[i*nt : (i+1)*nt : (i+1)*nt]
-		d := nameIdx[arrivals[i].Name]
-		est, cnt := uint64(0), uint64(0)
-		for t := range f.types {
-			qa := perType[t][d]
-			// Queue defines Arrival as the queue position; restore the
-			// job's own so within-group FCFS ordering is exactly what a
-			// per-job Queue call would have produced.
-			qa.Arrival = i
-			j.apps[t] = qa
-			j.solo[t] = soloByType[t][d]
-			if sp := j.solo[t]; sp.ok {
-				est += sp.cycles
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			j.soloEst = est / cnt
-			j.coEst = j.soloEst
-			if f.meanSlow != nil {
-				// The interference-aware estimate: each calibrated type's
-				// solo duration inflated by the mean co-run slowdown the
-				// matrix predicts for this job's class there.
-				co := 0.0
-				for t := range f.types {
-					if sp := j.solo[t]; sp.ok {
-						co += float64(sp.cycles) * f.meanSlow[t][j.apps[t].Class]
-					}
-				}
-				j.coEst = uint64(co / float64(cnt))
-			}
-		}
-		j.arrival = arrivals[i].Cycle
-		j.slo = arrivals[i].SLO
-		j.deadline = arrivals[i].Deadline
+		j.id, j.app, j.client = i, info, -1
+		j.arrival, j.slo, j.deadline = a.Cycle, a.SLO, a.Deadline
 		jobs[i] = j
 	}
 	return jobs, nil
+}
+
+// newAppInfo builds one application's shared state: its QueuedApp and
+// solo profile on every device type, and the type-averaged estimates.
+func (f *Fleet) newAppInfo(name string) (*appInfo, error) {
+	nt := len(f.types)
+	info := &appInfo{name: name, apps: make([]sched.QueuedApp, nt), solo: make([]soloProfile, nt)}
+	est, cnt := uint64(0), uint64(0)
+	for t, pipe := range f.types {
+		queued, err := pipe.Queue([]string{name})
+		if err != nil {
+			return nil, err
+		}
+		info.apps[t] = queued[0]
+		if r, ok := pipe.Profiler().Peek(name, 0); ok {
+			info.solo[t] = soloProfile{cycles: r.Cycles, instrs: r.ThreadInstructions, ok: true}
+			est += r.Cycles
+			cnt++
+		}
+	}
+	if cnt == 0 {
+		return info, nil
+	}
+	info.soloEst = est / cnt
+	info.coEst = info.soloEst
+	if f.meanSlow != nil {
+		// The interference-aware estimate: each calibrated type's solo
+		// duration inflated by the mean co-run slowdown the matrix
+		// predicts for this application's class there.
+		co := 0.0
+		for t := range f.types {
+			if sp := info.solo[t]; sp.ok {
+				co += float64(sp.cycles) * f.meanSlow[t][info.apps[t].Class]
+			}
+		}
+		info.coEst = uint64(co / float64(cnt))
+	}
+	return info, nil
 }

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/classify"
+	"repro/internal/interference"
+	"repro/internal/match"
 	"repro/internal/sched"
 	"repro/internal/stats"
 )
@@ -204,7 +207,7 @@ func TestWindowForAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkQueue := func(names []string, n int) []*job {
+	mkQueue := func(names []string, n int) *jobQueue {
 		var arr []Arrival
 		for i := 0; i < n; i++ {
 			arr = append(arr, Arrival{Name: names[i%len(names)], Cycle: uint64(i)})
@@ -213,7 +216,11 @@ func TestWindowForAdaptive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return jobs
+		q := &jobQueue{}
+		for _, j := range jobs {
+			q.insert(j)
+		}
+		return q
 	}
 	mixed := mkQueue(testNames(), 64)
 	if got := f.windowFor(mixed, 0); got != 5 {
@@ -234,6 +241,68 @@ func TestWindowForAdaptive(t *testing.T) {
 	degenerate := f2.windowFor(mkQueue([]string{"miniA"}, deep), 0)
 	if uniform <= degenerate {
 		t.Fatalf("uniform mix window %d not wider than one-class window %d", uniform, degenerate)
+	}
+}
+
+// refWorstSlow is the preemption test's pessimistic co-run factor as
+// coRunCycles used to compute it on every call: NC-1 partners of one
+// class, for every partner class, taking the largest slowdown (at
+// least 1).
+func refWorstSlow(m *interference.Matrix, cls classify.Class, nc int) float64 {
+	worst := 1.0
+	for c := classify.Class(0); c < classify.NumClasses; c++ {
+		p := make(match.Pattern, nc)
+		p[0] = cls
+		for i := 1; i < nc; i++ {
+			p[i] = c
+		}
+		if s := match.MemberSlowdown(m, p, 0); s > worst {
+			worst = s
+		}
+	}
+	return worst
+}
+
+// TestCoRunCyclesTable checks the worst-slowdown table New builds
+// against the per-call scan it replaced, for every device type and
+// class at NC 2 and 3, and that the preemption estimate reading it
+// allocates nothing.
+func TestCoRunCyclesTable(t *testing.T) {
+	small, tiny := testPipeline(t), pipelineFor(t, tinyConfig())
+	for _, nc := range []int{2, 3} {
+		f, err := New(Config{
+			Devices: []DeviceSpec{{Pipe: small, Count: 1}, {Pipe: tiny, Count: 1}},
+			NC:      nc, Policy: sched.ILP, Engine: Modeled,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var arr []Arrival
+		for _, n := range testNames() {
+			arr = append(arr, Arrival{Name: n})
+		}
+		jobs, err := f.resolve(arr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ty, pipe := range f.types {
+			for cls := classify.Class(0); cls < classify.NumClasses; cls++ {
+				if got, want := f.worstSlow[ty][cls], refWorstSlow(pipe.Matrix(), cls, nc); got != want {
+					t.Errorf("nc=%d type %d class %v: table %v, scan %v", nc, ty, cls, got, want)
+				}
+			}
+			for _, j := range jobs {
+				solo, ok := f.soloCycles(j, ty)
+				got, gotOK := f.coRunCycles(j, ty)
+				want := uint64(float64(solo) * refWorstSlow(pipe.Matrix(), j.class(ty), nc))
+				if !ok || !gotOK || got != want {
+					t.Errorf("nc=%d type %d %s: coRunCycles %d (%v), want %d", nc, ty, j.name(), got, gotOK, want)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { f.coRunCycles(jobs[0], 1) }); allocs != 0 {
+			t.Fatalf("nc=%d: coRunCycles allocates %.1f times per call, want 0", nc, allocs)
+		}
 	}
 }
 

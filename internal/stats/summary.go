@@ -60,11 +60,19 @@ type Summary struct {
 // Summarize computes a Summary over samples. An empty input yields the
 // zero Summary.
 func Summarize(samples []float64) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
+	return SummarizeSorted(sorted)
+}
+
+// SummarizeSorted is Summarize over samples already in ascending order,
+// without copying them. The mean is summed in ascending order, as
+// Summarize does, so any ascending arrangement of the same samples
+// yields the same Summary.
+func SummarizeSorted(sorted []float64) Summary {
+	if len(sorted) == 0 {
+		return Summary{}
+	}
 	sum := 0.0
 	for _, v := range sorted {
 		sum += v

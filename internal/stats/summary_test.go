@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -116,6 +117,11 @@ func TestSummarize(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			got := Summarize(tt.samples)
+			sorted := append([]float64(nil), tt.samples...)
+			sort.Float64s(sorted)
+			if s := SummarizeSorted(sorted); s != got {
+				t.Fatalf("SummarizeSorted = %+v, Summarize = %+v", s, got)
+			}
 			fields := []struct {
 				name      string
 				got, want float64
