@@ -453,11 +453,7 @@ func main() {
 	// the backlog K ways), so artifacts must say which K produced them;
 	// at 0/1 the line is omitted and output matches previous releases.
 	if res.Shards > 1 {
-		epoch := cfg.ShardEpoch
-		if epoch == 0 {
-			epoch = fleet.DefaultShardEpoch
-		}
-		fmt.Printf("shards: %d event loops, epoch=%d cycles\n", res.Shards, epoch)
+		fmt.Printf("shards: %d event loops, epoch=%d cycles\n", res.Shards, f.Config().ShardEpoch)
 	}
 	fmt.Print(res.Summary())
 	if *csvPath != "" {

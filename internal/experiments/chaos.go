@@ -78,7 +78,7 @@ func (s *Suite) FleetChaos() (Artifact, error) {
 		{"fcfs-fail", sched.FCFS, wave(fleet.ChaosFail), fleet.AutoscaleConfig{}},
 		{"ilp-fail", sched.ILPSMRA, wave(fleet.ChaosFail), fleet.AutoscaleConfig{}},
 		{"ilp-fail-autoscale", sched.ILPSMRA, wave(fleet.ChaosFail),
-			fleet.AutoscaleConfig{Enabled: true, Min: 2, Max: devices, High: 1.0, Low: 0.25}},
+			fleet.AutoscaleConfig{Enabled: true, Min: 2, Max: devices, High: 1.0, Low: 0.25, Epoch: meanSolo / 2}},
 		{"ilp-drain", sched.ILPSMRA, wave(fleet.ChaosDrain), fleet.AutoscaleConfig{}},
 	}
 	a := Artifact{
@@ -108,7 +108,7 @@ func (s *Suite) FleetChaos() (Artifact, error) {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: m.policy, Engine: fleet.Modeled,
 			SLO: fleet.SLOConfig{Enabled: true}, Chaos: m.chaos, Autoscale: m.scale,
-			SampleEvery: meanSolo / 4, ShardEpoch: meanSolo / 2,
+			SampleEvery: meanSolo / 4,
 		})
 		if err != nil {
 			return Artifact{}, err

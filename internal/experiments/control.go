@@ -149,7 +149,7 @@ func (s *Suite) FleetElastic() (Artifact, error) {
 		scale fleet.AutoscaleConfig
 	}{
 		{"fixed-roster", fleet.AutoscaleConfig{}},
-		{"autoscale-2:8", fleet.AutoscaleConfig{Enabled: true, Min: 2, Max: devices, High: 1.0, Low: 0.25}},
+		{"autoscale-2:8", fleet.AutoscaleConfig{Enabled: true, Min: 2, Max: devices, High: 1.0, Low: 0.25, Epoch: meanSolo / 2}},
 	}
 	a := Artifact{
 		ID: "FleetElastic",
@@ -176,7 +176,7 @@ func (s *Suite) FleetElastic() (Artifact, error) {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: sched.ILPSMRA, Engine: fleet.Modeled,
 			SLO: fleet.SLOConfig{Enabled: true}, Autoscale: m.scale,
-			SampleEvery: meanSolo / 4, ShardEpoch: meanSolo / 2,
+			SampleEvery: meanSolo / 4,
 		})
 		if err != nil {
 			return Artifact{}, err

@@ -41,7 +41,7 @@ func newDispatchRig(tb testing.TB) *dispatchRig {
 	rig := &dispatchRig{
 		f:        f,
 		disp:     f.newDispatcher(),
-		resolved: flightHeap{live: flightResolved, less: completionLess},
+		resolved: flightHeap{live: flightResolved},
 	}
 	for _, j := range jobs {
 		rig.queue.insert(j)

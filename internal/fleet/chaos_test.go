@@ -196,7 +196,7 @@ func TestChaosDrainRetires(t *testing.T) {
 // never run, and Run must say so with an error that counts them —
 // never hang, never return a short Result. It covers the single loop
 // under the Cycle engine and the Modeled engine at one and two
-// partitions.
+// partitions, with and without the autoscaler.
 func TestChaosDeadRosterErrors(t *testing.T) {
 	p := testPipeline(t)
 	arr := testArrivals(t, 16, 0xDEAD)
@@ -208,8 +208,9 @@ func TestChaosDeadRosterErrors(t *testing.T) {
 		for _, tc := range []struct {
 			engine EngineMode
 			shards int
-		}{{Cycle, 0}, {Modeled, 1}, {Modeled, 2}} {
-			label := fmt.Sprintf("%v/%v/shards=%d", kind, tc.engine, tc.shards)
+			scale  bool
+		}{{Cycle, 0, false}, {Modeled, 1, false}, {Modeled, 2, false}, {Modeled, 1, true}, {Modeled, 2, true}} {
+			label := fmt.Sprintf("%v/%v/shards=%d/autoscale=%v", kind, tc.engine, tc.shards, tc.scale)
 			f, err := New(Config{
 				Devices: homo(p, 2), NC: 2, Policy: sched.ILPSMRA,
 				Engine: tc.engine, Shards: tc.shards,
@@ -217,6 +218,9 @@ func TestChaosDeadRosterErrors(t *testing.T) {
 					{Cycle: at, Device: 0, Kind: kind},
 					{Cycle: at, Device: 1, Kind: kind},
 				}},
+				// An armed autoscale tick must not keep the dead loop
+				// ticking forever.
+				Autoscale: AutoscaleConfig{Enabled: tc.scale, Min: 2},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -111,9 +111,9 @@ type AutoscaleConfig struct {
 	// DefaultProvisionDelay). Decommission is immediate — only idle
 	// devices are released.
 	Delay uint64
-	// Epoch is the reconciliation quantum (0 selects ShardEpoch, or
-	// DefaultShardEpoch outside sharded runs), so sharded fleets scale
-	// at the same barriers they route on.
+	// Epoch is the reconciliation quantum (0 selects Config.ShardEpoch,
+	// or DefaultShardEpoch when that is unset too), so sharded fleets
+	// scale at the same barriers they route on.
 	Epoch uint64
 }
 
@@ -218,59 +218,13 @@ const (
 	evRestore
 )
 
-// ctlEvent is one scheduled control action. seq is the push sequence,
-// so same-cycle events process in schedule order — a pure function of
-// the deterministic event history.
+// ctlEvent is one scheduled control action. Its heap key is (cycle,
+// push sequence), so same-cycle events process in schedule order — a
+// pure function of the deterministic event history.
 type ctlEvent struct {
-	cycle uint64
-	seq   int
-	kind  ctlKind
-	j     *job
-	aux   int
-}
-
-// ctlHeap is a min-heap of control events by (cycle, seq).
-type ctlHeap struct{ v []ctlEvent }
-
-func ctlLess(a, b ctlEvent) bool {
-	return a.cycle < b.cycle || (a.cycle == b.cycle && a.seq < b.seq)
-}
-
-func (h *ctlHeap) push(ev ctlEvent) {
-	h.v = append(h.v, ev)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !ctlLess(h.v[i], h.v[p]) {
-			break
-		}
-		h.v[i], h.v[p] = h.v[p], h.v[i]
-		i = p
-	}
-}
-
-func (h *ctlHeap) pop() ctlEvent {
-	ev := h.v[0]
-	n := len(h.v) - 1
-	h.v[0] = h.v[n]
-	h.v[n] = ctlEvent{}
-	h.v = h.v[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && ctlLess(h.v[l], h.v[m]) {
-			m = l
-		}
-		if r < n && ctlLess(h.v[r], h.v[m]) {
-			m = r
-		}
-		if m == i {
-			return ev
-		}
-		h.v[i], h.v[m] = h.v[m], h.v[i]
-		i = m
-	}
+	kind ctlKind
+	j    *job
+	aux  int
 }
 
 // clientState is one closed-loop client pool: its think/backoff stream,
@@ -289,7 +243,7 @@ type loopCtl struct {
 	f *Fleet
 	l *loop
 
-	events ctlHeap
+	events keyHeap[ctlEvent]
 	seq    int
 
 	// clients is indexed by global client id; entries owned by other
@@ -369,15 +323,15 @@ func (c *loopCtl) initClients(perClient [][]*job, ids []int) {
 		cs := &c.clients[id]
 		cs.stream = rng.NewStream(rng.Hash3(cc.Seed, uint64(id), 3))
 		cs.reqs = perClient[id]
-		c.push(ctlEvent{cycle: c.thinkDraw(cs), kind: evSubmit, j: cs.reqs[0]})
+		c.push(c.thinkDraw(cs), ctlEvent{kind: evSubmit, j: cs.reqs[0]})
 	}
 }
 
-// push schedules ev, stamping the deterministic tie-break sequence.
-func (c *loopCtl) push(ev ctlEvent) {
-	ev.seq = c.seq
+// push schedules ev at cycle, stamping the deterministic tie-break
+// sequence.
+func (c *loopCtl) push(cycle uint64, ev ctlEvent) {
+	c.events.push(cycle, c.seq, ev)
 	c.seq++
-	c.events.push(ev)
 }
 
 // next is the cycle of the earliest scheduled control event
@@ -386,14 +340,15 @@ func (c *loopCtl) next() uint64 {
 	if len(c.events.v) == 0 {
 		return math.MaxUint64
 	}
-	return c.events.v[0].cycle
+	return c.events.v[0].at
 }
 
 // step processes exactly one control event at its cycle. The owning
 // loop runs its admit/dispatch passes between steps, so a submission is
 // dispatchable before the next control action fires.
 func (c *loopCtl) step(now uint64) {
-	ev := c.events.pop()
+	ev := c.events.v[0].val
+	c.events.removeAt(0)
 	switch ev.kind {
 	case evSubmit, evRetry:
 		c.submit(ev.j, now, ev.kind == evRetry)
@@ -429,7 +384,7 @@ func (c *loopCtl) initChaos(events []ChaosEvent) {
 		default:
 			k = evRestore
 		}
-		c.push(ctlEvent{cycle: ev.Cycle, kind: k, aux: ev.Device})
+		c.push(ev.Cycle, ctlEvent{kind: k, aux: ev.Device})
 	}
 }
 
@@ -531,7 +486,7 @@ func (c *loopCtl) submit(j *job, now uint64, retry bool) {
 	}
 	c.l.queue.insert(j)
 	if cc.Timeout > 0 {
-		c.push(ctlEvent{cycle: now + cc.Timeout, kind: evAbandon, j: j, aux: j.attempts})
+		c.push(now+cc.Timeout, ctlEvent{kind: evAbandon, j: j, aux: j.attempts})
 	}
 }
 
@@ -636,7 +591,7 @@ func (c *loopCtl) fail(j *job, now uint64, terminal uint8) {
 		if shift > 20 {
 			shift = 20
 		}
-		c.push(ctlEvent{cycle: now + cc.Backoff<<shift, kind: evRetry, j: j})
+		c.push(now+cc.Backoff<<shift, ctlEvent{kind: evRetry, j: j})
 		return
 	}
 	j.state = terminal
@@ -671,7 +626,7 @@ func (c *loopCtl) clientAdvance(id int, now, base uint64) {
 	if at < now {
 		at = now
 	}
-	c.push(ctlEvent{cycle: at, kind: evSubmit, j: cs.reqs[cs.cursor]})
+	c.push(at, ctlEvent{kind: evSubmit, j: cs.reqs[cs.cursor]})
 }
 
 // thinkDraw draws one exponential think time from the client's stream.
@@ -691,7 +646,7 @@ func (c *loopCtl) armScale(now uint64) {
 		return
 	}
 	c.scaleArmed = true
-	c.push(ctlEvent{cycle: now - now%c.epoch + c.epoch, kind: evScale})
+	c.push(now-now%c.epoch+c.epoch, ctlEvent{kind: evScale})
 }
 
 // scaleTick evaluates the pressure watermarks and reschedules itself.
@@ -719,7 +674,7 @@ func (c *loopCtl) scaleTick(now uint64) {
 			if !c.active[d] && !c.pending[d] && c.deviceUp(d) {
 				c.pending[d] = true
 				c.pendingProv++
-				c.push(ctlEvent{cycle: now + as.Delay, kind: evProvision, aux: d})
+				c.push(now+as.Delay, ctlEvent{kind: evProvision, aux: d})
 				break
 			}
 		}
@@ -740,7 +695,16 @@ func (c *loopCtl) scaleTick(now uint64) {
 			}
 		}
 	}
-	c.push(ctlEvent{cycle: now + c.epoch, kind: evScale})
+	// A tick that leaves no other event behind — no control event or
+	// arrival pending, nothing in flight — found every active device down
+	// and none to provision, and no later tick can change that. Disarm,
+	// so the loop reports its stall instead of ticking forever.
+	l := c.l
+	if len(c.events.v) == 0 && l.nextArr == len(l.arr) && l.resolved.peek() == nil && l.unresolved.peek() == nil {
+		c.scaleArmed = false
+		return
+	}
+	c.push(now+c.epoch, ctlEvent{kind: evScale})
 }
 
 // provision completes a scale-up: device d is active, and idle unless

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/classify"
 	"repro/internal/match"
@@ -59,7 +58,7 @@ func (f *Fleet) windowFor(q *jobQueue, t int) int {
 type dispatcher struct {
 	f *Fleet
 	// solveMemo memoizes matcher solves per (type, window composition);
-	// see solveWindow. Nil when the match tables are disabled.
+	// see solveWindow.
 	solveMemo []map[[classify.NumClasses]int]match.Result
 	// agingW is the window-aligned aging-weight scratch agingWeights
 	// fills (index i weights window[i]).
@@ -74,12 +73,9 @@ type dispatcher struct {
 
 // newDispatcher builds the per-event-loop scratch state.
 func (f *Fleet) newDispatcher() *dispatcher {
-	d := &dispatcher{f: f}
-	if f.ncPatterns != nil {
-		d.solveMemo = make([]map[[classify.NumClasses]int]match.Result, len(f.types))
-		for t := range d.solveMemo {
-			d.solveMemo[t] = make(map[[classify.NumClasses]int]match.Result)
-		}
+	d := &dispatcher{f: f, solveMemo: make([]map[[classify.NumClasses]int]match.Result, len(f.types))}
+	for t := range d.solveMemo {
+		d.solveMemo[t] = make(map[[classify.NumClasses]int]match.Result)
 	}
 	return d
 }
@@ -194,8 +190,8 @@ func (d *dispatcher) formGroup(dst []*job, queue *jobQueue, t int, now uint64) (
 		queue.advance(n)
 		return dst, false
 	}
-	// ILP / ILPSMRA.
-	if queue.Len() >= f.cfg.GreedyBelow && queue.Len() >= f.cfg.NC {
+	// ILP / ILPSMRA. A one-member group has no pattern to choose.
+	if f.cfg.NC >= 2 && queue.Len() >= f.cfg.GreedyBelow && queue.Len() >= f.cfg.NC {
 		if g := d.formILPGroup(dst, queue, t, now); g != nil {
 			return g, true
 		}
@@ -262,15 +258,14 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 		// The aging path re-weights and re-solves per dispatch (waits
 		// change every cycle, so the solve cannot be memoized); the
 		// zero-allocation contract covers the memoized aging-off path.
-		patterns, eff := f.ncPatternTable(t)
 		var classWait [classify.NumClasses]float64
 		for wi, j := range window {
 			if w := aging[wi]; w > classWait[j.class(t)] {
 				classWait[j.class(t)] = w
 			}
 		}
-		eff = match.AgedEfficiencies(patterns, eff, classWait, f.cfg.Aging)
-		res, err = match.SolveWithEff(patterns, eff, counts, f.cfg.NC)
+		eff := match.AgedEfficiencies(f.ncPatterns, f.ncEff[t], classWait, f.cfg.Aging)
+		res, err = match.SolveWithEff(f.ncPatterns, eff, counts, f.cfg.NC)
 	} else {
 		res, err = d.solveWindow(t, counts)
 	}
@@ -319,41 +314,36 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 // dispatcher, so New precomputes, per device type:
 //
 //   - the pattern list for every group size up to NC and each pattern's
-//     Equation 3.4 efficiency (effAll, looked up by packed class key);
+//     Equation 3.4 efficiency (effAll, looked up by class-count key);
 //   - the size-NC pattern/efficiency table the solver consumes;
 //   - a solve memo keyed by the window's class composition — group
 //     formation is a pure function of (type, counts) when aging is off,
 //     and deep-queue phases repeat the same compositions constantly.
 //
-// The tables are only built for the ILP policies with 2 <= NC <= 8
-// (the packed key holds eight classes); anything else falls back to
-// the direct computation, which is exactly what the tables memoize.
+// The tables serve the ILP policies at every NC >= 2, which is every
+// configuration that scores a pattern. They hold exactly the values
+// match.Efficiency computes.
 
-// packPattern packs a non-decreasing class multiset into a uint64 key
-// (one byte per class, offset so a leading class 0 still contributes,
-// making keys of different sizes collision-free).
-func packPattern(p []classify.Class) uint64 {
-	k := uint64(0)
-	for _, c := range p {
-		k = k<<8 | (uint64(c) + 1)
-	}
-	return k
-}
+// classKey is class c's unit in a pattern key: a pattern's key sums its
+// members' units, so it counts each class in its own 16 bits and does
+// not depend on member order.
+func classKey(c classify.Class) uint64 { return 1 << (16 * uint64(c)) }
 
 // buildMatchTables precomputes the pattern/efficiency tables; called
 // from New after validation (matrices exist for the ILP policies).
 func (f *Fleet) buildMatchTables() {
-	if f.cfg.Policy != sched.ILP && f.cfg.Policy != sched.ILPSMRA {
-		return
-	}
-	if f.cfg.NC < 2 || f.cfg.NC > 8 {
+	if f.cfg.Policy != sched.ILP && f.cfg.Policy != sched.ILPSMRA || f.cfg.NC < 2 {
 		return
 	}
 	f.patIndex = make(map[uint64]int)
 	var all []match.Pattern
 	for size := 2; size <= f.cfg.NC; size++ {
 		for _, p := range match.Patterns(size) {
-			f.patIndex[packPattern(p)] = len(all)
+			key := uint64(0)
+			for _, c := range p {
+				key += classKey(c)
+			}
+			f.patIndex[key] = len(all)
 			all = append(all, p)
 		}
 	}
@@ -376,44 +366,15 @@ func (f *Fleet) buildMatchTables() {
 }
 
 // patternEff scores the group members plus one candidate: the memoized
-// Equation 3.4 efficiency of their class multiset on device type t
-// (identical to match.Efficiency on the sorted pattern, without the
-// per-candidate allocation and re-scoring).
+// Equation 3.4 efficiency of their class multiset on device type t.
 //
 //simlint:hotpath
 func (f *Fleet) patternEff(t int, members []*job, extra *job) float64 {
-	if f.patIndex == nil {
-		return match.Efficiency(f.types[t].Matrix(), pattern(members, extra, t))
-	}
-	var buf [8]classify.Class
-	n := 0
+	key := classKey(extra.class(t))
 	for _, m := range members {
-		buf[n] = m.class(t)
-		n++
+		key += classKey(m.class(t))
 	}
-	buf[n] = extra.class(t)
-	n++
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	return f.effAll[t][f.patIndex[packPattern(buf[:n])]]
-}
-
-// ncPatternTable returns the size-NC patterns and their efficiencies on
-// type t, from the precomputed tables when available.
-func (f *Fleet) ncPatternTable(t int) ([]match.Pattern, []float64) {
-	if f.ncPatterns != nil {
-		return f.ncPatterns, f.ncEff[t]
-	}
-	patterns := match.Patterns(f.cfg.NC)
-	eff := make([]float64, len(patterns))
-	m := f.types[t].Matrix()
-	for k, p := range patterns {
-		eff[k] = match.Efficiency(m, p)
-	}
-	return patterns, eff
+	return f.effAll[t][f.patIndex[key]]
 }
 
 // solveWindow runs the matcher over one window composition, memoized
@@ -423,30 +384,13 @@ func (f *Fleet) ncPatternTable(t int) ([]match.Pattern, []float64) {
 // dispatcher (not the Fleet) so each event loop memoizes privately and
 // the Fleet stays read-only.
 func (d *dispatcher) solveWindow(t int, counts [classify.NumClasses]int) (match.Result, error) {
-	f := d.f
-	if d.solveMemo == nil {
-		return match.Solve(f.types[t].Matrix(), counts, f.cfg.NC)
-	}
 	if res, ok := d.solveMemo[t][counts]; ok {
 		return res, nil
 	}
-	res, err := match.SolveWithEff(f.ncPatterns, f.ncEff[t], counts, f.cfg.NC)
+	res, err := match.SolveWithEff(d.f.ncPatterns, d.f.ncEff[t], counts, d.f.cfg.NC)
 	if err != nil {
 		return match.Result{}, err
 	}
 	d.solveMemo[t][counts] = res
 	return res, nil
-}
-
-// pattern builds the sorted class multiset of members plus one extra,
-// with classes as device type t sees them (the fallback path when the
-// memo tables are disabled).
-func pattern(members []*job, extra *job, t int) match.Pattern {
-	p := make(match.Pattern, 0, len(members)+1)
-	for _, m := range members {
-		p = append(p, m.class(t))
-	}
-	p = append(p, extra.class(t))
-	sort.SliceStable(p, func(i, j int) bool { return p[i] < p[j] })
-	return p
 }

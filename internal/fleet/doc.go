@@ -28,12 +28,12 @@
 //
 // # The event core and engine modes
 //
-// The event loop's three sources — arrivals, resolved completions, and
-// in-flight groups bounded from below — are indexed: min-heaps order
-// completions and completion bounds, an idle-device heap yields the
-// fastest free device in placement order, and the live queue is a
-// head-indexed priority queue with binary-search insertion (heap.go,
-// queue.go). One event costs O(log n) whatever the fleet size, which is
+// The event loop's sources — arrivals, control events, resolved
+// completions, and in-flight groups bounded from below — are indexed:
+// one keyed min-heap type orders completions, completion bounds and
+// control events and yields the fastest free device in placement
+// order, and the live queue is a head-indexed priority queue with
+// binary-search insertion (heap.go, queue.go). One event costs O(log n) whatever the fleet size, which is
 // what lets the same loop serve 4 devices × 60 jobs and 64 devices ×
 // 100k jobs.
 //

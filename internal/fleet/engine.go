@@ -145,7 +145,7 @@ func (d *dispatcher) commitModeled(fl *inflight, now uint64, calib float64, reso
 	fl.state = flightResolved
 	fl.complete = now + d.f.flightCycles(fl)
 	fl.earliest = fl.complete
-	resolved.push(fl)
+	resolved.push(fl.complete, fl.device, fl)
 	return nil
 }
 

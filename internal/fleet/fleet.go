@@ -86,7 +86,8 @@ type Config struct {
 	// ShardEpoch is the router's synchronization quantum in fleet
 	// cycles: arrivals are assigned to shards one epoch at a time, at a
 	// barrier where every shard's state is settled and deterministic. 0
-	// selects DefaultShardEpoch; ignored with Shards <= 1.
+	// selects DefaultShardEpoch when Shards > 1. At every shard count it
+	// is also the default Autoscale.Epoch.
 	ShardEpoch uint64
 	// Closed switches the run to closed-loop traffic: client pools that
 	// submit, wait (with timeout, retry and backoff) and think, instead
@@ -338,10 +339,9 @@ type Fleet struct {
 
 	// Memoized matcher inputs (see buildMatchTables): the class-pattern
 	// lists for every group size up to NC and each pattern's efficiency
-	// per device type. Nil outside the ILP policies (or for NC outside
-	// the packed-key range), where the direct computation is used
-	// instead. All read-only after New — the mutable solve memo lives on
-	// each event loop's dispatcher.
+	// per device type. Nil outside the ILP policies and at NC 1, where
+	// no pattern is ever scored. All read-only after New — the mutable
+	// solve memo lives on each event loop's dispatcher.
 	patIndex   map[uint64]int
 	effAll     [][]float64
 	ncPatterns []match.Pattern

@@ -386,6 +386,33 @@ func TestFleetDeepQueueUsesILP(t *testing.T) {
 	}
 }
 
+// TestFleetNC1CountsNoILPGroups pins the ILP policies at NC 1: a
+// one-member group has no pattern to choose, so every dispatch counts
+// as greedy, with aging on or off.
+func TestFleetNC1CountsNoILPGroups(t *testing.T) {
+	p := testPipeline(t)
+	var arr []Arrival
+	for i := 0; i < 24; i++ {
+		arr = append(arr, Arrival{Name: testNames()[i%4], Cycle: uint64(i) * 1000})
+	}
+	for _, policy := range []sched.Policy{sched.ILP, sched.ILPSMRA} {
+		for _, aging := range []float64{0, 1} {
+			f, err := New(Config{Devices: homo(p, 2), NC: 1, Policy: policy, Engine: Modeled, Aging: aging})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := f.Run(arr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.GreedyGroups != res.Groups || res.ILPGroups != 0 {
+				t.Errorf("%v aging=%g: groups %d = greedy %d + ilp %d, want every group greedy",
+					policy, aging, res.Groups, res.GreedyGroups, res.ILPGroups)
+			}
+		}
+	}
+}
+
 func TestFleetRejectsBadConfig(t *testing.T) {
 	p := testPipeline(t)
 	if _, err := New(Config{NC: 2, Policy: sched.FCFS}); err == nil {

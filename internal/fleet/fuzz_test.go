@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // renderRoster is the canonical spelling of parsed roster entries —
@@ -208,6 +211,172 @@ func FuzzParseControls(f *testing.F) {
 			if err != nil || again != as {
 				t.Fatalf("ParseAutoscale(%q) not stable: %+v vs %+v (%v)", s, as, again, err)
 			}
+		}
+	})
+}
+
+// fuzzConfig decodes FuzzFleetRun's inputs into a small Modeled-engine
+// run on the testkit universe:
+//
+//   - roster: 1 + roster%8%6 devices, (roster>>3) % (count+1) of them
+//     the tiny config and the rest Small-8SM;
+//   - traffic: bit 7 selects closed-loop clients (1 + traffic%6 clients
+//     of 1 + (traffic>>3)%4 requests), otherwise 1 + traffic%48 open
+//     Poisson arrivals drawn from seed;
+//   - nc: group size 1 + nc%3; policy: one of the five policies;
+//   - slo: off, priority or preempt;
+//   - controls: bit 0 admission (bit 3 degrades instead of rejecting),
+//     bit 1 autoscale, bit 2 chaos, bit 4 a closed-loop timeout;
+//   - shards: 0 to 3;
+//   - chaos: up to four trace events, one per byte — kind b&3 (0 = no
+//     event, then fail, drain, restore), device (b>>2)&7 modulo the
+//     roster, cycle (b>>5)*20000.
+//
+// It returns the configuration, the open arrivals and the job count the
+// ledger must account for.
+func fuzzConfig(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, controls, shards uint8, chaos uint32) (Config, []Arrival, int) {
+	small := testPipeline(t)
+	tiny := pipelineFor(t, tinyConfig())
+	n := 1 + int(roster&7)%6
+	nTiny := int(roster>>3) % (n + 1)
+	var devices []DeviceSpec
+	if n > nTiny {
+		devices = append(devices, DeviceSpec{Pipe: small, Count: n - nTiny})
+	}
+	if nTiny > 0 {
+		devices = append(devices, DeviceSpec{Pipe: tiny, Count: nTiny})
+	}
+	cfg := Config{
+		Devices:     devices,
+		NC:          1 + int(nc%3),
+		Policy:      []sched.Policy{sched.Serial, sched.FCFS, sched.ProfileBased, sched.ILP, sched.ILPSMRA}[policy%5],
+		Engine:      Modeled,
+		SLO:         SLOConfig{Enabled: slo%3 > 0, Preempt: slo%3 == 2},
+		Shards:      int(shards % 4),
+		ShardEpoch:  10_000,
+		SampleEvery: goldenSampleEvery,
+	}
+	latency := 0.0
+	if cfg.SLO.Enabled {
+		latency = 0.25
+	}
+	var arr []Arrival
+	jobs := 0
+	if traffic&0x80 != 0 {
+		cfg.Closed = ClosedConfig{
+			Enabled: true, Clients: 1 + int(traffic)%6, Requests: 1 + int(traffic>>3)%4,
+			Think: 5_000, Retries: 1, LatencyFrac: latency, Deadline: 60_000,
+			Seed: seed, Universe: testNames(),
+		}
+		if controls&0x10 != 0 {
+			cfg.Closed.Timeout = 45_000
+		}
+		jobs = cfg.Closed.Clients * cfg.Closed.Requests
+	} else {
+		var err error
+		arr, err = ArrivalConfig{
+			Kind: Poisson, Jobs: 1 + int(traffic)%48, Rate: 1,
+			LatencyFrac: latency, Deadline: 60_000, Seed: seed,
+		}.Generate(testNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = len(arr)
+	}
+	if controls&1 != 0 {
+		cfg.Admission = AdmissionConfig{Enabled: true, MaxWait: 60_000, Degrade: controls&8 != 0}
+	}
+	if controls&2 != 0 {
+		cfg.Autoscale = AutoscaleConfig{Enabled: true, Min: max(1, cfg.Shards), High: 1.2, Low: 0.5}
+	}
+	if controls&4 != 0 {
+		cfg.Chaos.Enabled = true
+		for i := 0; i < 4; i++ {
+			b := uint8(chaos >> (8 * i))
+			if b&3 == 0 {
+				continue
+			}
+			cfg.Chaos.Trace = append(cfg.Chaos.Trace, ChaosEvent{
+				Cycle:  uint64(b>>5) * 20_000,
+				Device: int(b>>2&7) % n,
+				Kind:   []ChaosKind{ChaosFail, ChaosDrain, ChaosRestore}[b&3-1],
+			})
+		}
+	}
+	return cfg, arr, jobs
+}
+
+// FuzzFleetRun fuzzes the event loop itself over small random
+// configurations (see fuzzConfig). Inputs New rejects are skipped. Any
+// other run must return a result, or — with chaos taking devices down
+// for good — its stall error, and never panic. A result must conserve
+// every job, never overlap two completed groups on one device, keep
+// every device's busy time within the makespan, and reproduce byte for
+// byte on a rerun.
+func FuzzFleetRun(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, controls, shards uint8, chaos uint32) {
+		cfg, arr, jobs := fuzzConfig(t, seed, roster, traffic, nc, policy, slo, controls, shards, chaos)
+		fl, err := New(cfg)
+		if err != nil {
+			t.Skip(err)
+		}
+		// run renders everything a run reports, its error included.
+		run := func() (Result, string, error) {
+			res, err := fl.Run(arr)
+			if err != nil {
+				return res, err.Error(), err
+			}
+			var csv strings.Builder
+			if err := res.Series.WriteCSV(&csv); err != nil {
+				t.Fatal(err)
+			}
+			return res, res.Summary() + res.EvictionTrace() + csv.String(), nil
+		}
+		res, out, err := run()
+		if err != nil && (!cfg.Chaos.Enabled || !strings.Contains(err.Error(), "no dispatchable work")) {
+			t.Fatalf("Run: %v", err)
+		}
+		if _, again, _ := run(); again != out {
+			t.Fatalf("rerun diverged:\n--- first ---\n%s--- again ---\n%s", out, again)
+		}
+		if err != nil {
+			return
+		}
+		if res.Closed || res.Admission || res.Autoscale || res.Chaos {
+			checkConservation(t, "fuzz", res, jobs)
+		} else if done := res.CompletedJobs(); done != jobs {
+			t.Fatalf("%d of %d jobs completed", done, jobs)
+		}
+		for d, busy := range res.DeviceBusy {
+			if busy > res.Makespan {
+				t.Errorf("device %d busy %d cycles past makespan %d", d, busy, res.Makespan)
+			}
+		}
+		// Completed groups, as (device, dispatch) runs of Done records,
+		// must not overlap on their device.
+		var done []JobRecord
+		for _, j := range res.Jobs {
+			if j.Outcome == Done {
+				done = append(done, j)
+			}
+		}
+		sort.Slice(done, func(a, b int) bool {
+			if done[a].Device != done[b].Device {
+				return done[a].Device < done[b].Device
+			}
+			if done[a].Dispatch != done[b].Dispatch {
+				return done[a].Dispatch < done[b].Dispatch
+			}
+			return done[a].ID < done[b].ID
+		})
+		var free uint64
+		for i, j := range done {
+			if i == 0 || j.Device != done[i-1].Device {
+				free = 0
+			} else if j.Dispatch != done[i-1].Dispatch && j.Dispatch < free {
+				t.Fatalf("device %d: group dispatched at %d overlaps a group running until %d", j.Device, j.Dispatch, free)
+			}
+			free = max(free, j.Complete)
 		}
 	})
 }

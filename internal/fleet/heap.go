@@ -3,19 +3,24 @@ package fleet
 // The event core's indexed structures. The old loop re-scanned every
 // in-flight group and every device per event — O(events × devices) —
 // which a 4-device fleet never notices and a 256-device one cannot
-// afford. Three structures replace the scans:
+// afford. One keyed min-heap, keyHeap, replaces the scans and serves
+// all four of the loop's indexed sources, each pushing its own key:
 //
-//   - a min-heap of resolved flights keyed by (completion, device):
-//     the provably-next completion is the root;
-//   - a min-heap of unresolved flights keyed by (earliest bound, dispatch
-//     sequence): the flight the loop may have to block on is the root,
-//     and the sequence tie-break reproduces the old scan's first-
-//     dispatched-wins order exactly;
-//   - a min-heap of idle devices keyed by placement position, so the
-//     dispatch pass pops the fastest idle device instead of scanning
-//     the placement order for one.
+//   - resolved flights, keyed (completion, device): the provably-next
+//     completion is the root;
+//   - unresolved flights, keyed (earliest bound, dispatch sequence): the
+//     flight the loop may have to block on is the root, and the sequence
+//     tie-break reproduces the old scan's first-dispatched-wins order;
+//   - idle devices, keyed (placement position, device), so the dispatch
+//     pass pops the fastest idle device instead of scanning for one;
+//   - control events, keyed (cycle, push sequence) (control.go).
 //
-// Flights leave the heaps lazily: eviction and resolution mark the
+// Keys are unique among a heap's live entries (a stale flight entry may
+// tie a live one, but peek discards it whichever surfaces first), so
+// the pop order is the key order and no result can depend on how the
+// heap lays out its entries.
+//
+// Flights leave their heaps lazily: eviction and resolution mark the
 // flight's state and peek/pop discard stale roots, so removal never
 // needs an index into the heap.
 //
@@ -38,123 +43,41 @@ const (
 	flightRetired
 )
 
-// flightHeap is a min-heap of in-flight groups under an arbitrary
-// strict order, with lazy deletion driven by the live state.
-type flightHeap struct {
-	less func(a, b *inflight) bool
-	live flightState
-	v    []*inflight
+// keyHeap is a binary min-heap of values ordered by (at, tie). The key
+// compare is written out where it is used rather than passed in as a
+// function, so it compiles to two integer compares.
+type keyHeap[T any] struct{ v []keyed[T] }
+
+type keyed[T any] struct {
+	at  uint64
+	tie int
+	val T
 }
 
-func (h *flightHeap) push(fl *inflight) {
-	h.v = append(h.v, fl)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(h.v[i], h.v[p]) {
-			break
-		}
-		h.v[i], h.v[p] = h.v[p], h.v[i]
-		i = p
-	}
+//simlint:hotpath
+func (h *keyHeap[T]) push(at uint64, tie int, val T) {
+	h.v = append(h.v, keyed[T]{at, tie, val})
+	h.up(len(h.v) - 1)
 }
 
-// peek returns the minimum live flight, discarding stale roots (evicted
-// or state-transitioned flights), or nil when empty.
-func (h *flightHeap) peek() *inflight {
-	for len(h.v) > 0 {
-		if h.v[0].state == h.live {
-			return h.v[0]
-		}
-		h.popRoot()
-	}
-	return nil
-}
-
-// pop removes and returns the minimum live flight (nil when empty).
-func (h *flightHeap) pop() *inflight {
-	fl := h.peek()
-	if fl != nil {
-		h.popRoot()
-	}
-	return fl
-}
-
-func (h *flightHeap) popRoot() {
+// removeAt deletes entry i. The last entry fills the hole and sifts
+// down, or up if it did not move down (it can break the order either
+// way).
+//
+//simlint:hotpath
+func (h *keyHeap[T]) removeAt(i int) {
 	n := len(h.v) - 1
-	h.v[0] = h.v[n]
-	h.v[n] = nil
-	h.v = h.v[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.less(h.v[l], h.v[m]) {
-			m = l
-		}
-		if r < n && h.less(h.v[r], h.v[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h.v[i], h.v[m] = h.v[m], h.v[i]
-		i = m
-	}
-}
-
-// deviceHeap is a min-heap of idle device indices keyed by placement
-// position (orderPos), so pop yields exactly the device the old linear
-// scan over f.order would have found first.
-type deviceHeap struct {
-	pos []int // device index -> placement position (f.orderPos)
-	v   []int
-}
-
-func (h *deviceHeap) push(d int) {
-	h.v = append(h.v, d)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.pos[h.v[i]] >= h.pos[h.v[p]] {
-			break
-		}
-		h.v[i], h.v[p] = h.v[p], h.v[i]
-		i = p
-	}
-}
-
-// remove deletes device d from the heap, wherever it sits — the
-// autoscaler decommissions idle devices, which by the loop invariant
-// are always heap members. The hole is filled by the last element and
-// re-sifted both ways (swap-with-last can violate either direction).
-// Returns false when d is not in the heap.
-func (h *deviceHeap) remove(d int) bool {
-	n := len(h.v)
-	i := 0
-	for ; i < n; i++ {
-		if h.v[i] == d {
-			break
-		}
-	}
-	if i == n {
-		return false
-	}
-	n--
 	h.v[i] = h.v[n]
+	h.v[n] = keyed[T]{}
 	h.v = h.v[:n]
-	if i == n {
-		return true
-	}
-	// Sift down.
 	j := i
 	for {
 		l, r := 2*j+1, 2*j+2
 		m := j
-		if l < n && h.pos[h.v[l]] < h.pos[h.v[m]] {
+		if l < n && (h.v[l].at < h.v[m].at || h.v[l].at == h.v[m].at && h.v[l].tie < h.v[m].tie) {
 			m = l
 		}
-		if r < n && h.pos[h.v[r]] < h.pos[h.v[m]] {
+		if r < n && (h.v[r].at < h.v[m].at || h.v[r].at == h.v[m].at && h.v[r].tie < h.v[m].tie) {
 			m = r
 		}
 		if m == j {
@@ -163,19 +86,59 @@ func (h *deviceHeap) remove(d int) bool {
 		h.v[j], h.v[m] = h.v[m], h.v[j]
 		j = m
 	}
-	// If it never moved down, sift up instead.
-	if j == i {
-		for j > 0 {
-			p := (j - 1) / 2
-			if h.pos[h.v[j]] >= h.pos[h.v[p]] {
-				break
-			}
-			h.v[j], h.v[p] = h.v[p], h.v[j]
-			j = p
-		}
+	if j == i && i < n {
+		h.up(i)
 	}
-	return true
 }
+
+func (h *keyHeap[T]) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h.v[p].at < h.v[i].at || h.v[p].at == h.v[i].at && h.v[p].tie <= h.v[i].tie {
+			return
+		}
+		h.v[i], h.v[p] = h.v[p], h.v[i]
+		i = p
+	}
+}
+
+// flightHeap is a keyHeap of in-flight groups with lazy deletion driven
+// by the live state.
+type flightHeap struct {
+	keyHeap[*inflight]
+	live flightState
+}
+
+// peek returns the minimum live flight, discarding stale roots (evicted
+// or state-transitioned flights), or nil when empty.
+func (h *flightHeap) peek() *inflight {
+	for len(h.v) > 0 {
+		if fl := h.v[0].val; fl.state == h.live {
+			return fl
+		}
+		h.removeAt(0)
+	}
+	return nil
+}
+
+// pop removes and returns the minimum live flight (nil when empty).
+func (h *flightHeap) pop() *inflight {
+	fl := h.peek()
+	if fl != nil {
+		h.removeAt(0)
+	}
+	return fl
+}
+
+// deviceHeap is a keyHeap of idle device indices keyed by placement
+// position (orderPos), so pop yields exactly the device the old linear
+// scan over f.order would have found first.
+type deviceHeap struct {
+	keyHeap[int]
+	pos []int // device index -> placement position (f.orderPos)
+}
+
+func (h *deviceHeap) push(d int) { h.keyHeap.push(uint64(h.pos[d]), d, d) }
 
 // pop removes and returns the idle device first in placement order, or
 // -1 when no device is idle.
@@ -183,24 +146,18 @@ func (h *deviceHeap) pop() int {
 	if len(h.v) == 0 {
 		return -1
 	}
-	d := h.v[0]
-	n := len(h.v) - 1
-	h.v[0] = h.v[n]
-	h.v = h.v[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.pos[h.v[l]] < h.pos[h.v[m]] {
-			m = l
+	d := h.v[0].val
+	h.removeAt(0)
+	return d
+}
+
+// remove deletes device d from the heap, wherever it sits — the
+// autoscaler decommissions idle devices and chaos takes them down.
+func (h *deviceHeap) remove(d int) {
+	for i := range h.v {
+		if h.v[i].val == d {
+			h.removeAt(i)
+			return
 		}
-		if r < n && h.pos[h.v[r]] < h.pos[h.v[m]] {
-			m = r
-		}
-		if m == i {
-			return d
-		}
-		h.v[i], h.v[m] = h.v[m], h.v[i]
-		i = m
 	}
 }

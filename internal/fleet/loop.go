@@ -39,12 +39,11 @@ import (
 //     arrival order, and time-series rows merge row by row on the
 //     shared interval grid (mergeSeries).
 //
-// With K = 1 the single loop owns the whole roster. It gets every
-// arrival and client up front, never parks at a barrier, and stops as
-// soon as its last job settles; its result is returned as it stands. A
-// loop of a K-way split instead runs out every event before its
-// barrier — trailing control events included — so its sampler may run
-// past the makespan.
+// Every loop stops as soon as its last job settles, so events after it
+// (trailing scale ticks, timers, chaos) never run at any K. With K = 1
+// the single loop owns the whole roster; it differs from a partition's
+// loop in one way only: it takes every arrival up front and never parks
+// at a barrier.
 
 // DefaultShardEpoch is the router's synchronization quantum (fleet
 // cycles) when Config.ShardEpoch is unset. Small epochs track load
@@ -66,9 +65,6 @@ type loop struct {
 	devices []int
 	order   []int
 	slot    []int
-	// single marks the loop that owns the whole roster: it stops as soon
-	// as its last job settles instead of running out its event sources.
-	single bool
 
 	flightOf   []*inflight
 	queue      jobQueue
@@ -144,7 +140,7 @@ func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 	return f.merge(loops, jobs)
 }
 
-// newResult is the Result header every loop and the merge start from.
+// newResult is the Result header every loop starts from.
 func (f *Fleet) newResult() Result {
 	res := Result{
 		Policy:     f.cfg.Policy,
@@ -183,11 +179,10 @@ func (f *Fleet) newLoops() []*loop {
 	for i := range loops {
 		l := &loop{
 			f:          f,
-			single:     k == 1,
 			slot:       make([]int, total),
 			queue:      jobQueue{slo: f.cfg.SLO.Enabled},
-			resolved:   flightHeap{live: flightResolved, less: completionLess},
-			unresolved: flightHeap{live: flightPending, less: boundLess},
+			resolved:   flightHeap{live: flightResolved},
+			unresolved: flightHeap{live: flightPending},
 			idleDevs:   deviceHeap{pos: f.orderPos},
 			disp:       f.newDispatcher(),
 			res:        f.newResult(),
@@ -242,18 +237,6 @@ func (f *Fleet) newLoops() []*loop {
 		loops[i] = l
 	}
 	return loops
-}
-
-// completionLess is the resolved-heap order: completion cycle, then
-// device.
-func completionLess(a, b *inflight) bool {
-	return a.complete < b.complete || (a.complete == b.complete && a.device < b.device)
-}
-
-// boundLess is the unresolved-heap order: earliest bound, then dispatch
-// sequence (first dispatched wins).
-func boundLess(a, b *inflight) bool {
-	return a.earliest < b.earliest || (a.earliest == b.earliest && a.seq < b.seq)
 }
 
 // route feeds the loops their traffic and runs them until every job
@@ -343,16 +326,17 @@ func (l *loop) load() int {
 }
 
 // runUntil advances the loop through every event strictly before limit,
-// then parks the clock at the barrier (inf never parks). A single loop
-// returns as soon as its last job settles; with limit inf any other
-// loop runs out its event sources. Jobs left with no event to move them
-// are a stall, reported as an error rather than a hang or a short
-// result.
+// then parks the clock at the barrier (inf never parks). It returns as
+// soon as the loop's last job settles, so a loop with nothing routed
+// returns from a barrier without parking; its pending control events
+// then run in time order on its next call, ahead of its next arrival.
+// Jobs left with no event to move them are a stall, reported as an
+// error rather than a hang or a short result.
 //
 //simlint:hotpath
 func (l *loop) runUntil(limit uint64) error {
 	f := l.f
-	for !l.single || l.remaining > 0 {
+	for l.remaining > 0 {
 		// Admit arrivals due by now (priority order when SLO-aware);
 		// admission control may reject or degrade a submission first.
 		for l.nextArr < len(l.arr) && l.arr[l.nextArr].arrival <= l.now {
@@ -398,14 +382,13 @@ func (l *loop) runUntil(limit uint64) error {
 			uTime = uBest.earliest
 		}
 		if min(tArr, tCtl, cTime, uTime) >= limit {
-			if limit != inf {
-				// Park at the barrier. Between the last processed event and
-				// the barrier the loop's state is constant, so sampler edges
-				// in that span emit identically on the next advance.
-				l.now = max(l.now, limit)
-			} else if l.remaining > 0 {
+			if limit == inf {
 				return l.stall()
 			}
+			// Park at the barrier. Between the last processed event and the
+			// barrier the loop's state is constant, so sampler edges in
+			// that span emit identically on the next advance.
+			l.now = max(l.now, limit)
 			return nil
 		}
 		switch {
@@ -517,7 +500,7 @@ func (l *loop) start(fl *inflight) error {
 	}
 	fl.done = make(chan struct{})
 	fl.earliest = l.now + f.lowerBoundCycles(fl.jobs, fl.typ)
-	l.unresolved.push(fl)
+	l.unresolved.push(fl.earliest, fl.seq, fl)
 	go func() {
 		l.sem <- struct{}{}
 		defer func() { <-l.sem }()
@@ -557,7 +540,7 @@ func (l *loop) await(fl *inflight) error {
 		}
 	}
 	fl.state = flightResolved
-	l.resolved.push(fl)
+	l.resolved.push(fl.complete, fl.device, fl)
 	return nil
 }
 
@@ -817,49 +800,45 @@ func (l *loop) preemptVictim(trigger *job) *inflight {
 	return victim
 }
 
-// merge folds the drained loops into one Result. A single loop's result
-// is returned as it stands; K > 1 partitions sum their counters at
-// global device indices and order their eviction records by (cycle,
-// device) — within a loop records are in event order, and one device
-// evicts at most one flight per cycle, so that is a total order.
+// merge folds the drained loops into one Result: every other loop's
+// counters sum into the first loop's at global device indices, and the
+// eviction records sort by (cycle, device) — one device evicts at most
+// one flight per cycle, so that is a total order.
 func (f *Fleet) merge(loops []*loop, jobs []*job) (Result, error) {
 	res := loops[0].res
-	if len(loops) > 1 {
-		res = f.newResult()
-		for _, l := range loops {
-			r := &l.res
-			for d, busy := range r.DeviceBusy {
-				res.DeviceBusy[d] += busy
-			}
-			res.Makespan = max(res.Makespan, r.Makespan)
-			res.ThreadInstructions += r.ThreadInstructions
-			res.Groups += r.Groups
-			res.ILPGroups += r.ILPGroups
-			res.GreedyGroups += r.GreedyGroups
-			res.ModeledGroups += r.ModeledGroups
-			res.CycleGroups += r.CycleGroups
-			res.SMMoves += r.SMMoves
-			res.Submitted += r.Submitted
-			res.Rejected += r.Rejected
-			res.Degraded += r.Degraded
-			res.Abandoned += r.Abandoned
-			res.Retried += r.Retried
-			res.Provisions += r.Provisions
-			res.Decommissions += r.Decommissions
-			res.Failures += r.Failures
-			res.Drains += r.Drains
-			res.Restores += r.Restores
-			res.ChaosEvictions += r.ChaosEvictions
-			res.Evictions = append(res.Evictions, r.Evictions...)
+	for _, l := range loops[1:] {
+		r := &l.res
+		for d, busy := range r.DeviceBusy {
+			res.DeviceBusy[d] += busy
 		}
-		sort.SliceStable(res.Evictions, func(i, j int) bool {
-			a, b := res.Evictions[i], res.Evictions[j]
-			if a.Cycle != b.Cycle {
-				return a.Cycle < b.Cycle
-			}
-			return a.Device < b.Device
-		})
+		res.Makespan = max(res.Makespan, r.Makespan)
+		res.ThreadInstructions += r.ThreadInstructions
+		res.Groups += r.Groups
+		res.ILPGroups += r.ILPGroups
+		res.GreedyGroups += r.GreedyGroups
+		res.ModeledGroups += r.ModeledGroups
+		res.CycleGroups += r.CycleGroups
+		res.SMMoves += r.SMMoves
+		res.Submitted += r.Submitted
+		res.Rejected += r.Rejected
+		res.Degraded += r.Degraded
+		res.Abandoned += r.Abandoned
+		res.Retried += r.Retried
+		res.Provisions += r.Provisions
+		res.Decommissions += r.Decommissions
+		res.Failures += r.Failures
+		res.Drains += r.Drains
+		res.Restores += r.Restores
+		res.ChaosEvictions += r.ChaosEvictions
+		res.Evictions = append(res.Evictions, r.Evictions...)
 	}
+	sort.SliceStable(res.Evictions, func(i, j int) bool {
+		a, b := res.Evictions[i], res.Evictions[j]
+		if a.Cycle != b.Cycle {
+			return a.Cycle < b.Cycle
+		}
+		return a.Device < b.Device
+	})
 	if f.cfg.SampleEvery > 0 {
 		series, err := mergeSeries(f, loops, res.Makespan)
 		if err != nil {

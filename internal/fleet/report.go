@@ -146,7 +146,8 @@ type Result struct {
 	// simulation's per-member completion cycles over the calibration
 	// runs (0 outside Hybrid or before any calibration resolved).
 	ModelDelta float64
-	// Evictions records every preemption in event order.
+	// Evictions records every preemption and chaos eviction, ordered by
+	// (cycle, device).
 	Evictions []EvictionRecord
 	// Series is the per-interval time series sampled during the run,
 	// present exactly when Config.SampleEvery > 0 (see internal/obs for

@@ -329,8 +329,11 @@ func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 		waste += tax * solo
 		rec.Wasted += uint64(waste)
 	}
-	// The aborted attempt occupied the device for real.
+	// The aborted attempt occupied the device for real, and the device
+	// goes idle now: the makespan covers it even when the evicted jobs
+	// never complete.
 	res.DeviceBusy[fl.device] += elapsed
+	res.Makespan = max(res.Makespan, now)
 	res.Evictions = append(res.Evictions, rec)
 }
 

@@ -261,10 +261,10 @@ func (s *sampler) emit(edge uint64) {
 }
 
 // mergeSeries finishes every loop's sampler and folds them into one
-// fleet-wide series, row by row in interval order. Control events
-// (abandons, retries, scale ticks) can fire after a loop's last
-// completion, pushing its sampler past the fleet-wide makespan, so
-// every loop finishes against the furthest horizon: all loops then
+// fleet-wide series, row by row in interval order. A loop's last jobs
+// can settle by timeout or rejection after the fleet's last completion,
+// pushing its sampler past the fleet-wide makespan, so every loop
+// finishes against the furthest horizon: all loops then
 // share one row grid (same interval, clocks start at 0), and row r
 // means the same cycle everywhere. The fixed columns — gauges of
 // disjoint state or cumulative counters of disjoint events — sum

@@ -48,7 +48,7 @@ func Patterns(nc int) []Pattern {
 	var out []Pattern
 	var rec func(start classify.Class, cur Pattern)
 	rec = func(start classify.Class, cur Pattern) {
-		if len(cur) == nc {
+		if len(cur) >= nc {
 			out = append(out, append(Pattern(nil), cur...))
 			return
 		}
@@ -189,9 +189,6 @@ func BuildProblem(patterns []Pattern, eff []float64, queueCounts [classify.NumCl
 
 // Solve chooses the optimal pattern multiplicities for the queue.
 func Solve(m *interference.Matrix, queueCounts [classify.NumClasses]int, nc int) (Result, error) {
-	if nc < 2 {
-		return Result{}, fmt.Errorf("match: group size %d must be at least 2", nc)
-	}
 	patterns := Patterns(nc)
 	eff := make([]float64, len(patterns))
 	for k, p := range patterns {
@@ -203,6 +200,9 @@ func Solve(m *interference.Matrix, queueCounts [classify.NumClasses]int, nc int)
 // SolveWithEff is Solve with externally supplied pattern efficiencies
 // (used by tests reproducing Appendix A's literal numbers).
 func SolveWithEff(patterns []Pattern, eff []float64, queueCounts [classify.NumClasses]int, nc int) (Result, error) {
+	if nc < 2 {
+		return Result{}, fmt.Errorf("match: group size %d must be at least 2", nc)
+	}
 	prob := BuildProblem(patterns, eff, queueCounts, nc)
 	sol, err := ilp.Solve(prob)
 	if err != nil {

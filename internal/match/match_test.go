@@ -171,3 +171,19 @@ func TestEfficiencySymmetricPair(t *testing.T) {
 		t.Fatalf("efficiency = %v, want %v", got, want)
 	}
 }
+
+// TestSolveRejectsSmallGroups checks both solver entry points refuse
+// group sizes below 2, where there is no pattern to choose.
+func TestSolveRejectsSmallGroups(t *testing.T) {
+	m := &interference.Matrix{}
+	counts := [classify.NumClasses]int{2, 2, 2, 2}
+	for _, nc := range []int{1, 0, -1} {
+		if _, err := Solve(m, counts, nc); err == nil {
+			t.Errorf("Solve accepted group size %d", nc)
+		}
+		patterns := Patterns(1)
+		if _, err := SolveWithEff(patterns, make([]float64, len(patterns)), counts, nc); err == nil {
+			t.Errorf("SolveWithEff accepted group size %d", nc)
+		}
+	}
+}
