@@ -105,7 +105,7 @@ func main() {
 	nc := flag.Int("nc", 2, "co-run group size per device")
 	policyFlag := flag.String("policy", "ilp-smra", "serial | fcfs | profile | ilp | ilp-smra")
 	seed := flag.Uint64("seed", 1, "arrival-stream seed")
-	window := flag.Int("window", 0, "windowed-ILP queue prefix (0 = adaptive from queue depth and class mix)")
+	window := flag.Int("window", 0, fmt.Sprintf("windowed-ILP queue prefix, at most %d (0 = adaptive from queue depth and class mix)", fleet.MaxWindow))
 	greedyBelow := flag.Int("greedy-below", 0, "queue depth under which ILP policies dispatch greedily (0 = 2*nc)")
 	traceFlag := flag.String("trace", "", "explicit arrivals as NAME@CYCLE,... (with -arrivals trace)")
 	sloFlag := flag.String("slo", "off", "SLO dispatch: off | priority | preempt")

@@ -80,15 +80,15 @@ func (r *dispatchRig) step(tb testing.TB) int {
 }
 
 // TestDispatchSteadyStateAllocs locks the alloc scrub in place: once the
-// dispatcher's scratch buffers, memo maps and flight pool are warm, one
+// dispatcher's scratch buffers, pick tables and flight pool are warm, one
 // full dispatch round must not touch the heap at all. A regression here
 // (a closure in the hot path, a map rebuilt per call, a profiler lookup
 // creeping back in) fails this test before it shows up as a throughput
 // cliff in the benchmarks.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
 	rig := newDispatchRig(t)
-	// Warm every lazily grown structure: scratch buffers, the solve
-	// memo, the flight pool, the heap and queue backing arrays.
+	// Warm every lazily grown structure: scratch buffers, the pick
+	// tables, the flight pool, the heap and queue backing arrays.
 	for i := 0; i < 200; i++ {
 		rig.step(t)
 	}
@@ -99,7 +99,7 @@ func TestDispatchSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkFleetDispatch times the dispatcher's steady-state hot path:
 // back-to-back group formations (windowed ILP over the memoized
-// pattern-efficiency tables and solve memo) plus the event-core heap
+// pattern-efficiency tables and pick tables) plus the event-core heap
 // round trip, with the Modeled engine supplying completions instantly.
 // The ns/job metric is the fleet's per-job dispatch overhead; the alloc
 // guard above pins the same loop at zero allocations, which -benchmem

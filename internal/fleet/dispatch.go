@@ -49,17 +49,17 @@ func (f *Fleet) windowFor(q *jobQueue, t int) int {
 	return w
 }
 
-// dispatcher owns one event loop's dispatch scratch state: the solve
-// memo, the aging-weight and class-pattern buffers group formation and
+// dispatcher owns one event loop's dispatch scratch state: the pick
+// tables, the aging-weight and class-pattern buffers group formation and
 // the analytic engine reuse across calls, and the retired-flight pool.
 // Every loop builds its own (the Fleet itself is read-only after New).
 // Everything here is buffer reuse and memoization — a dispatcher never
 // changes what is dispatched.
 type dispatcher struct {
 	f *Fleet
-	// solveMemo memoizes matcher solves per (type, window composition);
-	// see solveWindow.
-	solveMemo []map[[classify.NumClasses]int]match.Result
+	// picks holds one lazily grown matcher pick table per device type
+	// (see formILPGroup); nil outside the ILP policies and at NC 1.
+	picks []*match.PickTable
 	// agingW is the window-aligned aging-weight scratch agingWeights
 	// fills (index i weights window[i]).
 	agingW []float64
@@ -73,9 +73,12 @@ type dispatcher struct {
 
 // newDispatcher builds the per-event-loop scratch state.
 func (f *Fleet) newDispatcher() *dispatcher {
-	d := &dispatcher{f: f, solveMemo: make([]map[[classify.NumClasses]int]match.Result, len(f.types))}
-	for t := range d.solveMemo {
-		d.solveMemo[t] = make(map[[classify.NumClasses]int]match.Result)
+	d := &dispatcher{f: f}
+	if f.ncEff != nil {
+		d.picks = make([]*match.PickTable, len(f.types))
+		for t := range d.picks {
+			d.picks[t] = match.NewPickTable(f.ncPatterns, f.ncEff[t], f.cfg.NC)
+		}
 	}
 	return d
 }
@@ -162,12 +165,12 @@ func containsJob(members []*job, j *job) bool {
 //     maximizes the group's Equation 3.4 efficiency. A deep
 //     optimization over two jobs is pointless, and dispatching the
 //     oldest job immediately keeps latency low.
-//   - deep queue: solve the paper's ILP over the first windowFor jobs'
-//     class composition and materialize the single best pattern that
-//     includes the head job's class. Requiring the head job to be
-//     schedulable guards against starvation — the ILP alone would
-//     happily strand an awkward class forever while fresher arrivals
-//     overtake it.
+//   - deep queue: match the first windowFor jobs' class composition as
+//     the paper's ILP does and materialize the single best pattern of
+//     the optimal matching that includes the head job's class.
+//     Requiring the head job to be schedulable guards against
+//     starvation — the matching alone would happily strand an awkward
+//     class forever while fresher arrivals overtake it.
 //
 // With Config.Aging set, both paths weight efficiency by member wait:
 // patterns (and greedy candidates) whose members have waited longest get
@@ -236,13 +239,17 @@ func (d *dispatcher) formGreedyGroup(dst []*job, queue *jobQueue, t int, now uin
 	return dst
 }
 
-// formILPGroup solves the matcher over the queue's window-prefix class
-// composition as seen by device type t and materializes one group. It
-// returns nil when the ILP cannot produce a pattern containing the head
-// job's class (the caller falls back to greedy formation). With aging
-// active the pattern efficiencies handed to the solver are age-weighted
-// per class (match.AgedEfficiencies), so a pattern containing a starved
-// class outbids a marginally better-packing one.
+// formILPGroup matches the queue's window-prefix class composition as
+// seen by device type t and materializes one group: the most efficient
+// pattern of the optimal matching that can dispatch the head waiting job
+// (match.HeadPattern). It returns nil when the matching holds no pattern
+// containing the head job's class (the caller falls back to greedy
+// formation). With aging off the pick is a pure function of (type,
+// counts), read from the type's pick table. With aging active the
+// pattern efficiencies are age-weighted per class
+// (match.AgedEfficiencies), so a pattern containing a starved class
+// outbids a marginally better-packing one, and the ILP solves each
+// dispatch afresh.
 //
 //simlint:hotpath
 func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64) []*job {
@@ -252,12 +259,12 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 	for _, j := range window {
 		counts[j.class(t)]++
 	}
-	var res match.Result
-	var err error
+	oldest := window[0].class(t)
+	var best int
 	if aging := d.agingWeights(window, now); aging != nil {
-		// The aging path re-weights and re-solves per dispatch (waits
-		// change every cycle, so the solve cannot be memoized); the
-		// zero-allocation contract covers the memoized aging-off path.
+		// Waits change every cycle, so the aged efficiencies do not
+		// repeat and a table over them would never be reused; the
+		// zero-allocation contract covers the aging-off path.
 		var classWait [classify.NumClasses]float64
 		for wi, j := range window {
 			if w := aging[wi]; w > classWait[j.class(t)] {
@@ -265,30 +272,19 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 			}
 		}
 		eff := match.AgedEfficiencies(f.ncPatterns, f.ncEff[t], classWait, f.cfg.Aging)
-		res, err = match.SolveWithEff(f.ncPatterns, eff, counts, f.cfg.NC)
+		res, err := match.SolveWithEff(f.ncPatterns, eff, counts, f.cfg.NC)
+		if err != nil {
+			return nil
+		}
+		best = match.HeadPattern(res, oldest)
 	} else {
-		res, err = d.solveWindow(t, counts)
-	}
-	if err != nil {
-		return nil
-	}
-	// Among the patterns the ILP selected, take the most efficient one
-	// that can dispatch the head waiting job.
-	oldest := window[0].class(t)
-	best := -1
-	for k, n := range res.Counts {
-		if n == 0 || res.Patterns[k].Count(oldest) == 0 {
-			continue
-		}
-		if best < 0 || res.Eff[k] > res.Eff[best] {
-			best = k
-		}
+		best = d.picks[t].Pick(counts, oldest)
 	}
 	if best < 0 {
 		return nil
 	}
 	// Materialize with the head waiting job of each required class.
-	for _, cls := range res.Patterns[best] {
+	for _, cls := range f.ncPatterns[best] {
 		found := false
 		for _, cand := range window {
 			if cand.class(t) == cls && !containsJob(dst, cand) {
@@ -315,14 +311,15 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 //
 //   - the pattern list for every group size up to NC and each pattern's
 //     Equation 3.4 efficiency (effAll, looked up by class-count key);
-//   - the size-NC pattern/efficiency table the solver consumes;
-//   - a solve memo keyed by the window's class composition — group
-//     formation is a pure function of (type, counts) when aging is off,
-//     and deep-queue phases repeat the same compositions constantly.
+//   - the size-NC pattern/efficiency table the matcher consumes.
 //
 // The tables serve the ILP policies at every NC >= 2, which is every
 // configuration that scores a pattern. They hold exactly the values
-// match.Efficiency computes.
+// match.Efficiency computes. Each dispatcher builds a match.PickTable
+// per device type over the size-NC table: with aging off, group
+// formation is a pure function of (type, window counts), and the pick
+// table answers it by lookup, growing only as far as the windows it
+// sees.
 
 // classKey is class c's unit in a pattern key: a pattern's key sums its
 // members' units, so it counts each class in its own 16 bits and does
@@ -375,22 +372,4 @@ func (f *Fleet) patternEff(t int, members []*job, extra *job) float64 {
 		key += classKey(m.class(t))
 	}
 	return f.effAll[t][f.patIndex[key]]
-}
-
-// solveWindow runs the matcher over one window composition, memoized
-// per device type: with aging off the solve is a pure function of the
-// class counts, and saturated phases present the same composition for
-// thousands of consecutive dispatches. The memo lives on the
-// dispatcher (not the Fleet) so each event loop memoizes privately and
-// the Fleet stays read-only.
-func (d *dispatcher) solveWindow(t int, counts [classify.NumClasses]int) (match.Result, error) {
-	if res, ok := d.solveMemo[t][counts]; ok {
-		return res, nil
-	}
-	res, err := match.SolveWithEff(d.f.ncPatterns, d.f.ncEff[t], counts, d.f.cfg.NC)
-	if err != nil {
-		return match.Result{}, err
-	}
-	d.solveMemo[t][counts] = res
-	return res, nil
 }

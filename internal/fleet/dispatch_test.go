@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/classify"
@@ -56,34 +55,67 @@ func TestPatternEffMatchesEfficiency(t *testing.T) {
 	}
 }
 
-// TestSolveWindowMatchesSolve checks the memoized solve against
-// match.Solve on random window compositions, on both test device
-// configs at every NC from 2 to 9.
-func TestSolveWindowMatchesSolve(t *testing.T) {
+// TestPickTableMatchesSolve is the differential check of the
+// dispatcher's pick tables against the ILP they replace: on both test
+// device configs, the table's pick equals match.HeadPattern of
+// match.SolveWithEff's solution for every head class the window holds.
+// At NC 2 and 3 it covers every window composition of size NC through
+// MaxWindow (NC 3 samples under -short); at NC 4 to 10 it samples.
+func TestPickTableMatchesSolve(t *testing.T) {
+	// Random compositions checked per NC when not exhaustive. An ILP
+	// solve over a window of up to 32 jobs costs about 0.2 ms at NC 4 and
+	// from milliseconds to seconds at NC 9 and 10 on the test matrices,
+	// so the sample thins as NC grows.
+	samples := []int{3: 24, 4: 24, 5: 24, 6: 24, 7: 6, 8: 4, 9: 2, 10: 2}
 	r := rng.NewStream(0x50175)
 	for _, pipe := range []*core.Pipeline{testPipeline(t), pipelineFor(t, tinyConfig())} {
-		for nc := 2; nc <= 9; nc++ {
+		for nc := 2; nc <= 10; nc++ {
 			f, err := New(Config{Devices: homo(pipe, 1), NC: nc, Policy: sched.ILP})
 			if err != nil {
 				t.Fatal(err)
 			}
 			d := f.newDispatcher()
-			for trial := 0; trial < 3; trial++ {
-				var counts [classify.NumClasses]int
-				for n := nc + r.Intn(MaxWindow-nc+1); n > 0; n-- {
-					counts[r.Intn(int(classify.NumClasses))]++
-				}
-				got, err := d.solveWindow(0, counts)
+			checked := 0
+			check := func(counts [classify.NumClasses]int) {
+				res, err := match.SolveWithEff(f.ncPatterns, f.ncEff[0], counts, nc)
 				if err != nil {
-					t.Fatalf("%s NC %d counts %v: solveWindow: %v", pipe.Config().Name, nc, counts, err)
+					t.Fatalf("%s NC %d counts %v: SolveWithEff: %v", pipe.Config().Name, nc, counts, err)
 				}
-				want, err := match.Solve(pipe.Matrix(), counts, nc)
-				if err != nil {
-					t.Fatalf("%s NC %d counts %v: Solve: %v", pipe.Config().Name, nc, counts, err)
+				for h := classify.Class(0); h < classify.NumClasses; h++ {
+					if counts[h] == 0 {
+						continue
+					}
+					if got, want := d.picks[0].Pick(counts, h), match.HeadPattern(res, h); got != want {
+						t.Fatalf("%s NC %d counts %v head %v: table picks %d, ILP %d (%v)",
+							pipe.Config().Name, nc, counts, h, got, want, res)
+					}
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s NC %d counts %v: solveWindow %v, Solve %v", pipe.Config().Name, nc, counts, got, want)
+				checked++
+			}
+			if nc == 2 || nc == 3 && !testing.Short() {
+				for n := nc; n <= MaxWindow; n++ {
+					forEachComposition(n, check)
 				}
+			} else {
+				for trial := 0; trial < samples[nc]; trial++ {
+					var counts [classify.NumClasses]int
+					for n := nc + r.Intn(MaxWindow-nc+1); n > 0; n-- {
+						counts[r.Intn(int(classify.NumClasses))]++
+					}
+					check(counts)
+				}
+			}
+			t.Logf("%s NC %d: %d compositions", pipe.Config().Name, nc, checked)
+		}
+	}
+}
+
+// forEachComposition calls fn with every class-count vector of size n.
+func forEachComposition(n int, fn func([classify.NumClasses]int)) {
+	for a := 0; a <= n; a++ {
+		for b := 0; a+b <= n; b++ {
+			for c := 0; a+b+c <= n; c++ {
+				fn([classify.NumClasses]int{a, b, c, n - a - b - c})
 			}
 		}
 	}

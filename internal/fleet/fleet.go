@@ -36,7 +36,8 @@ type Config struct {
 	// Window bounds how much of the queue prefix the windowed ILP
 	// considers. 0 selects the adaptive window: sized from the live
 	// queue depth and its class mix at every dispatch (see windowFor),
-	// between MinWindow and MaxWindow. A nonzero value pins it.
+	// between MinWindow and MaxWindow. A nonzero value pins it, at most
+	// MaxWindow.
 	Window int
 	// GreedyBelow is the queue depth under which ILP policies fall back
 	// to greedy group formation (0 selects 2*NC). The windowed ILP only
@@ -114,7 +115,9 @@ type Config struct {
 // The adaptive window's operating range: windowFor sizes the window
 // between these from backlog depth and class-mix entropy. MinWindow
 // keeps the matcher fed with a representative class mix even at
-// shallow queues; MaxWindow keeps dispatch cheap at deep ones.
+// shallow queues; MaxWindow keeps dispatch cheap at deep ones. MaxWindow
+// also caps a pinned Config.Window, and with it the largest composition
+// a dispatcher's pick table grows to cover.
 const (
 	MinWindow = 8
 	MaxWindow = 32
@@ -213,8 +216,8 @@ func (c Config) validate() error {
 	if c.NC < 1 {
 		return fmt.Errorf("fleet: group size %d", c.NC)
 	}
-	if c.Window < 0 {
-		return fmt.Errorf("fleet: ILP window %d", c.Window)
+	if c.Window < 0 || c.Window > MaxWindow {
+		return fmt.Errorf("fleet: ILP window %d outside [0, %d] (MaxWindow)", c.Window, MaxWindow)
 	}
 	if c.GreedyBelow < 1 {
 		return fmt.Errorf("fleet: greedy threshold %d", c.GreedyBelow)
@@ -340,8 +343,8 @@ type Fleet struct {
 	// Memoized matcher inputs (see buildMatchTables): the class-pattern
 	// lists for every group size up to NC and each pattern's efficiency
 	// per device type. Nil outside the ILP policies and at NC 1, where
-	// no pattern is ever scored. All read-only after New — the mutable
-	// solve memo lives on each event loop's dispatcher.
+	// no pattern is ever scored. All read-only after New — the lazily
+	// grown pick tables live on each event loop's dispatcher.
 	patIndex   map[uint64]int
 	effAll     [][]float64
 	ncPatterns []match.Pattern

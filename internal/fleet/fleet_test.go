@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -429,6 +430,14 @@ func TestFleetRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Devices: homo(p, 1), NC: 2, Policy: sched.ILP, Window: -1}); err == nil {
 		t.Fatal("accepted negative ILP window")
+	}
+	if _, err := New(Config{Devices: homo(p, 1), NC: 2, Policy: sched.ILP, Window: MaxWindow + 1}); err == nil {
+		t.Fatal("accepted an ILP window beyond MaxWindow")
+	} else if !strings.Contains(err.Error(), strconv.Itoa(MaxWindow)) {
+		t.Fatalf("window error %q does not name the cap %d", err, MaxWindow)
+	}
+	if _, err := New(Config{Devices: homo(p, 1), NC: 2, Policy: sched.ILP, Window: MaxWindow}); err != nil {
+		t.Fatalf("rejected a window at MaxWindow: %v", err)
 	}
 	if _, err := New(Config{Devices: homo(p, 1), NC: 2, Policy: sched.ILP, GreedyBelow: -1}); err == nil {
 		t.Fatal("accepted negative greedy threshold")

@@ -13,7 +13,8 @@
 // vector, a list of ≤ / ≥ / = constraints, and an optional per-variable
 // integrality mask. Solve returns an optimal Solution or a status
 // (Infeasible, Unbounded) — there is no tolerance tuning to do at these
-// problem sizes. The windowed ILP dispatcher (internal/fleet) and the
-// offline matcher (internal/match) both bottom out here; see
-// match.BuildProblem for the exact formulation of Equations 3.3–3.7.
+// problem sizes. The matcher's one-shot solves (internal/match: the
+// offline scheduler, Appendix A, and the fleet's aging path) bottom out
+// here; see match.BuildProblem for the exact formulation of Equations
+// 3.3–3.7. The fleet's unaged dispatches read match.PickTable instead.
 package ilp

@@ -2,8 +2,16 @@
 // (Section 3.2.3): given the per-class interference matrix and the class
 // composition of the waiting queue, it chooses how many co-run groups of
 // each class pattern to form so that total inverse slowdown — and hence
-// device throughput — is maximized, solving the integer linear program
-// of Equations 3.3–3.7 exactly.
+// device throughput — is maximized.
+//
+// It answers that question two ways. Solve and SolveWithEff build the
+// integer linear program of Equations 3.3–3.7 and solve it with
+// internal/ilp; they serve one-shot solves (the offline scheduler,
+// Appendix A, and the fleet's aging path, whose efficiencies change on
+// every dispatch). PickTable serves the fleet's repeated question — which
+// pattern of the optimal matching dispatches the head job — by a dynamic
+// program over class counts that it grows lazily and then reads in
+// nanoseconds. HeadPattern is the rule both paths share for that pick.
 package match
 
 import (
@@ -141,6 +149,23 @@ type Result struct {
 	Objective float64
 	// Groups is the total number of full groups (L in the paper).
 	Groups int
+}
+
+// HeadPattern returns the pattern group formation takes from res for a
+// queue whose head job has class head: among the patterns the solution
+// uses that contain head, the most efficient one (res.Eff), the lowest
+// index on ties. It returns -1 when no used pattern contains head.
+func HeadPattern(res Result, head classify.Class) int {
+	best := -1
+	for k, n := range res.Counts {
+		if n == 0 || res.Patterns[k].Count(head) == 0 {
+			continue
+		}
+		if best < 0 || res.Eff[k] > res.Eff[best] {
+			best = k
+		}
+	}
+	return best
 }
 
 // String renders the selected patterns.
