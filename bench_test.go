@@ -11,7 +11,6 @@
 package repro
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -408,49 +407,6 @@ func BenchmarkFleetRunModeled(b *testing.B) {
 	modeledNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(cycleNs/modeledNs, "cycle/modeled-x")
 	b.ReportMetric(modeledNs/1000, "ns/job")
-}
-
-// BenchmarkFleetSharded measures the cost of K-way partitioning on the
-// modeled path end to end: a 16-device fleet serving 32k Poisson jobs
-// as 1, 4 and 8 event-loop partitions, run one after another. Dispatch
-// is FCFS so the subject is the event core itself — admit, route,
-// commit, retire — rather than the windowed ILP's LP solves, which
-// BenchmarkFleetDispatch measures in isolation. Partitions add epoch
-// barriers and a merge and never run in parallel, so more shards cost
-// time. On a 2-vCPU Intel Xeon host (Go 1.24, `go test -run '^$'
-// -bench FleetSharded -cpu 2`, medians of 5) it measured 1.27 / 1.12 /
-// 1.04 Mjobs/s at 1 / 4 / 8 shards while partitions ran on goroutines;
-// interleaved -benchtime 2s runs measured 1.24 / 1.11 / 1.18 on
-// goroutines and 1.26 / 1.21 / 1.12 sequentially.
-func BenchmarkFleetSharded(b *testing.B) {
-	p := fleetBenchPipeline(b)
-	const jobs = 32768
-	arr, err := fleet.ArrivalConfig{Kind: fleet.Poisson, Jobs: jobs, Rate: 4, Seed: 7}.Generate(fleetBenchNames())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, err := fleet.New(fleet.Config{
-					Devices: []fleet.DeviceSpec{{Pipe: p, Count: 16}},
-					NC:      2, Policy: sched.FCFS, Engine: fleet.Modeled,
-					Shards: shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := f.Run(arr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			perJob := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / jobs
-			b.ReportMetric(perJob, "ns/job")
-			b.ReportMetric(1e3/perJob, "Mjobs/s")
-		})
-	}
 }
 
 // --- Substrate micro-benchmarks ----------------------------------------

@@ -37,13 +37,7 @@
 // that runs 100k jobs on 64 devices in seconds; hybrid simulates the
 // first -hybrid-warm occurrences of each (device type, composition) to
 // calibrate the model and serves the rest from it, reporting the
-// model's fidelity delta in the summary. With -engine modeled, -shards
-// N models an N-way split fleet: the roster is partitioned into N event
-// loops, fed by a deterministic router and run one after another. A
-// given seed and shard count always reproduce the same bytes (-shards 1
-// is the single loop), and N > 1 trades the global backlog for N split
-// queues — a different schedule, never a faster run — echoed in a
-// "shards:" header.
+// model's fidelity delta in the summary.
 //
 // Failure injection: -chaos "fail@CYCLE:DEV,drain@CYCLE:DEV,
 // restore@CYCLE:DEV" executes a deterministic failure schedule mid-run
@@ -115,7 +109,6 @@ func main() {
 	csvPath := flag.String("csv", "", "also write the per-job records as CSV to this file")
 	engineFlag := flag.String("engine", "cycle", "completion engine: cycle | modeled | hybrid")
 	hybridWarm := flag.Int("hybrid-warm", 0, "cycle-accurate runs per group composition before the hybrid engine trusts the model (0 = default)")
-	shards := flag.Int("shards", 0, "partition the roster into this many event loops, run sequentially, for -engine modeled (0/1 = single loop; same seed and count reproduce the same bytes)")
 	closedFlag := flag.Bool("closed", false, "closed-loop clients replace the arrival stream (equivalent to -arrivals closed)")
 	clients := flag.Int("clients", 8, "closed-loop client pools, each with one request outstanding (with -closed)")
 	requests := flag.Int("requests", 0, "requests per client (0 = default, with -closed)")
@@ -276,9 +269,6 @@ func main() {
 	if set["hybrid-warm"] && engine != fleet.Hybrid {
 		failf("fleet: -hybrid-warm only applies to -engine hybrid (got %v)", engine)
 	}
-	if set["shards"] && *shards > 1 && engine != fleet.Modeled {
-		failf("fleet: -shards only applies to -engine modeled (got %v)", engine)
-	}
 	if set["sample-interval"] {
 		if *timeseries == "" {
 			fail("fleet: -sample-interval needs -timeseries to write the series somewhere")
@@ -359,7 +349,6 @@ func main() {
 		SLO:         slo,
 		Engine:      engine,
 		HybridWarm:  *hybridWarm,
-		Shards:      *shards,
 	}
 	if *timeseries != "" {
 		cfg.SampleEvery = *sampleInterval
@@ -448,12 +437,6 @@ func main() {
 	case slo.Enabled || *latencyFrac > 0:
 		fmt.Printf("slo: mode=%s latency-frac=%.2f deadline=%d aging=%g\n",
 			strings.ToLower(*sloFlag), *latencyFrac, acfg.Resolved().Deadline, *aging)
-	}
-	// The shard count shapes the simulated schedule (the router splits
-	// the backlog K ways), so artifacts must say which K produced them;
-	// at 0/1 the line is omitted and output matches previous releases.
-	if res.Shards > 1 {
-		fmt.Printf("shards: %d event loops, epoch=%d cycles\n", res.Shards, f.Config().ShardEpoch)
 	}
 	fmt.Print(res.Summary())
 	if *csvPath != "" {

@@ -1,5 +1,5 @@
 // Command sweep runs a scenario grid — dispatch policy × completion
-// engine × roster × arrival process × SLO mode × shard count — over a bounded worker
+// engine × roster × arrival process × SLO mode — over a bounded worker
 // pool and collects every cell's summary metrics into one tidy CSV or
 // JSON artifact, the Go-native analogue of hand-driving cmd/fleet once
 // per configuration. The same binary diffs two such artifacts cell by
@@ -29,12 +29,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -54,7 +52,6 @@ func main() {
 	admissions := flag.String("admissions", "", "comma-separated admission modes: off, reject:MAXWAIT, degrade:MAXWAIT (default off)")
 	autoscales := flag.String("autoscales", "", "comma-separated elastic-roster bounds: off or MIN:MAX (default off)")
 	chaoses := flag.String("chaoses", "", "semicolon-separated failure schedules: off, KIND@CYCLE:DEV,... traces, or mtbf:MTBF:MTTR[:HORIZON] (default off)")
-	shards := flag.String("shards", "", "comma-separated event-loop shard counts for the modeled engine (default 1)")
 	nc := flag.Int("nc", 0, "co-run group size per device (0 = default 2)")
 	jobs := flag.Int("jobs", 0, "arriving jobs per cell (0 = default 32)")
 	rate := flag.Float64("rate", 0, "mean arrival rate in jobs per 1000 cycles (0 = default 0.5)")
@@ -87,7 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := json.Unmarshal(data, &g); err != nil {
+		if g, err = sweep.ParseGrid(data); err != nil {
 			log.Fatalf("sweep: parse %s: %v", *configPath, err)
 		}
 	}
@@ -110,16 +107,6 @@ func main() {
 	axis(&g.Admissions, *admissions, ",")
 	axis(&g.Autoscales, *autoscales, ",")
 	axis(&g.Chaoses, *chaoses, ";")
-	if *shards != "" {
-		g.Shards = g.Shards[:0]
-		for _, v := range strings.Split(*shards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(v))
-			if err != nil {
-				log.Fatalf("sweep: -shards entry %q: %v", v, err)
-			}
-			g.Shards = append(g.Shards, n)
-		}
-	}
 	scalar := func(set bool, apply func()) {
 		if set {
 			apply()

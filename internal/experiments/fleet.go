@@ -254,9 +254,6 @@ func (s *Suite) FleetScale() (Artifact, error) {
 	for _, label := range labels {
 		rows[label] = &Row{Label: label}
 	}
-	// single is the ILP-SMRA cell's run, the baseline of the partitioning
-	// note below.
-	var single fleet.Result
 	for _, policy := range policies {
 		f, err := fleet.New(fleet.Config{
 			Devices: roster, NC: nc, Policy: policy, Engine: fleet.Modeled,
@@ -268,9 +265,6 @@ func (s *Suite) FleetScale() (Artifact, error) {
 		res, err := f.Run(arrivals)
 		if err != nil {
 			return Artifact{}, fmt.Errorf("fleet scale/%v: %w", policy, err)
-		}
-		if policy == sched.ILPSMRA {
-			single = res
 		}
 		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
 		add("throughput", res.Throughput())
@@ -290,28 +284,6 @@ func (s *Suite) FleetScale() (Artifact, error) {
 		a.Notes = append(a.Notes, fmt.Sprintf("ILP-SMRA/FCFS throughput at %d devices x %dk jobs: %.3fx (modeled engine, zero cycle-accurate sims)",
 			devices, jobs/1000, smra/fcfs))
 	}
-	// Partitioning note: the ILP-SMRA cell re-run as 8 partitioned event
-	// loops. Splitting the backlog K ways lets the simulated schedule
-	// drift from the single loop's — but never the job count.
-	const shardK = 8
-	f, err := fleet.New(fleet.Config{
-		Devices: roster, NC: nc, Policy: sched.ILPSMRA, Engine: fleet.Modeled,
-		SLO:    fleet.SLOConfig{Enabled: true, Preempt: true},
-		Shards: shardK,
-	})
-	if err != nil {
-		return Artifact{}, err
-	}
-	kRes, err := f.Run(arrivals)
-	if err != nil {
-		return Artifact{}, fmt.Errorf("fleet scale/%d shards: %w", shardK, err)
-	}
-	if len(single.Jobs) != len(kRes.Jobs) {
-		return Artifact{}, fmt.Errorf("fleet scale: %d shards completed %d jobs, single loop %d",
-			shardK, len(kRes.Jobs), len(single.Jobs))
-	}
-	a.Notes = append(a.Notes, fmt.Sprintf("partitioned event loops: %d-way split makespan %.2fx of single loop (%d jobs both)",
-		shardK, float64(kRes.Makespan)/float64(single.Makespan), len(kRes.Jobs)))
 	return a, nil
 }
 

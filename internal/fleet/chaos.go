@@ -11,8 +11,8 @@ import (
 
 // The chaos layer: deterministic device failure, drain and restore
 // mid-run. A fleet serving real traffic does not get a permanently
-// healthy roster, so the event loops accept an injected failure
-// schedule and execute it on the same control-event heap that drives
+// healthy roster, so the event loop accepts an injected failure
+// schedule and executes it on the same control-event heap that drives
 // clients, admission and the autoscaler:
 //
 //   - fail kills a device outright. A group in flight is evicted
@@ -27,9 +27,9 @@ import (
 // the CLI's "fail@CYCLE:DEV,..." spelling) or from a generator that
 // draws per-device exponential time-between-failure and time-to-repair
 // variates from dedicated internal/rng streams. Either way the
-// schedule is a pure function of the configuration — never of shard
-// count, goroutine timing or host — so chaos runs keep the byte-
-// identical determinism contract at every shard count.
+// schedule is a pure function of the configuration — never of
+// goroutine timing or host — so chaos runs keep the byte-identical
+// determinism contract.
 //
 // Failure is deliberately not decommissioning: a failed device stays
 // "active" in the autoscaler's books but is subtracted from the
@@ -110,7 +110,7 @@ type ChaosConfig struct {
 	// (0 selects DefaultChaosHorizon).
 	Horizon uint64
 	// Seed drives the generator's per-device draws; same seed, same
-	// schedule at any shard count. Ignored with an explicit trace.
+	// schedule. Ignored with an explicit trace.
 	Seed uint64
 }
 
@@ -166,7 +166,7 @@ func (c ChaosConfig) validate(devices int) error {
 // resolveChaos materializes the run's chaos schedule in execution
 // order: the sorted trace, or the generator's per-device draws. Each
 // device's generator stream depends only on the seed and the device
-// index, so the schedule is identical at any shard count.
+// index.
 func (f *Fleet) resolveChaos() []ChaosEvent {
 	ch := &f.cfg.Chaos
 	if !ch.Enabled {

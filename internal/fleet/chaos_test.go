@@ -14,9 +14,9 @@ import (
 // devices of different types crash mid-run, a third is drained, and
 // all three come back before the run ends. Cycles sit well inside the
 // case's ~550k-cycle makespan so every kind actually fires.
-func chaosCase(t *testing.T, shards int) Config {
+func chaosCase(t *testing.T) Config {
 	t.Helper()
-	cfg := closedCase(t, shards)
+	cfg := closedCase(t)
 	cfg.Chaos = ChaosConfig{Enabled: true, Trace: []ChaosEvent{
 		{Cycle: 60_000, Device: 0, Kind: ChaosFail},
 		{Cycle: 60_000, Device: 4, Kind: ChaosFail},
@@ -30,9 +30,9 @@ func chaosCase(t *testing.T, shards int) Config {
 
 // runChaosCase executes the scenario and renders the full observable
 // output, mirroring runClosedCase.
-func runChaosCase(t *testing.T, shards int) (Result, string, string) {
+func runChaosCase(t *testing.T) (Result, string, string) {
 	t.Helper()
-	f, err := New(chaosCase(t, shards))
+	f, err := New(chaosCase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,72 +48,43 @@ func runChaosCase(t *testing.T, shards int) (Result, string, string) {
 }
 
 // TestChaosGolden locks the failure-injection path's observable output
-// at one and two shards — summary with the chaos counter line, the
-// eviction trace's trigger=chaos records, and the time series with the
-// failed/draining gauge columns. Regenerate with
+// — summary with the chaos counter line, the eviction trace's
+// trigger=chaos records, and the time series with the failed/draining
+// gauge columns. Regenerate with
 //
 //	go test ./internal/fleet -run ChaosGolden -update
 //
 // only when chaos behavior is meant to change.
 func TestChaosGolden(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		res, summary, csv := runChaosCase(t, shards)
-		if !res.Chaos {
-			t.Fatalf("shards=%d: Result.Chaos = false", shards)
-		}
-		if res.Failures != 2 || res.Drains != 1 || res.Restores != 3 {
-			t.Fatalf("shards=%d: failures/drains/restores = %d/%d/%d, want 2/1/3",
-				shards, res.Failures, res.Drains, res.Restores)
-		}
-		name := "chaos_shard1"
-		if shards == 2 {
-			name = "chaos_shard2"
-		}
-		compareGolden(t, name+".golden", summary)
-		compareGolden(t, "timeseries_"+name+".golden", csv)
+	res, summary, csv := runChaosCase(t)
+	if !res.Chaos {
+		t.Fatal("Result.Chaos = false")
 	}
+	if res.Failures != 2 || res.Drains != 1 || res.Restores != 3 {
+		t.Fatalf("failures/drains/restores = %d/%d/%d, want 2/1/3", res.Failures, res.Drains, res.Restores)
+	}
+	compareGolden(t, "chaos.golden", summary)
+	compareGolden(t, "timeseries_chaos.golden", csv)
 }
 
-// TestChaosShardedDeterminism mirrors TestClosedShardedDeterminism
-// with the outage wave live: repeated runs at every shard count must
-// produce byte-identical summaries, eviction traces and series, and
-// the three shard counts must agree with each other — the chaos
-// schedule is a pure function of the configuration, never of shard
-// layout. Runs under -race in CI.
-func TestChaosShardedDeterminism(t *testing.T) {
-	var baseSum string
-	for _, shards := range []int{1, 2, 4} {
-		_, firstSum, firstCSV := runChaosCase(t, shards)
-		for run := 1; run < 3; run++ {
-			_, sum, csv := runChaosCase(t, shards)
-			if sum != firstSum {
-				t.Fatalf("shards=%d run %d summary diverged from run 0:\n--- first ---\n%s--- again ---\n%s",
-					shards, run, firstSum, sum)
-			}
-			if csv != firstCSV {
-				t.Fatalf("shards=%d run %d time series diverged from run 0", shards, run)
-			}
+// TestChaosDeterminism mirrors TestClosedDeterminism with the outage
+// wave live: repeated runs must produce byte-identical summaries,
+// eviction traces and series. Runs under -race in CI.
+func TestChaosDeterminism(t *testing.T) {
+	_, firstSum, firstCSV := runChaosCase(t)
+	for run := 1; run < 3; run++ {
+		_, sum, csv := runChaosCase(t)
+		if sum != firstSum {
+			t.Fatalf("run %d summary diverged from run 0:\n--- first ---\n%s--- again ---\n%s", run, firstSum, sum)
 		}
-		if shards == 1 {
-			baseSum = firstSum
-			continue
-		}
-		// Aggregate chaos counters and conservation totals must agree
-		// across shard counts (per-device series layouts differ, so the
-		// summary's shard-independent lines are compared via counters in
-		// TestChaosConservation; here the counter lines suffice).
-		for _, line := range strings.Split(firstSum, "\n") {
-			if strings.HasPrefix(line, "chaos") {
-				if !strings.Contains(baseSum, line) {
-					t.Errorf("shards=%d chaos line %q not in shard-1 summary", shards, line)
-				}
-			}
+		if csv != firstCSV {
+			t.Fatalf("run %d time series diverged from run 0", run)
 		}
 	}
 }
 
 // TestChaosConservation is the property test behind failure injection:
-// across engines, shard counts and seeds, with a generated failure
+// across engines and seeds, with a generated failure
 // schedule constantly killing and restoring devices, every submitted
 // attempt still ends in exactly one of completed, rejected or
 // abandoned — a crash may strand progress, never a job.
@@ -121,17 +92,14 @@ func TestChaosConservation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		engine EngineMode
-		shards int
 		policy sched.Policy
 	}{
-		{"cycle-fcfs", Cycle, 0, sched.FCFS},
-		{"cycle-ilp", Cycle, 0, sched.ILPSMRA},
-		{"modeled-1", Modeled, 1, sched.ILPSMRA},
-		{"modeled-2", Modeled, 2, sched.ILPSMRA},
-		{"modeled-4", Modeled, 4, sched.ILPSMRA},
+		{"cycle-fcfs", Cycle, sched.FCFS},
+		{"cycle-ilp", Cycle, sched.ILPSMRA},
+		{"modeled", Modeled, sched.ILPSMRA},
 	} {
 		for _, seed := range []uint64{1, 2, 0xDEAD} {
-			cfg := closedCase(t, tc.shards)
+			cfg := closedCase(t)
 			cfg.Engine = tc.engine
 			cfg.Policy = tc.policy
 			cfg.Closed.Seed = seed
@@ -162,7 +130,7 @@ func TestChaosConservation(t *testing.T) {
 // spelled as failures evicts whatever was on the devices.
 func TestChaosDrainRetires(t *testing.T) {
 	run := func(kind ChaosKind) Result {
-		cfg := closedCase(t, 1)
+		cfg := closedCase(t)
 		cfg.Chaos = ChaosConfig{Enabled: true, Trace: []ChaosEvent{
 			{Cycle: 60_000, Device: 0, Kind: kind},
 			{Cycle: 60_000, Device: 1, Kind: kind},
@@ -194,9 +162,8 @@ func TestChaosDrainRetires(t *testing.T) {
 // TestChaosDeadRosterErrors pins the stall contract: once every device
 // has failed (or drained) with no restore scheduled, the queued jobs can
 // never run, and Run must say so with an error that counts them —
-// never hang, never return a short Result. It covers the single loop
-// under the Cycle engine and the Modeled engine at one and two
-// partitions, with and without the autoscaler.
+// never hang, never return a short Result. It covers the Cycle engine,
+// and the Modeled engine with and without the autoscaler.
 func TestChaosDeadRosterErrors(t *testing.T) {
 	p := testPipeline(t)
 	arr := testArrivals(t, 16, 0xDEAD)
@@ -207,18 +174,17 @@ func TestChaosDeadRosterErrors(t *testing.T) {
 	for _, kind := range []ChaosKind{ChaosFail, ChaosDrain} {
 		for _, tc := range []struct {
 			engine EngineMode
-			shards int
 			scale  bool
-		}{{Cycle, 0, false}, {Modeled, 1, false}, {Modeled, 2, false}, {Modeled, 1, true}, {Modeled, 2, true}} {
-			label := fmt.Sprintf("%v/%v/shards=%d/autoscale=%v", kind, tc.engine, tc.shards, tc.scale)
+		}{{Cycle, false}, {Modeled, false}, {Modeled, true}} {
+			label := fmt.Sprintf("%v/%v/autoscale=%v", kind, tc.engine, tc.scale)
 			f, err := New(Config{
 				Devices: homo(p, 2), NC: 2, Policy: sched.ILPSMRA,
-				Engine: tc.engine, Shards: tc.shards,
+				Engine: tc.engine,
 				Chaos: ChaosConfig{Enabled: true, Trace: []ChaosEvent{
 					{Cycle: at, Device: 0, Kind: kind},
 					{Cycle: at, Device: 1, Kind: kind},
 				}},
-				// An armed autoscale tick must not keep the dead loop
+				// An armed autoscale tick must not keep the dead roster
 				// ticking forever.
 				Autoscale: AutoscaleConfig{Enabled: tc.scale, Min: 2},
 			})
@@ -259,14 +225,14 @@ func TestChaosValidation(t *testing.T) {
 		{"neither trace nor generator", func(c *Config) { c.Chaos.Trace = nil }},
 		{"mtbf without mttr", func(c *Config) { c.Chaos.Trace = nil; c.Chaos.MTBF = 100 }},
 	} {
-		cfg := chaosCase(t, 1)
+		cfg := chaosCase(t)
 		tc.break_(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		}
 	}
 	// The generator spelling with sane parameters must be accepted.
-	cfg := chaosCase(t, 1)
+	cfg := chaosCase(t)
 	cfg.Chaos = ChaosConfig{Enabled: true, MTBF: 100_000, MTTR: 20_000}
 	if _, err := New(cfg); err != nil {
 		t.Errorf("generator config rejected: %v", err)

@@ -22,16 +22,14 @@ import (
 //     unbounded backlog.
 //   - Elastic rosters: devices are provisioned (after a delay) and
 //     decommissioned on queue-pressure watermarks, reconciled on a
-//     fixed epoch grid so sharded runs scale at the same barriers they
-//     route on.
+//     fixed epoch grid.
 //
 // All of it is driven through one deterministic control-event heap
-// (loopCtl) owned by each event loop, ordered by (cycle, push
-// sequence). Every random draw comes from per-client internal/rng
-// streams derived only from the configured seed and the client id,
-// never from which loop runs the client, so reruns are byte-identical
-// at any shard count. With every feature disabled the loops carry a
-// nil *loopCtl and the hot path pays one pointer check per event — the
+// (loopCtl) owned by the event loop, ordered by (cycle, push sequence).
+// Every random draw comes from per-client internal/rng streams derived
+// only from the configured seed and the client id, so reruns are
+// byte-identical. With every feature disabled the loop carries a nil
+// *loopCtl and the hot path pays one pointer check per event — the
 // steady-state zero-allocation dispatch contract is untouched.
 
 // ClosedConfig parameterizes the closed-loop arrival source
@@ -66,16 +64,15 @@ type ClosedConfig struct {
 	// stream independent of names and think times.
 	LatencyFrac float64
 	Deadline    uint64
-	// Seed drives every client's draws; same seed, same traffic at any
-	// shard count.
+	// Seed drives every client's draws; same seed, same traffic.
 	Seed uint64
 	// Universe is the benchmark names requests draw from (uniformly).
 	Universe []string
 }
 
 // AdmissionConfig parameterizes admission control (Config.Admission):
-// a submission is admitted only if the loop's predicted queueing wait
-// is at most MaxWait.
+// a submission is admitted only if the predicted queueing wait is at
+// most MaxWait.
 type AdmissionConfig struct {
 	Enabled bool
 	// MaxWait is the admission bound in cycles on the predicted wait.
@@ -99,9 +96,7 @@ type AdmissionConfig struct {
 type AutoscaleConfig struct {
 	Enabled bool
 	// Min and Max bound the active device count (0 selects 1 and the
-	// full roster). Sharded runs split both bounds across shards the
-	// same way the roster is dealt, so Min must be at least the shard
-	// count.
+	// full roster).
 	Min, Max int
 	// High and Low are the scale-up and scale-down pressure watermarks
 	// (0 selects DefaultScaleHigh and DefaultScaleLow).
@@ -111,9 +106,8 @@ type AutoscaleConfig struct {
 	// DefaultProvisionDelay). Decommission is immediate — only idle
 	// devices are released.
 	Delay uint64
-	// Epoch is the reconciliation quantum (0 selects Config.ShardEpoch,
-	// or DefaultShardEpoch when that is unset too), so sharded fleets
-	// scale at the same barriers they route on.
+	// Epoch is the reconciliation quantum in fleet cycles (0 selects
+	// DefaultScaleEpoch).
 	Epoch uint64
 }
 
@@ -130,6 +124,9 @@ const (
 	DefaultScaleLow  = 0.5
 	// DefaultProvisionDelay is the scale-up provisioning latency.
 	DefaultProvisionDelay = 25_000
+	// DefaultScaleEpoch is the autoscaler's reconciliation quantum in
+	// fleet cycles: a few dispatch rounds on realistic workloads.
+	DefaultScaleEpoch = 1 << 16
 )
 
 // Job lifecycle states (job.state), the conservation test's ground
@@ -144,7 +141,7 @@ const (
 	jsRejected
 )
 
-// ctlKind enumerates the control-event kinds the loops process.
+// ctlKind enumerates the control-event kinds the loop processes.
 type ctlKind uint8
 
 // ParseAdmission parses the CLI/sweep admission spelling: "off" (or
@@ -236,9 +233,8 @@ type clientState struct {
 	cursor int
 }
 
-// loopCtl is one event loop's control state over its clients and
-// devices. It mutates only state its loop owns (queue, idle heap,
-// flights, counters).
+// loopCtl is the event loop's control state over its clients and
+// devices. It mutates the loop's queue, idle heap, flights and counters.
 type loopCtl struct {
 	f *Fleet
 	l *loop
@@ -246,19 +242,15 @@ type loopCtl struct {
 	events keyHeap[ctlEvent]
 	seq    int
 
-	// clients is indexed by global client id; entries owned by other
-	// loops keep a nil stream and are never touched here.
+	// clients is indexed by client id.
 	clients []clientState
 
-	// Elastic-roster state over the loop's devices (l.order lists them in
-	// placement order). active and pending are indexed by global device
-	// index.
+	// Elastic-roster state, indexed by device (Fleet.order lists the
+	// devices in placement order).
 	active      []bool
 	pending     []bool
 	activeCount int
 	pendingProv int
-	minDev      int
-	maxDev      int
 	epoch       uint64
 	// scaleArmed tracks whether an evScale tick is scheduled; the tick
 	// disarms itself once the loop has no outstanding work, so a drained
@@ -267,13 +259,13 @@ type loopCtl struct {
 	// rmBuf is the single-job scratch abandon passes to removeJobs.
 	rmBuf [1]*job
 
-	// Chaos state over the loop's devices, indexed by global device
-	// index. A failed or draining device is "down": it never sits in
-	// the idle heap and the dispatch pass never sees it. downActive
-	// counts down devices the autoscaler holds active, so the effective
-	// roster (upActive) prices outages into pressure and predicted
-	// wait. Failure is not decommissioning: active/activeCount are
-	// untouched, so a restore needs no provisioning delay.
+	// Chaos state, indexed by device. A failed or draining device is
+	// "down": it never sits in the idle heap and the dispatch pass never
+	// sees it. downActive counts down devices the autoscaler holds
+	// active, so the effective roster (upActive) prices outages into
+	// pressure and predicted wait. Failure is not decommissioning:
+	// active/activeCount are untouched, so a restore needs no
+	// provisioning delay.
 	failed        []bool
 	draining      []bool
 	failedCount   int
@@ -282,28 +274,28 @@ type loopCtl struct {
 }
 
 // ctlEnabled reports whether any control surface is configured — the
-// loops allocate a loopCtl exactly then.
+// loop allocates a loopCtl exactly then.
 func (f *Fleet) ctlEnabled() bool {
 	return f.cfg.Closed.Enabled || f.cfg.Admission.Enabled || f.cfg.Autoscale.Enabled ||
 		f.cfg.Chaos.Enabled
 }
 
-// newLoopCtl wires a control block to loop l. minDev/maxDev are the
-// loop's share of the autoscale bounds (ignored unless autoscaling).
-func (f *Fleet) newLoopCtl(l *loop, minDev, maxDev int) *loopCtl {
+// newLoopCtl wires a control block to loop l. The autoscaler starts the
+// roster at its floor: the first Autoscale.Min devices in placement
+// order.
+func (f *Fleet) newLoopCtl(l *loop) *loopCtl {
 	total := len(f.devType)
 	c := &loopCtl{
 		f: f, l: l,
 		active: make([]bool, total), pending: make([]bool, total),
 		failed: make([]bool, total), draining: make([]bool, total),
-		minDev: minDev, maxDev: maxDev,
 	}
-	want := len(l.order)
+	want := total
 	if f.cfg.Autoscale.Enabled {
-		want = minDev
+		want = f.cfg.Autoscale.Min
 		c.epoch = f.cfg.Autoscale.Epoch
 	}
-	for i, d := range l.order {
+	for i, d := range f.order {
 		if i < want {
 			c.active[d] = true
 			c.activeCount++
@@ -312,17 +304,14 @@ func (f *Fleet) newLoopCtl(l *loop, minDev, maxDev int) *loopCtl {
 	return c
 }
 
-// initClients seeds the given client ids (this loop's share) and
-// schedules their first submissions after an initial think draw.
-func (c *loopCtl) initClients(perClient [][]*job, ids []int) {
-	cc := &c.f.cfg.Closed
-	if c.clients == nil {
-		c.clients = make([]clientState, cc.Clients)
-	}
-	for _, id := range ids {
+// initClients seeds every closed-loop client (none on an open-loop run)
+// and schedules its first submission after an initial think draw.
+func (c *loopCtl) initClients(perClient [][]*job) {
+	c.clients = make([]clientState, len(perClient))
+	for id, reqs := range perClient {
 		cs := &c.clients[id]
-		cs.stream = rng.NewStream(rng.Hash3(cc.Seed, uint64(id), 3))
-		cs.reqs = perClient[id]
+		cs.stream = rng.NewStream(rng.Hash3(c.f.cfg.Closed.Seed, uint64(id), 3))
+		cs.reqs = reqs
 		c.push(c.thinkDraw(cs), ctlEvent{kind: evSubmit, j: cs.reqs[0]})
 	}
 }
@@ -367,14 +356,11 @@ func (c *loopCtl) step(now uint64) {
 	}
 }
 
-// initChaos schedules this loop's share of the chaos events, skipping
-// devices another loop owns. Called before initClients so the heap's
-// tie-break sequence is a pure function of the configuration.
+// initChaos schedules the chaos events. Called before initClients so
+// the heap's tie-break sequence is a pure function of the
+// configuration.
 func (c *loopCtl) initChaos(events []ChaosEvent) {
 	for _, ev := range events {
-		if c.l.slot[ev.Device] < 0 {
-			continue
-		}
 		var k ctlKind
 		switch ev.Kind {
 		case ChaosFail:
@@ -400,7 +386,7 @@ func (c *loopCtl) deviceUp(d int) bool { return !c.failed[d] && !c.draining[d] }
 // meaning.
 func (c *loopCtl) upActive() int { return c.activeCount - c.downActive }
 
-// chaosFail kills device d at the loop's cycle. An in-flight group is evicted
+// chaosFail kills device d at the current cycle. An in-flight group is evicted
 // with checkpointed progress (trigger "chaos") and its jobs re-enter
 // the queue; an idle device just leaves the idle heap. Failing a
 // draining or already-failed device only hardens the state.
@@ -419,7 +405,7 @@ func (c *loopCtl) chaosFail(d int) {
 	if c.active[d] && !wasDown {
 		c.downActive++
 	}
-	if fl := c.l.flightOf[c.l.slot[d]]; fl != nil {
+	if fl := c.l.flightOf[d]; fl != nil {
 		// The freed device stays out of the idle heap: it is down.
 		c.l.release(fl, chaosTriggerID)
 		c.l.res.ChaosEvictions++
@@ -462,7 +448,7 @@ func (c *loopCtl) chaosRestore(d int) {
 	c.l.res.Restores++
 	if c.active[d] {
 		c.downActive--
-		if c.l.flightOf[c.l.slot[d]] == nil {
+		if c.l.flightOf[d] == nil {
 			c.l.idleDevs.push(d)
 		}
 	}
@@ -639,8 +625,8 @@ func (c *loopCtl) thinkDraw(cs *clientState) uint64 {
 }
 
 // armScale schedules the next autoscale tick on the epoch grid, unless
-// one is already pending. Called on every submission, so a loop whose
-// tick disarmed during a lull re-arms as soon as work returns.
+// one is already pending. Called on every submission, so a tick that
+// disarmed during a lull re-arms as soon as work returns.
 func (c *loopCtl) armScale(now uint64) {
 	if c.epoch == 0 || c.scaleArmed {
 		return
@@ -650,7 +636,7 @@ func (c *loopCtl) armScale(now uint64) {
 }
 
 // scaleTick evaluates the pressure watermarks and reschedules itself.
-// With no outstanding work it disarms instead, so a finished loop's
+// With no outstanding work it disarms instead, so a finished run's
 // event heap drains (armScale re-arms on the next submission).
 func (c *loopCtl) scaleTick(now uint64) {
 	if c.l.remaining <= 0 {
@@ -665,12 +651,12 @@ func (c *loopCtl) scaleTick(now uint64) {
 	// down the division yields +Inf, which always trips the high
 	// watermark.) Without chaos, upActive == activeCount exactly.
 	pressure := float64(c.l.queue.Len()) / float64(c.upActive())
-	if pressure > as.High && c.upActive()+c.pendingProv < c.maxDev {
+	if pressure > as.High && c.upActive()+c.pendingProv < as.Max {
 		// Scale up: the first inactive, non-provisioning, serving
 		// device in placement order starts provisioning and joins
 		// after the delay. Down devices are skipped — provisioning a
 		// failed device would add no capacity.
-		for _, d := range c.l.order {
+		for _, d := range c.f.order {
 			if !c.active[d] && !c.pending[d] && c.deviceUp(d) {
 				c.pending[d] = true
 				c.pendingProv++
@@ -678,15 +664,15 @@ func (c *loopCtl) scaleTick(now uint64) {
 				break
 			}
 		}
-	} else if pressure < as.Low && c.upActive() > c.minDev {
+	} else if pressure < as.Low && c.upActive() > as.Min {
 		// Scale down: release the last active idle serving device in
 		// placement order (the slowest), immediately. Busy devices are
 		// never released — they retire their flight first — and down
 		// devices are not decommissioned: their outage is transient
 		// state the restore undoes, not a roster decision.
-		for i := len(c.l.order) - 1; i >= 0; i-- {
-			d := c.l.order[i]
-			if c.active[d] && c.deviceUp(d) && c.l.flightOf[c.l.slot[d]] == nil {
+		for i := len(c.f.order) - 1; i >= 0; i-- {
+			d := c.f.order[i]
+			if c.active[d] && c.deviceUp(d) && c.l.flightOf[d] == nil {
 				c.active[d] = false
 				c.activeCount--
 				c.l.idleDevs.remove(d)
@@ -725,9 +711,9 @@ func (c *loopCtl) provision(d int) {
 // resolveClosed materializes the closed-loop request universe: every
 // client's full request sequence, client-major (job id = client *
 // Requests + request). Names and SLO tags come from per-client streams
-// derived only from the seed and the client id, so the request mix is
-// identical at any shard count. Submission cycles are stamped at
-// submit time; resolve only needs the names in a fixed order.
+// derived only from the seed and the client id. Submission cycles are
+// stamped at submit time; resolve only needs the names in a fixed
+// order.
 func (f *Fleet) resolveClosed() ([]*job, [][]*job, error) {
 	cc := f.cfg.Closed
 	arrivals := make([]Arrival, 0, cc.Clients*cc.Requests)

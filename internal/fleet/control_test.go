@@ -12,20 +12,16 @@ import (
 // time, timeouts and retries, plus admission control and an elastic
 // roster — every control surface on at once, which is exactly the
 // configuration most likely to break determinism.
-func closedCase(t *testing.T, shards int) Config {
+func closedCase(t *testing.T) Config {
 	t.Helper()
 	small := testPipeline(t)
 	tiny := pipelineFor(t, tinyConfig())
 	return Config{
-		Devices: []DeviceSpec{{Pipe: small, Count: 4}, {Pipe: tiny, Count: 4}},
-		NC:      2,
-		Policy:  sched.ILPSMRA,
-		Engine:  Modeled,
-		SLO:     SLOConfig{Enabled: true},
-		Shards:  shards,
-		// The epoch doubles as the router barrier and the autoscale
-		// reconciliation grid; keep it short so runs cross many of both.
-		ShardEpoch:  10_000,
+		Devices:     []DeviceSpec{{Pipe: small, Count: 4}, {Pipe: tiny, Count: 4}},
+		NC:          2,
+		Policy:      sched.ILPSMRA,
+		Engine:      Modeled,
+		SLO:         SLOConfig{Enabled: true},
 		SampleEvery: goldenSampleEvery,
 		Closed: ClosedConfig{
 			Enabled: true, Clients: 16, Requests: 5,
@@ -35,16 +31,17 @@ func closedCase(t *testing.T, shards int) Config {
 		},
 		Admission: AdmissionConfig{Enabled: true, MaxWait: 60_000},
 		// The low High watermark makes the roster actually move under
-		// this load, so the goldens lock provision ordering too.
-		Autoscale: AutoscaleConfig{Enabled: true, Min: 4, Max: 8, High: 1.2, Low: 0.5},
+		// this load, so the goldens lock provision ordering too; the short
+		// epoch makes runs cross many reconciliation ticks.
+		Autoscale: AutoscaleConfig{Enabled: true, Min: 4, Max: 8, High: 1.2, Low: 0.5, Epoch: 10_000},
 	}
 }
 
 // runClosedCase executes the scenario and renders the full observable
-// output, mirroring runShardedCase for the control surfaces.
-func runClosedCase(t *testing.T, shards int) (Result, string, string) {
+// output: the summary plus eviction trace, and the time-series CSV.
+func runClosedCase(t *testing.T) (Result, string, string) {
 	t.Helper()
-	f, err := New(closedCase(t, shards))
+	f, err := New(closedCase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +110,7 @@ func checkConservation(t *testing.T, label string, res Result, jobs int) {
 }
 
 // TestClosedLoopConservation is the property test behind the control
-// surfaces: across engines, shard counts, policies and seeds, every
+// surfaces: across engines, policies and seeds, every
 // submitted attempt is accounted for — no job is lost or double-counted
 // whatever combination of timeouts, retries, rejections and roster
 // changes the run went through.
@@ -121,17 +118,14 @@ func TestClosedLoopConservation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		engine EngineMode
-		shards int
 		policy sched.Policy
 	}{
-		{"cycle-fcfs", Cycle, 0, sched.FCFS},
-		{"cycle-ilp", Cycle, 0, sched.ILPSMRA},
-		{"modeled-1", Modeled, 1, sched.ILPSMRA},
-		{"modeled-2", Modeled, 2, sched.ILPSMRA},
-		{"modeled-4", Modeled, 4, sched.ILPSMRA},
+		{"cycle-fcfs", Cycle, sched.FCFS},
+		{"cycle-ilp", Cycle, sched.ILPSMRA},
+		{"modeled", Modeled, sched.ILPSMRA},
 	} {
 		for _, seed := range []uint64{1, 2, 0xDEAD} {
-			cfg := closedCase(t, tc.shards)
+			cfg := closedCase(t)
 			cfg.Engine = tc.engine
 			cfg.Policy = tc.policy
 			cfg.Closed.Seed = seed
@@ -155,45 +149,35 @@ func TestClosedLoopConservation(t *testing.T) {
 	}
 }
 
-// TestClosedGolden locks the closed-loop path's observable output at
-// one and two shards — summary, eviction trace and time series with
-// the control-column block. Regenerate with
+// TestClosedGolden locks the closed-loop path's observable output —
+// summary, eviction trace and time series with the control-column
+// block. Regenerate with
 //
 //	go test ./internal/fleet -run ClosedGolden -update
 //
 // only when the control surfaces' behavior is meant to change.
 func TestClosedGolden(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		res, summary, csv := runClosedCase(t, shards)
-		if !res.Closed || !res.Admission || !res.Autoscale {
-			t.Fatalf("shards=%d: control flags = %v/%v/%v, want all true",
-				shards, res.Closed, res.Admission, res.Autoscale)
-		}
-		name := "closed_shard1"
-		if shards == 2 {
-			name = "closed_shard2"
-		}
-		compareGolden(t, name+".golden", summary)
-		compareGolden(t, "timeseries_"+name+".golden", csv)
+	res, summary, csv := runClosedCase(t)
+	if !res.Closed || !res.Admission || !res.Autoscale {
+		t.Fatalf("control flags = %v/%v/%v, want all true", res.Closed, res.Admission, res.Autoscale)
 	}
+	compareGolden(t, "closed.golden", summary)
+	compareGolden(t, "timeseries_closed.golden", csv)
 }
 
-// TestClosedShardedDeterminism mirrors TestShardedDeterminism for the
-// control surfaces: with closed-loop clients, admission control and the
-// autoscaler all live, repeated runs at every shard count must produce
-// byte-identical summaries, traces and series. Runs under -race in CI.
-func TestClosedShardedDeterminism(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		_, firstSum, firstCSV := runClosedCase(t, shards)
-		for run := 1; run < 3; run++ {
-			_, sum, csv := runClosedCase(t, shards)
-			if sum != firstSum {
-				t.Fatalf("shards=%d run %d summary diverged from run 0:\n--- first ---\n%s--- again ---\n%s",
-					shards, run, firstSum, sum)
-			}
-			if csv != firstCSV {
-				t.Fatalf("shards=%d run %d time series diverged from run 0", shards, run)
-			}
+// TestClosedDeterminism is the reproducibility contract for the control
+// surfaces: with closed-loop clients, admission control and the
+// autoscaler all live, repeated runs must produce byte-identical
+// summaries, traces and series. Runs under -race in CI.
+func TestClosedDeterminism(t *testing.T) {
+	_, firstSum, firstCSV := runClosedCase(t)
+	for run := 1; run < 3; run++ {
+		_, sum, csv := runClosedCase(t)
+		if sum != firstSum {
+			t.Fatalf("run %d summary diverged from run 0:\n--- first ---\n%s--- again ---\n%s", run, firstSum, sum)
+		}
+		if csv != firstCSV {
+			t.Fatalf("run %d time series diverged from run 0", run)
 		}
 	}
 }
@@ -204,7 +188,7 @@ func TestClosedShardedDeterminism(t *testing.T) {
 // the cost — rejections — must be visible in the counters.
 func TestAdmissionReducesMisses(t *testing.T) {
 	run := func(admission bool) Result {
-		cfg := closedCase(t, 1)
+		cfg := closedCase(t)
 		cfg.Autoscale = AutoscaleConfig{}
 		cfg.Closed.Clients = 24
 		cfg.Closed.Requests = 4
@@ -251,7 +235,7 @@ func TestAdmissionReducesMisses(t *testing.T) {
 // over-bound latency submissions are admitted as batch instead of
 // rejected, so nothing is dropped and the degradations are counted.
 func TestAdmissionDegradeKeepsWork(t *testing.T) {
-	cfg := closedCase(t, 1)
+	cfg := closedCase(t)
 	cfg.Autoscale = AutoscaleConfig{}
 	cfg.Closed.Clients = 24
 	cfg.Closed.Requests = 4
@@ -283,7 +267,7 @@ func TestAdmissionDegradeKeepsWork(t *testing.T) {
 // sustained closed-loop pressure with a small floor, the run must
 // provision devices, and scale-down must reclaim them by the end.
 func TestAutoscaleScales(t *testing.T) {
-	cfg := closedCase(t, 1)
+	cfg := closedCase(t)
 	cfg.Autoscale = AutoscaleConfig{Enabled: true, Min: 1, Max: 8, High: 1.5, Low: 0.25}
 	f, err := New(cfg)
 	if err != nil {
@@ -306,7 +290,7 @@ func TestAutoscaleScales(t *testing.T) {
 // generates its own submissions, so passing an open arrival stream is
 // rejected rather than silently merged.
 func TestClosedRejectsArrivals(t *testing.T) {
-	cfg := closedCase(t, 1)
+	cfg := closedCase(t)
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +302,7 @@ func TestClosedRejectsArrivals(t *testing.T) {
 
 // TestControlValidation covers the new Config surfaces' validation.
 func TestControlValidation(t *testing.T) {
-	base := func() Config { return closedCase(t, 1) }
+	base := func() Config { return closedCase(t) }
 	for _, tc := range []struct {
 		name   string
 		break_ func(*Config)
@@ -333,30 +317,11 @@ func TestControlValidation(t *testing.T) {
 		{"autoscale order", func(c *Config) { c.Autoscale.Min = 6; c.Autoscale.Max = 2 }},
 		{"autoscale roster", func(c *Config) { c.Autoscale.Max = 99 }},
 		{"autoscale watermarks", func(c *Config) { c.Autoscale.High = 0.2; c.Autoscale.Low = 0.8 }},
-		{"autoscale shards", func(c *Config) { c.Shards = 4; c.Autoscale.Min = 2 }},
 	} {
 		cfg := base()
 		tc.break_(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
-		}
-	}
-}
-
-// TestSplitBound pins the autoscale bound split to the round-robin
-// device deal: shares differ by at most one and sum to the whole.
-func TestSplitBound(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{4, 1}, {5, 2}, {8, 4}, {3, 4}, {0, 2}} {
-		sum := 0
-		for i := 0; i < tc.k; i++ {
-			s := splitBound(tc.n, tc.k, i)
-			sum += s
-			if s < tc.n/tc.k || s > tc.n/tc.k+1 {
-				t.Errorf("splitBound(%d,%d,%d) = %d", tc.n, tc.k, i, s)
-			}
-		}
-		if sum != tc.n {
-			t.Errorf("splitBound(%d,%d,·) sums to %d", tc.n, tc.k, sum)
 		}
 	}
 }

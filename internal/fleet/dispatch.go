@@ -49,10 +49,10 @@ func (f *Fleet) windowFor(q *jobQueue, t int) int {
 	return w
 }
 
-// dispatcher owns one event loop's dispatch scratch state: the pick
+// dispatcher owns the event loop's dispatch scratch state: the pick
 // tables, the aging-weight and class-pattern buffers group formation and
 // the analytic engine reuse across calls, and the retired-flight pool.
-// Every loop builds its own (the Fleet itself is read-only after New).
+// Every run builds its own (the Fleet itself is read-only after New).
 // Everything here is buffer reuse and memoization — a dispatcher never
 // changes what is dispatched.
 type dispatcher struct {

@@ -33,15 +33,10 @@
 // one keyed min-heap type orders completions, completion bounds and
 // control events and yields the fastest free device in placement
 // order, and the live queue is a head-indexed priority queue with
-// binary-search insertion (heap.go, queue.go). One event costs O(log n) whatever the fleet size, which is
-// what lets the same loop serve 4 devices × 60 jobs and 64 devices ×
-// 100k jobs.
-//
-// One loop type (loop.go) serves every engine and shard count. A loop
-// owns one device partition; Config.Shards = K > 1 deals the roster
-// into K partitions whose loops run one after another behind a
-// deterministic epoch router, modeling a K-way split fleet. The single
-// loop owns the whole roster.
+// binary-search insertion (heap.go, queue.go). One event costs
+// O(log n) whatever the fleet size, which is what lets the same loop
+// serve 4 devices × 60 jobs and 64 devices × 100k jobs. Every run is
+// one event loop (loop.go) over the whole roster, under every engine.
 //
 // Config.Engine selects how a dispatched group's completion is learned
 // (engine.go). Cycle simulates every group cycle-accurately — the

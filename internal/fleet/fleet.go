@@ -73,23 +73,6 @@ type Config struct {
 	// sampling entirely; the collector is purely an observer and never
 	// changes dispatch decisions or event order.
 	SampleEvery uint64
-	// Shards partitions the roster into this many event loops, each
-	// with its own clock, queue and completion heap, coupled only
-	// through the arrival router's epoch barrier and run one after
-	// another (see loop.go). It is a modeling axis, not a speed-up. 0
-	// or 1 — the default — runs the single loop over the whole roster.
-	// A given seed and shard count always reproduce byte-identical
-	// summaries and time series. Counts above 1 partition the backlog,
-	// so the simulated schedule is that of a K-way-split fleet —
-	// reproducible for that K, not a byte-copy of the single-loop
-	// schedule. Counts above 1 require the Modeled engine.
-	Shards int
-	// ShardEpoch is the router's synchronization quantum in fleet
-	// cycles: arrivals are assigned to shards one epoch at a time, at a
-	// barrier where every shard's state is settled and deterministic. 0
-	// selects DefaultShardEpoch when Shards > 1. At every shard count it
-	// is also the default Autoscale.Epoch.
-	ShardEpoch uint64
 	// Closed switches the run to closed-loop traffic: client pools that
 	// submit, wait (with timeout, retry and backoff) and think, instead
 	// of an open arrival stream. Enabled runs pass no arrivals to Run.
@@ -135,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.Engine == Hybrid && c.HybridWarm == 0 {
 		c.HybridWarm = DefaultHybridWarm
 	}
-	if c.Shards > 1 && c.ShardEpoch == 0 {
-		c.ShardEpoch = DefaultShardEpoch
-	}
 	if c.Closed.Enabled {
 		if c.Closed.Requests == 0 {
 			c.Closed.Requests = DefaultClosedRequests
@@ -166,10 +146,7 @@ func (c Config) withDefaults() Config {
 			c.Autoscale.Delay = DefaultProvisionDelay
 		}
 		if c.Autoscale.Epoch == 0 {
-			c.Autoscale.Epoch = c.ShardEpoch
-			if c.Autoscale.Epoch == 0 {
-				c.Autoscale.Epoch = DefaultShardEpoch
-			}
+			c.Autoscale.Epoch = DefaultScaleEpoch
 		}
 	}
 	c.SLO = c.SLO.withDefaults()
@@ -248,17 +225,6 @@ func (c Config) validate() error {
 	if c.HybridWarm < 0 {
 		return fmt.Errorf("fleet: hybrid warm-up count %d must not be negative", c.HybridWarm)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("fleet: shard count %d must not be negative", c.Shards)
-	}
-	if c.Shards > 1 {
-		if c.Engine != Modeled {
-			return fmt.Errorf("fleet: %v engine cannot shard (its worker pool already parallelizes simulations); Shards > 1 requires the modeled engine", c.Engine)
-		}
-		if c.Shards > c.TotalDevices() {
-			return fmt.Errorf("fleet: %d shards exceed the roster's %d devices", c.Shards, c.TotalDevices())
-		}
-	}
 	if c.Engine != Cycle && c.NC >= 2 {
 		// The analytic model predicts co-run slowdowns from the
 		// interference matrix; without one it would silently model every
@@ -304,10 +270,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("fleet: autoscale watermarks high=%g low=%g must satisfy high > low >= 0",
 				c.Autoscale.High, c.Autoscale.Low)
 		}
-		if c.Shards > 1 && c.Autoscale.Min < c.Shards {
-			return fmt.Errorf("fleet: autoscale floor %d must cover every one of the %d shards",
-				c.Autoscale.Min, c.Shards)
-		}
 	}
 	// Every device type must be calibrated over the same application
 	// universe — names AND kernel parameters (a same-named workload with
@@ -344,7 +306,7 @@ type Fleet struct {
 	// lists for every group size up to NC and each pattern's efficiency
 	// per device type. Nil outside the ILP policies and at NC 1, where
 	// no pattern is ever scored. All read-only after New — the lazily
-	// grown pick tables live on each event loop's dispatcher.
+	// grown pick tables live on the event loop's dispatcher.
 	patIndex   map[uint64]int
 	effAll     [][]float64
 	ncPatterns []match.Pattern

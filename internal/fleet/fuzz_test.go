@@ -227,14 +227,13 @@ func FuzzParseControls(f *testing.F) {
 //   - slo: off, priority or preempt;
 //   - controls: bit 0 admission (bit 3 degrades instead of rejecting),
 //     bit 1 autoscale, bit 2 chaos, bit 4 a closed-loop timeout;
-//   - shards: 0 to 3;
 //   - chaos: up to four trace events, one per byte — kind b&3 (0 = no
 //     event, then fail, drain, restore), device (b>>2)&7 modulo the
 //     roster, cycle (b>>5)*20000.
 //
 // It returns the configuration, the open arrivals and the job count the
 // ledger must account for.
-func fuzzConfig(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, controls, shards uint8, chaos uint32) (Config, []Arrival, int) {
+func fuzzConfig(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, controls uint8, chaos uint32) (Config, []Arrival, int) {
 	small := testPipeline(t)
 	tiny := pipelineFor(t, tinyConfig())
 	n := 1 + int(roster&7)%6
@@ -252,8 +251,6 @@ func fuzzConfig(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, con
 		Policy:      []sched.Policy{sched.Serial, sched.FCFS, sched.ProfileBased, sched.ILP, sched.ILPSMRA}[policy%5],
 		Engine:      Modeled,
 		SLO:         SLOConfig{Enabled: slo%3 > 0, Preempt: slo%3 == 2},
-		Shards:      int(shards % 4),
-		ShardEpoch:  10_000,
 		SampleEvery: goldenSampleEvery,
 	}
 	latency := 0.0
@@ -287,7 +284,7 @@ func fuzzConfig(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, con
 		cfg.Admission = AdmissionConfig{Enabled: true, MaxWait: 60_000, Degrade: controls&8 != 0}
 	}
 	if controls&2 != 0 {
-		cfg.Autoscale = AutoscaleConfig{Enabled: true, Min: max(1, cfg.Shards), High: 1.2, Low: 0.5}
+		cfg.Autoscale = AutoscaleConfig{Enabled: true, Min: 1, High: 1.2, Low: 0.5, Epoch: 10_000}
 	}
 	if controls&4 != 0 {
 		cfg.Chaos.Enabled = true
@@ -314,8 +311,8 @@ func fuzzConfig(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, con
 // every device's busy time within the makespan, and reproduce byte for
 // byte on a rerun.
 func FuzzFleetRun(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, controls, shards uint8, chaos uint32) {
-		cfg, arr, jobs := fuzzConfig(t, seed, roster, traffic, nc, policy, slo, controls, shards, chaos)
+	f.Fuzz(func(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, controls uint8, chaos uint32) {
+		cfg, arr, jobs := fuzzConfig(t, seed, roster, traffic, nc, policy, slo, controls, chaos)
 		fl, err := New(cfg)
 		if err != nil {
 			t.Skip(err)

@@ -149,3 +149,44 @@ func TestCycleEngineGoldens(t *testing.T) {
 		})
 	}
 }
+
+// TestModeledOpenGolden locks the Modeled engine's observable output on
+// open-loop traffic: a heterogeneous roster under preemptive SLO
+// dispatch, with the summary, eviction trace and time series. Regenerate
+// with
+//
+//	go test ./internal/fleet -run ModeledOpenGolden -update
+//
+// only when the Modeled engine's behavior is meant to change.
+func TestModeledOpenGolden(t *testing.T) {
+	small := testPipeline(t)
+	tiny := pipelineFor(t, tinyConfig())
+	arr, err := ArrivalConfig{
+		Kind: Poisson, Jobs: 48, Rate: 1.5,
+		LatencyFrac: 0.25, Deadline: 60_000, Seed: 0x54A8D,
+	}.Generate(testNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Config{
+		Devices:     []DeviceSpec{{Pipe: small, Count: 2}, {Pipe: tiny, Count: 2}},
+		NC:          2,
+		Policy:      sched.ILPSMRA,
+		Engine:      Modeled,
+		SLO:         SLOConfig{Enabled: true, Preempt: true},
+		SampleEvery: goldenSampleEvery,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "modeled_open.golden", res.Summary()+res.EvictionTrace())
+	var csv strings.Builder
+	if err := res.Series.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "timeseries_modeled_open.golden", csv.String())
+}

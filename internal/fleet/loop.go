@@ -10,62 +10,27 @@ import (
 	"repro/internal/sched"
 )
 
-// The event loop. One loop type runs every engine at every shard count:
-// a discrete-event simulation over four event sources — job arrivals
-// (known in advance), control events (closed-loop submissions, timeouts,
-// autoscaling, chaos), resolved group completions, and unresolved
-// in-flight groups whose completion is bounded from below — that always
-// processes the provably-earliest event, so the outcome is independent
-// of worker timing. Every source is indexed (completion and bound
-// min-heaps, an idle-device heap in placement order, a head-indexed
-// priority queue, the control heap), so one event costs O(log n)
-// instead of a scan over every flight and device.
-//
-// A loop owns one device partition. Config.Shards = K > 1 deals the
-// roster into K partitions and runs them one after another; the loops
-// couple only through the arrival router, so each is a plain
-// single-threaded DES over its own devices. Determinism holds by
-// construction:
-//
-//   - routing happens at epoch barriers. Time is cut into fixed
-//     ShardEpoch windows; before assigning a window's arrivals every
-//     loop runs up to the window's start, so each loop's load is a
-//     settled function of the already-routed arrivals. Arrivals are
-//     then assigned one at a time to the least-loaded loop (ties to the
-//     lowest loop id).
-//   - the merge is order-fixed: per-device accounting lands at global
-//     device indices, counters sum, eviction records sort by their
-//     (cycle, device) total order, job records are emitted in global
-//     arrival order, and time-series rows merge row by row on the
-//     shared interval grid (mergeSeries).
-//
-// Every loop stops as soon as its last job settles, so events after it
-// (trailing scale ticks, timers, chaos) never run at any K. With K = 1
-// the single loop owns the whole roster; it differs from a partition's
-// loop in one way only: it takes every arrival up front and never parks
-// at a barrier.
-
-// DefaultShardEpoch is the router's synchronization quantum (fleet
-// cycles) when Config.ShardEpoch is unset. Small epochs track load
-// closely but synchronize often; 64k cycles is a few dispatch rounds
-// on realistic workloads.
-const DefaultShardEpoch = 1 << 16
+// The event loop: a discrete-event simulation over four event sources
+// — job arrivals (known in advance), control events (closed-loop
+// submissions, timeouts, autoscaling, chaos), resolved group
+// completions, and unresolved in-flight groups whose completion is
+// bounded from below — that always processes the provably-earliest
+// event, so the outcome is independent of worker timing. Every source
+// is indexed (completion and bound min-heaps, an idle-device heap in
+// placement order, a head-indexed priority queue, the control heap), so
+// one event costs O(log n) instead of a scan over every flight and
+// device. One loop runs every engine over the whole roster, and it
+// stops as soon as its last job settles, so events after it (trailing
+// scale ticks, timers, chaos) never run.
 
 // inf is the "no event" time of an empty event source.
 const inf = math.MaxUint64
 
-// loop is one event loop over one device partition.
+// loop is one run's event-loop state.
 type loop struct {
 	f *Fleet
-	// devices are the global device indices this loop owns, ascending;
-	// order lists the same devices in placement order (fastest first);
-	// slot maps a global device index to its local slot (-1 when another
-	// loop owns the device). flightOf and the sampler's device columns
-	// are indexed by local slot.
-	devices []int
-	order   []int
-	slot    []int
 
+	// flightOf is the flight running on each device (nil when idle).
 	flightOf   []*inflight
 	queue      jobQueue
 	resolved   flightHeap
@@ -79,16 +44,14 @@ type loop struct {
 	ctl *loopCtl
 	now uint64
 	seq int
-	// arr is the loop's open-loop arrival stream in arrival order; the
-	// router appends between epochs. Closed-loop submissions arrive
-	// through the control heap instead.
+	// arr is the open-loop arrival stream in arrival order. Closed-loop
+	// submissions arrive through the control heap instead.
 	arr     []*job
 	nextArr int
-	// remaining counts the loop's unsettled jobs: routed or client-owned
-	// submissions not yet completed, rejected or abandoned.
+	// remaining counts the unsettled jobs: submissions not yet
+	// completed, rejected or abandoned.
 	remaining int
-	// res accumulates the loop's share of the accounting, indexed by
-	// global device.
+	// res accumulates the run's accounting.
 	res Result
 
 	// The Cycle and Hybrid engines' state. sem bounds the simulation
@@ -105,8 +68,8 @@ type loop struct {
 }
 
 // Run executes the arrival stream on the fleet and returns the per-job
-// and per-device accounting: resolve the jobs, build the loops, route
-// the traffic through them, and merge their results.
+// and per-device accounting: resolve the jobs, build the loop, run it
+// until every job settles, and build the result.
 func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 	closed := f.cfg.Closed.Enabled
 	if closed && len(arrivals) > 0 {
@@ -128,19 +91,64 @@ func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	loops := f.newLoops()
-	defer func() {
-		for _, l := range loops {
-			l.wait()
-		}
-	}()
-	if err := f.route(loops, jobs, perClient); err != nil {
+	l := f.newLoop(jobs, perClient)
+	defer l.wait()
+	if err := l.run(); err != nil {
 		return Result{}, err
 	}
-	return f.merge(loops, jobs)
+	return l.result(jobs), nil
 }
 
-// newResult is the Result header every loop starts from.
+// newLoop builds the loop over the whole roster. Open-loop jobs form
+// its arrival stream; closed-loop runs hand perClient's request
+// sequences to the control block instead.
+func (f *Fleet) newLoop(jobs []*job, perClient [][]*job) *loop {
+	l := &loop{
+		f:          f,
+		flightOf:   make([]*inflight, len(f.devType)),
+		queue:      jobQueue{slo: f.cfg.SLO.Enabled},
+		resolved:   flightHeap{live: flightResolved},
+		unresolved: flightHeap{live: flightPending},
+		idleDevs:   deviceHeap{pos: f.orderPos},
+		disp:       f.newDispatcher(),
+		res:        f.newResult(),
+		remaining:  len(jobs),
+	}
+	if !f.cfg.Closed.Enabled {
+		l.arr = jobs
+	}
+	if f.ctlEnabled() {
+		// Chaos events enter the heap before any client submission, so at
+		// equal cycles a failure fires first — a submission never races
+		// onto a device the same cycle kills.
+		l.ctl = f.newLoopCtl(l)
+		l.ctl.initChaos(f.resolveChaos())
+		l.ctl.initClients(perClient)
+	}
+	// Seed the idle heap with the initially-active devices (all of them,
+	// unless the autoscaler starts the roster at its floor).
+	for d := range f.devType {
+		if l.ctl == nil || l.ctl.active[d] {
+			l.idleDevs.push(d)
+		}
+	}
+	if f.cfg.SampleEvery > 0 {
+		l.col = newSampler(l)
+	}
+	if f.cfg.Engine != Modeled {
+		// One worker slot per device for the in-flight groups plus as
+		// many again for speculative pre-simulation, capped by the host.
+		workers := min(2*len(f.devType), runtime.NumCPU())
+		l.sem = make(chan struct{}, max(workers, 2))
+		l.speculated = make(map[string]bool)
+		if f.cfg.Engine == Hybrid {
+			l.hybrid = make(map[string]*hybridCal)
+		}
+	}
+	return l
+}
+
+// newResult is the Result header the loop starts from.
 func (f *Fleet) newResult() Result {
 	res := Result{
 		Policy:     f.cfg.Policy,
@@ -148,7 +156,6 @@ func (f *Fleet) newResult() Result {
 		Roster:     f.cfg.RosterString(),
 		Devices:    len(f.devType),
 		NC:         f.cfg.NC,
-		Shards:     f.cfg.Shards,
 		Closed:     f.cfg.Closed.Enabled,
 		Admission:  f.cfg.Admission.Enabled,
 		Autoscale:  f.cfg.Autoscale.Enabled,
@@ -161,180 +168,12 @@ func (f *Fleet) newResult() Result {
 	return res
 }
 
-// newLoops partitions the roster into max(1, Shards) loops. Devices are
-// dealt round-robin over the placement order, so every partition gets
-// an equal slice of each speed tier and the fastest-idle-first dispatch
-// rule means the same thing inside a partition as it does globally.
-func (f *Fleet) newLoops() []*loop {
-	k := max(1, f.cfg.Shards)
-	total := len(f.devType)
-	// The chaos schedule is resolved once, globally; each loop's ctl
-	// keeps only the events for devices it owns, so every schedule event
-	// executes exactly once at any shard count.
-	var chaos []ChaosEvent
-	if f.cfg.Chaos.Enabled {
-		chaos = f.resolveChaos()
-	}
-	loops := make([]*loop, k)
-	for i := range loops {
-		l := &loop{
-			f:          f,
-			slot:       make([]int, total),
-			queue:      jobQueue{slo: f.cfg.SLO.Enabled},
-			resolved:   flightHeap{live: flightResolved},
-			unresolved: flightHeap{live: flightPending},
-			idleDevs:   deviceHeap{pos: f.orderPos},
-			disp:       f.newDispatcher(),
-			res:        f.newResult(),
-		}
-		for p := i; p < total; p += k {
-			l.order = append(l.order, f.order[p])
-		}
-		l.devices = append([]int(nil), l.order...)
-		sort.Ints(l.devices)
-		for d := range l.slot {
-			l.slot[d] = -1
-		}
-		for s, d := range l.devices {
-			l.slot[d] = s
-		}
-		l.flightOf = make([]*inflight, len(l.devices))
-		if f.ctlEnabled() {
-			// The loop's round-robin share of the autoscale bounds
-			// (splitBound matches the deal above, so per-loop bounds sum to
-			// the global ones). Chaos events enter the heap before any
-			// client submission, so at equal cycles a failure fires first —
-			// a submission never races onto a device the same cycle kills.
-			minD, maxD := len(l.order), len(l.order)
-			if f.cfg.Autoscale.Enabled {
-				minD = splitBound(f.cfg.Autoscale.Min, k, i)
-				maxD = splitBound(f.cfg.Autoscale.Max, k, i)
-			}
-			l.ctl = f.newLoopCtl(l, minD, maxD)
-			l.ctl.initChaos(chaos)
-		}
-		// Seed the idle heap with the initially-active devices (all of
-		// them, unless the autoscaler starts the roster at its floor).
-		for _, d := range l.devices {
-			if l.ctl == nil || l.ctl.active[d] {
-				l.idleDevs.push(d)
-			}
-		}
-		if f.cfg.SampleEvery > 0 {
-			l.col = newSampler(f.cfg.SampleEvery, len(l.devices), l.ctl != nil, f.cfg.Chaos.Enabled)
-			l.col.l = l
-		}
-		if f.cfg.Engine != Modeled {
-			// One worker slot per device for the in-flight groups plus as
-			// many again for speculative pre-simulation, capped by the host.
-			workers := min(2*len(l.devices), runtime.NumCPU())
-			l.sem = make(chan struct{}, max(workers, 2))
-			l.speculated = make(map[string]bool)
-			if f.cfg.Engine == Hybrid {
-				l.hybrid = make(map[string]*hybridCal)
-			}
-		}
-		loops[i] = l
-	}
-	return loops
-}
-
-// route feeds the loops their traffic and runs them until every job
-// settles. Closed-loop clients are dealt round-robin by client id up
-// front — a pure function of the id, so the assignment and every
-// per-client draw are host-independent — and the loops then run
-// independently (the autoscaler still reconciles on its own epoch grid
-// within each loop). A single loop takes every open-loop arrival up
-// front; K > 1 loops get theirs from the epoch router.
-func (f *Fleet) route(loops []*loop, jobs []*job, perClient [][]*job) error {
-	k := len(loops)
-	if f.cfg.Closed.Enabled {
-		ids := make([][]int, k)
-		for c := range perClient {
-			ids[c%k] = append(ids[c%k], c)
-			loops[c%k].remaining += len(perClient[c])
-		}
-		for i, l := range loops {
-			l.ctl.initClients(perClient, ids[i])
-		}
-		return runAll(loops, inf)
-	}
-	if k == 1 {
-		loops[0].arr = jobs
-		loops[0].remaining = len(jobs)
-		return loops[0].runUntil(inf)
-	}
-	epoch := f.cfg.ShardEpoch
-	loads := make([]int, k)
-	t := uint64(0)
-	for next := 0; next < len(jobs); {
-		// Settle every loop at the start of the epoch holding the next
-		// unrouted arrival, then route that epoch's arrivals against the
-		// settled loads.
-		at := jobs[next].arrival
-		es := max(at-at%epoch, t)
-		if es > t {
-			if err := runAll(loops, es); err != nil {
-				return err
-			}
-			t = es
-		}
-		ee := es + epoch
-		for i, l := range loops {
-			loads[i] = l.load()
-		}
-		for ; next < len(jobs) && jobs[next].arrival < ee; next++ {
-			best := 0
-			for i := 1; i < k; i++ {
-				if loads[i] < loads[best] {
-					best = i
-				}
-			}
-			loops[best].arr = append(loops[best].arr, jobs[next])
-			loops[best].remaining++
-			loads[best]++
-		}
-		if err := runAll(loops, ee); err != nil {
-			return err
-		}
-		t = ee
-	}
-	return runAll(loops, inf)
-}
-
-// runAll advances every loop to limit in loop-id order, so a multi-loop
-// failure reports the lowest loop's error.
-func runAll(loops []*loop, limit uint64) error {
-	for _, l := range loops {
-		if err := l.runUntil(limit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// load is the loop's routing weight at an epoch barrier: jobs waiting or
-// assigned plus jobs in flight — a pure function of its settled state.
-func (l *loop) load() int {
-	n := l.queue.Len() + (len(l.arr) - l.nextArr)
-	for _, fl := range l.flightOf {
-		if fl != nil {
-			n += len(fl.jobs)
-		}
-	}
-	return n
-}
-
-// runUntil advances the loop through every event strictly before limit,
-// then parks the clock at the barrier (inf never parks). It returns as
-// soon as the loop's last job settles, so a loop with nothing routed
-// returns from a barrier without parking; its pending control events
-// then run in time order on its next call, ahead of its next arrival.
-// Jobs left with no event to move them are a stall, reported as an
-// error rather than a hang or a short result.
+// run advances the loop through every event until its last job
+// settles. Jobs left with no event to move them are a stall, reported
+// as an error rather than a hang or a short result.
 //
 //simlint:hotpath
-func (l *loop) runUntil(limit uint64) error {
+func (l *loop) run() error {
 	f := l.f
 	for l.remaining > 0 {
 		// Admit arrivals due by now (priority order when SLO-aware);
@@ -381,17 +220,9 @@ func (l *loop) runUntil(limit uint64) error {
 		if uBest != nil {
 			uTime = uBest.earliest
 		}
-		if min(tArr, tCtl, cTime, uTime) >= limit {
-			if limit == inf {
-				return l.stall()
-			}
-			// Park at the barrier. Between the last processed event and the
-			// barrier the loop's state is constant, so sampler edges in
-			// that span emit identically on the next advance.
-			l.now = max(l.now, limit)
-			return nil
-		}
 		switch {
+		case min(tArr, tCtl, cTime, uTime) == inf:
+			return l.stall()
 		case tArr <= tCtl && tArr <= cTime && tArr <= uTime:
 			l.advance(tArr)
 		case tCtl <= cTime && tCtl <= uTime:
@@ -419,9 +250,9 @@ func (l *loop) advance(t uint64) {
 	l.now = t
 }
 
-// stall reports jobs that no future event can move: every device the
-// loop owns failed or draining with no restore scheduled. Split out of
-// runUntil to keep the hot path free of formatting state.
+// stall reports jobs that no future event can move: every device
+// failed or draining with no restore scheduled. Split out of run to
+// keep the hot path free of formatting state.
 func (l *loop) stall() error {
 	if c := l.ctl; c != nil && c.failedCount+c.drainingCount > 0 {
 		return fmt.Errorf("fleet: no dispatchable work with %d jobs outstanding (%d devices failed, %d draining, and no restore scheduled)",
@@ -465,7 +296,7 @@ func (l *loop) dispatch() error {
 		if err != nil {
 			return err
 		}
-		l.flightOf[l.slot[d]] = fl
+		l.flightOf[d] = fl
 	}
 	// A drained queue means no pending speculation guess can be
 	// dispatched next, so the dedup signatures are dead weight: reset the
@@ -544,8 +375,8 @@ func (l *loop) await(fl *inflight) error {
 	return nil
 }
 
-// retire pops fl, the resolved heap's root, accounts it into the loop's
-// result and its jobs, and frees its device. All cycle accounting goes
+// retire pops fl, the resolved heap's root, accounts it into the result
+// and its jobs, and frees its device. All cycle accounting goes
 // through the checkpoint-scaled effective ends, which coincide with the
 // simulated ones for groups of fresh jobs.
 //
@@ -583,10 +414,10 @@ func (l *loop) retire(fl *inflight) {
 	res.SMMoves += fl.rep.SMMoves
 	if l.col != nil {
 		l.col.noteRetire(fl)
-		l.col.addBusy(l.slot[fl.device], fl.dispatch, fl.complete)
+		l.col.addBusy(fl.device, fl.dispatch, fl.complete)
 	}
 	l.remaining -= len(fl.jobs)
-	l.flightOf[l.slot[fl.device]] = nil
+	l.flightOf[fl.device] = nil
 	if l.ctl == nil || l.ctl.deviceUp(fl.device) {
 		// A draining device's last flight retires it out of placement
 		// order; a restore pushes it back.
@@ -615,9 +446,9 @@ func (l *loop) retire(fl *inflight) {
 func (l *loop) release(fl *inflight, triggerID int) {
 	l.f.evict(fl, triggerID, l.now, &l.res)
 	fl.state = flightEvicted
-	l.flightOf[l.slot[fl.device]] = nil
+	l.flightOf[fl.device] = nil
 	if l.col != nil {
-		l.col.addBusy(l.slot[fl.device], fl.dispatch, l.now)
+		l.col.addBusy(fl.device, fl.dispatch, l.now)
 	}
 	if fl.calKey != "" {
 		l.hybrid[fl.calKey].started--
@@ -690,8 +521,8 @@ func (l *loop) speculate() {
 	// aging on the prediction also guesses the dispatch time (now); a
 	// stale guess costs one wasted simulation, never correctness.
 	spec := l.queue.clone()
-	for _, d := range l.order {
-		if l.flightOf[l.slot[d]] == nil || spec.Len() == 0 {
+	for _, d := range f.order {
+		if l.flightOf[d] == nil || spec.Len() == 0 {
 			continue
 		}
 		t := f.devType[d]
@@ -722,8 +553,7 @@ func (l *loop) speculate() {
 // run on the roster makes it), or no running group is evictable (every
 // group shields a latency member), or the deadline is already
 // unreachable even on a device freed right now (eviction would burn
-// batch progress without saving anything). Only the loop's own devices
-// can rescue the trigger: the router decided its partition.
+// batch progress without saving anything).
 //
 //simlint:hotpath
 func (l *loop) preemptVictim(trigger *job) *inflight {
@@ -800,38 +630,13 @@ func (l *loop) preemptVictim(trigger *job) *inflight {
 	return victim
 }
 
-// merge folds the drained loops into one Result: every other loop's
-// counters sum into the first loop's at global device indices, and the
-// eviction records sort by (cycle, device) — one device evicts at most
-// one flight per cycle, so that is a total order.
-func (f *Fleet) merge(loops []*loop, jobs []*job) (Result, error) {
-	res := loops[0].res
-	for _, l := range loops[1:] {
-		r := &l.res
-		for d, busy := range r.DeviceBusy {
-			res.DeviceBusy[d] += busy
-		}
-		res.Makespan = max(res.Makespan, r.Makespan)
-		res.ThreadInstructions += r.ThreadInstructions
-		res.Groups += r.Groups
-		res.ILPGroups += r.ILPGroups
-		res.GreedyGroups += r.GreedyGroups
-		res.ModeledGroups += r.ModeledGroups
-		res.CycleGroups += r.CycleGroups
-		res.SMMoves += r.SMMoves
-		res.Submitted += r.Submitted
-		res.Rejected += r.Rejected
-		res.Degraded += r.Degraded
-		res.Abandoned += r.Abandoned
-		res.Retried += r.Retried
-		res.Provisions += r.Provisions
-		res.Decommissions += r.Decommissions
-		res.Failures += r.Failures
-		res.Drains += r.Drains
-		res.Restores += r.Restores
-		res.ChaosEvictions += r.ChaosEvictions
-		res.Evictions = append(res.Evictions, r.Evictions...)
-	}
+// result builds the drained loop's Result: the eviction records sorted
+// stably by (cycle, device) — a chaos failure and a preemption can evict
+// on different devices in one cycle, and event order need not be device
+// order — the finished time series, the Hybrid engine's fidelity delta,
+// and the per-job records in arrival order.
+func (l *loop) result(jobs []*job) Result {
+	f, res := l.f, l.res
 	sort.SliceStable(res.Evictions, func(i, j int) bool {
 		a, b := res.Evictions[i], res.Evictions[j]
 		if a.Cycle != b.Cycle {
@@ -839,19 +644,13 @@ func (f *Fleet) merge(loops []*loop, jobs []*job) (Result, error) {
 		}
 		return a.Device < b.Device
 	})
-	if f.cfg.SampleEvery > 0 {
-		series, err := mergeSeries(f, loops, res.Makespan)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Series = series
+	if l.col != nil {
+		res.Series = l.col.finish(res.Makespan)
 	}
 	samples, delta := 0, 0.0
-	for _, l := range loops {
-		for _, cal := range l.hybrid {
-			samples += cal.n
-			delta += cal.delta
-		}
+	for _, cal := range l.hybrid {
+		samples += cal.n
+		delta += cal.delta
 	}
 	if samples > 0 {
 		res.ModelDelta = delta / float64(samples)
@@ -860,16 +659,5 @@ func (f *Fleet) merge(loops []*loop, jobs []*job) (Result, error) {
 	for i, j := range jobs {
 		f.jobRecord(&res.Jobs[i], j)
 	}
-	return res, nil
-}
-
-// splitBound is loop i's share of a fleet-wide device bound n dealt
-// over k loops — the same round-robin split newLoops deals the roster
-// with, so per-loop autoscale bounds sum to the global ones.
-func splitBound(n, k, i int) int {
-	b := n / k
-	if i < n%k {
-		b++
-	}
-	return b
+	return res
 }

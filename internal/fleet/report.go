@@ -111,11 +111,6 @@ type Result struct {
 	// Devices is the total device count across the roster.
 	Devices int
 	NC      int
-	// Shards is the configured partition count (Config.Shards; 0 or 1 =
-	// the single loop). Counts above 1 partition the backlog, so the
-	// accounting is that of a K-way-split fleet; repeat runs at the same
-	// count are byte-identical.
-	Shards int
 	// Jobs holds every job in arrival order.
 	Jobs []JobRecord
 	// Makespan is when the last device went idle.
@@ -480,10 +475,6 @@ func (r Result) Summary() string {
 		fmt.Fprintf(&b, "chaos       failures=%d drains=%d restores=%d evictions=%d\n",
 			r.Failures, r.Drains, r.Restores, r.ChaosEvictions)
 	}
-	// The shard count is deliberately absent: the summary reports
-	// simulated accounting only, and omitting the knob keeps shards=1
-	// byte-identical to the pre-sharding format (Result.Shards carries
-	// the count programmatically; cmd/fleet echoes it in its header).
 	b.WriteString("device util")
 	for d := range r.DeviceBusy {
 		fmt.Fprintf(&b, " d%d[%s]=%.1f%%", d, r.deviceLabel(d), 100*r.Utilization(d))

@@ -62,7 +62,7 @@ type sampler struct {
 	chaos bool
 	fixed int
 	// l is the owning loop, whose queue, flights, counters and control
-	// gauges emit reads (nil on a merge target).
+	// gauges emit reads.
 	l      *loop
 	series *obs.Series
 	// scratch is the reused row buffer Append copies from.
@@ -118,10 +118,13 @@ const (
 	numChaosCols = iota
 )
 
-// newSampler builds the sampler for a fleet of the given device count.
-// extra appends the control-column block ahead of the per-device pairs;
-// chaos appends the failed/draining gauges after it.
-func newSampler(interval uint64, devices int, extra, chaos bool) *sampler {
+// newSampler builds loop l's sampler, one row per Config.SampleEvery
+// cycles. A control block on the loop appends the control columns ahead
+// of the per-device pairs; chaos appends the failed/draining gauges
+// after them.
+func newSampler(l *loop) *sampler {
+	interval, devices := l.f.cfg.SampleEvery, len(l.flightOf)
+	extra, chaos := l.ctl != nil, l.f.cfg.Chaos.Enabled
 	fixed := numFixedCols
 	if extra {
 		fixed += numCtlCols
@@ -147,6 +150,7 @@ func newSampler(interval uint64, devices int, extra, chaos bool) *sampler {
 		cols = append(cols, fmt.Sprintf("d%d_busy", d))
 	}
 	return &sampler{
+		l:        l,
 		interval: interval,
 		devices:  devices,
 		extra:    extra,
@@ -258,58 +262,6 @@ func (s *sampler) emit(edge uint64) {
 	}
 	s.series.Append(row)
 	s.lastEdge = edge
-}
-
-// mergeSeries finishes every loop's sampler and folds them into one
-// fleet-wide series, row by row in interval order. A loop's last jobs
-// can settle by timeout or rejection after the fleet's last completion,
-// pushing its sampler past the fleet-wide makespan, so every loop
-// finishes against the furthest horizon: all loops then
-// share one row grid (same interval, clocks start at 0), and row r
-// means the same cycle everywhere. The fixed columns — gauges of
-// disjoint state or cumulative counters of disjoint events — sum
-// across loops, and each loop's local device columns land at their
-// global indices. A single loop's series is returned as it stands.
-func mergeSeries(f *Fleet, loops []*loop, makespan uint64) (*obs.Series, error) {
-	horizon := makespan
-	for _, l := range loops {
-		horizon = max(horizon, l.col.lastEdge)
-	}
-	parts := make([]*obs.Series, len(loops))
-	for i, l := range loops {
-		parts[i] = l.col.finish(horizon)
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	rows := parts[0].Rows()
-	for _, p := range parts[1:] {
-		if p.Rows() != rows {
-			return nil, fmt.Errorf("fleet: loop series diverge (%d rows vs %d)", p.Rows(), rows)
-		}
-	}
-	devices := len(f.devType)
-	merged := newSampler(f.cfg.SampleEvery, devices, f.ctlEnabled(), f.cfg.Chaos.Enabled)
-	row := merged.scratch
-	for r := 0; r < rows; r++ {
-		for c := range row {
-			row[c] = 0
-		}
-		row[colCycle] = parts[0].At(r, colCycle)
-		for i, p := range parts {
-			for c := colQueue; c < merged.fixed; c++ {
-				row[c] += p.At(r, c)
-			}
-			l := loops[i]
-			nd := len(l.devices)
-			for local, d := range l.devices {
-				row[merged.fixed+d] = p.At(r, merged.fixed+local)
-				row[merged.fixed+devices+d] = p.At(r, merged.fixed+nd+local)
-			}
-		}
-		merged.series.Append(row)
-	}
-	return merged.series, nil
 }
 
 // finish emits the remaining boundaries up to the makespan with the

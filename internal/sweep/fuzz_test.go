@@ -9,7 +9,7 @@ import (
 // fuzzCellCap bounds the grids the fuzzer will expand: the axis cross
 // product grows multiplicatively, and the fuzzer will happily invent
 // grids with thousands of entries per axis. Oversized grids are still
-// parsed (Unmarshal must not panic) but not expanded.
+// parsed (ParseGrid must not panic) but not expanded.
 const fuzzCellCap = 4096
 
 // gridCells is the expansion size before Expand materializes it.
@@ -26,15 +26,12 @@ func gridCells(g Grid) int {
 			return n
 		}
 	}
-	if len(g.Shards) > 0 {
-		n *= len(g.Shards)
-	}
 	return n
 }
 
-// FuzzGridJSON drives cmd/sweep's -config path: arbitrary bytes are
-// unmarshalled into a Grid and expanded. Neither step may panic, and
-// any grid that expands must do so deterministically — a JSON
+// FuzzGridJSON drives cmd/sweep's -config path: arbitrary bytes go
+// through ParseGrid and the grid is expanded. Neither step may panic,
+// and any grid that expands must do so deterministically — a JSON
 // round-trip of the grid re-expands to identical cells, each carrying
 // exactly ParamColumns parameters.
 func FuzzGridJSON(f *testing.F) {
@@ -45,7 +42,7 @@ func FuzzGridJSON(f *testing.F) {
 			Policies: []string{"fcfs", "ilp-smra"}, Engines: []string{"modeled"},
 			Rosters: []string{"2"}, Arrivals: []string{"closed"},
 			Admissions: []string{"off", "reject:25000"}, Autoscales: []string{"off", "1:4"},
-			Shards: []int{1, 2}, Clients: 12, Requests: 4, Think: 5000,
+			Clients: 12, Requests: 4, Think: 5000,
 			Timeout: 60000, Retries: 1, Deadline: 60000, Seed: 7,
 		},
 	}
@@ -64,8 +61,8 @@ func FuzzGridJSON(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"jobs":-1,"rate":-0.5,"seed":18446744073709551615}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var g Grid
-		if json.Unmarshal(data, &g) != nil {
+		g, err := ParseGrid(data)
+		if err != nil {
 			return
 		}
 		if gridCells(g) > fuzzCellCap {
@@ -88,8 +85,8 @@ func FuzzGridJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("grid %s does not re-marshal: %v", data, err)
 		}
-		var g2 Grid
-		if err := json.Unmarshal(again, &g2); err != nil {
+		g2, err := ParseGrid(again)
+		if err != nil {
 			t.Fatalf("grid %s JSON round-trip does not parse: %v", again, err)
 		}
 		cells2, err := g2.Expand()

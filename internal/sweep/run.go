@@ -141,7 +141,6 @@ func (r Runner) runCell(g Grid, c Cell, roster []fleet.DeviceSpec, arrivals []fl
 		Admission:  c.Admission,
 		Autoscale:  c.Autoscale,
 		Chaos:      c.Chaos,
-		Shards:     c.Shards,
 	}
 	if c.Arrival == fleet.ClosedLoop {
 		cfg.Closed = fleet.ClosedConfig{

@@ -15,8 +15,10 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"strconv"
+	"io"
 	"strings"
 
 	"repro/internal/fleet"
@@ -24,8 +26,8 @@ import (
 )
 
 // Grid is a sweep specification: the axes to cross plus the scalar
-// parameters every cell shares. The JSON form is what cmd/sweep's
-// -config flag reads.
+// parameters every cell shares. The JSON form (ParseGrid) is what
+// cmd/sweep's -config flag reads.
 type Grid struct {
 	// Policies, Engines, Rosters, Arrivals and SLOs are the grid axes,
 	// spelled exactly like the cmd/fleet flags (-policy, -engine,
@@ -48,13 +50,6 @@ type Grid struct {
 	// "mtbf:MTBF:MTTR[:HORIZON]" for the generator (seeded from the grid
 	// seed). Empty defaults to off.
 	Chaoses []string `json:"chaoses"`
-	// Shards is the event-loop shard axis (-shards); it only applies to
-	// modeled-engine cells. Each count is deterministic (repeat sweeps
-	// are byte-identical), and counts above 1 split the backlog K ways,
-	// so the axis exposes both the wall-time win and the K-way
-	// partition's scheduling cost. Empty defaults to the single
-	// classic loop.
-	Shards []int `json:"shards"`
 	// NC, Jobs, Rate, LatencyFrac, Deadline, Aging and HybridWarm are
 	// shared by every cell (zero picks the cmd/fleet defaults: NC 2,
 	// 32 jobs, rate 0.5/kcycle).
@@ -80,6 +75,22 @@ type Grid struct {
 	Seed uint64 `json:"seed"`
 }
 
+// ParseGrid decodes a grid from its JSON form. An unknown key is an
+// error that names it, so a misspelled axis fails the sweep instead of
+// silently sweeping that axis's default.
+func ParseGrid(data []byte) (Grid, error) {
+	var g Grid
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
+		return Grid{}, fmt.Errorf("sweep: grid: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Grid{}, fmt.Errorf("sweep: grid: data after the JSON object")
+	}
+	return g, nil
+}
+
 // withDefaults resolves empty axes and zero scalars.
 func (g Grid) withDefaults() Grid {
 	def := func(axis []string, v string) []string {
@@ -96,9 +107,6 @@ func (g Grid) withDefaults() Grid {
 	g.Admissions = def(g.Admissions, "off")
 	g.Autoscales = def(g.Autoscales, "off")
 	g.Chaoses = def(g.Chaoses, "off")
-	if len(g.Shards) == 0 {
-		g.Shards = []int{1}
-	}
 	if g.NC == 0 {
 		g.NC = 2
 	}
@@ -131,13 +139,12 @@ type Cell struct {
 	Autoscale     fleet.AutoscaleConfig
 	ChaosName     string
 	Chaos         fleet.ChaosConfig
-	Shards        int
 }
 
 // ParamColumns names Cell.Params' entries, in order — the artifact's
 // leading columns, and how Delta identifies the same cell across two
 // artifacts.
-var ParamColumns = []string{"policy", "engine", "roster", "arrivals", "slo", "admission", "autoscale", "shards", "chaos"}
+var ParamColumns = []string{"policy", "engine", "roster", "arrivals", "slo", "admission", "autoscale", "chaos"}
 
 // Params is the cell's identity as column values, in ParamColumns
 // order. Policies use the CLI spelling (fcfs, ilp-smra) rather than the
@@ -147,8 +154,7 @@ var ParamColumns = []string{"policy", "engine", "roster", "arrivals", "slo", "ad
 func (c Cell) Params() []string {
 	return []string{
 		policyName(c.Policy), c.Engine.String(), c.Roster, c.Arrival.String(),
-		c.SLOName, c.AdmissionName, c.AutoscaleName, strconv.Itoa(c.Shards),
-		c.ChaosName,
+		c.SLOName, c.AdmissionName, c.AutoscaleName, c.ChaosName,
 	}
 }
 
@@ -174,8 +180,8 @@ func policyName(p sched.Policy) string {
 // Expand resolves the grid into its cells, validating every axis entry
 // up front (a typo fails the whole sweep before any cell runs). The
 // order is fixed — roster, then arrivals, then policy, then engine,
-// then SLO mode, then shards, then chaos — so the artifact's rows are
-// reproducible.
+// then SLO mode, then admission, then autoscale, then chaos — so the
+// artifact's rows are reproducible.
 func (g Grid) Expand() ([]Cell, error) {
 	g = g.withDefaults()
 	policies := make([]sched.Policy, len(g.Policies))
@@ -245,18 +251,6 @@ func (g Grid) Expand() ([]Cell, error) {
 			return nil, fmt.Errorf("sweep: empty roster entry")
 		}
 	}
-	for _, s := range g.Shards {
-		if s < 1 {
-			return nil, fmt.Errorf("sweep: shard count %d must be at least 1", s)
-		}
-		if s > 1 {
-			for _, e := range engines {
-				if e != fleet.Modeled {
-					return nil, fmt.Errorf("sweep: shards > 1 only applies to the modeled engine (grid includes %v)", e)
-				}
-			}
-		}
-	}
 	var cells []Cell
 	for _, roster := range g.Rosters {
 		for _, arr := range arrivals {
@@ -265,31 +259,28 @@ func (g Grid) Expand() ([]Cell, error) {
 					for si, slo := range slos {
 						for ai, adm := range admissions {
 							for oi, scale := range autoscales {
-								for _, sh := range g.Shards {
-									for ci, chaos := range chaoses {
-										name := strings.ToLower(g.Chaoses[ci])
-										if name == "" {
-											name = "off"
-										}
-										cells = append(cells, Cell{
-											Policy:  pol,
-											Engine:  eng,
-											Roster:  roster,
-											Arrival: arr,
-											// Normalized spelling, so two artifacts key the
-											// same cell identically whatever case the grid
-											// used.
-											SLOName:       strings.ToLower(g.SLOs[si]),
-											SLO:           slo,
-											AdmissionName: strings.ToLower(g.Admissions[ai]),
-											Admission:     adm,
-											AutoscaleName: strings.ToLower(g.Autoscales[oi]),
-											Autoscale:     scale,
-											ChaosName:     name,
-											Chaos:         chaos,
-											Shards:        sh,
-										})
+								for ci, chaos := range chaoses {
+									name := strings.ToLower(g.Chaoses[ci])
+									if name == "" {
+										name = "off"
 									}
+									cells = append(cells, Cell{
+										Policy:  pol,
+										Engine:  eng,
+										Roster:  roster,
+										Arrival: arr,
+										// Normalized spelling, so two artifacts key the
+										// same cell identically whatever case the grid
+										// used.
+										SLOName:       strings.ToLower(g.SLOs[si]),
+										SLO:           slo,
+										AdmissionName: strings.ToLower(g.Admissions[ai]),
+										Admission:     adm,
+										AutoscaleName: strings.ToLower(g.Autoscales[oi]),
+										Autoscale:     scale,
+										ChaosName:     name,
+										Chaos:         chaos,
+									})
 								}
 							}
 						}

@@ -89,6 +89,25 @@ func TestGridExpandRejectsBadAxes(t *testing.T) {
 	}
 }
 
+// TestParseGridRejectsUnknownKeys pins cmd/sweep -config to the grid's
+// own keys: a misspelled axis and a retired one are errors that name
+// the key, rather than silently sweeping the default.
+func TestParseGridRejectsUnknownKeys(t *testing.T) {
+	for _, tc := range []struct{ in, key string }{
+		{`{"polices":["fcfs"]}`, "polices"},
+		{`{"shards":[1,2,4]}`, "shards"},
+	} {
+		_, err := ParseGrid([]byte(tc.in))
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("ParseGrid(%s) error = %v, want one naming %q", tc.in, err, tc.key)
+		}
+	}
+	g, err := ParseGrid([]byte(`{"policies":["fcfs"],"nc":3}`))
+	if err != nil || len(g.Policies) != 1 || g.Policies[0] != "fcfs" || g.NC != 3 {
+		t.Errorf("ParseGrid(valid grid) = %+v, %v", g, err)
+	}
+}
+
 // smokeGrid is the 2×2 grid the CI smoke step runs: two policies under
 // two SLO modes on the modeled engine, identical traffic everywhere.
 func smokeGrid() Grid {
