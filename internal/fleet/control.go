@@ -401,6 +401,7 @@ func (c *loopCtl) chaosFail(d int) {
 	}
 	c.failed[d] = true
 	c.failedCount++
+	c.l.flightEpoch++
 	c.l.res.Failures++
 	if c.active[d] && !wasDown {
 		c.downActive++
@@ -423,6 +424,7 @@ func (c *loopCtl) chaosDrain(d int) {
 	}
 	c.draining[d] = true
 	c.drainingCount++
+	c.l.flightEpoch++
 	c.l.res.Drains++
 	if c.active[d] {
 		c.downActive++
@@ -445,6 +447,7 @@ func (c *loopCtl) chaosRestore(d int) {
 		c.draining[d] = false
 		c.drainingCount--
 	}
+	c.l.flightEpoch++
 	c.l.res.Restores++
 	if c.active[d] {
 		c.downActive--

@@ -39,8 +39,7 @@ func (f *Fleet) windowFor(q *jobQueue, t int) int {
 	h := 0.0
 	for _, n := range counts {
 		if n > 0 {
-			p := float64(n) / float64(len(prefix))
-			h -= p * math.Log(p)
+			h -= plogp[len(prefix)][n]
 		}
 	}
 	effective := math.Exp(h) // 1 (degenerate) .. NumClasses (uniform)
@@ -48,6 +47,20 @@ func (f *Fleet) windowFor(q *jobQueue, t int) int {
 	w = MinWindow + int(float64(w-MinWindow)*scale)
 	return w
 }
+
+// plogp[n][c] is p·ln p for p = c/n, the class-entropy term windowFor
+// subtracts for c of a window prefix's n jobs. A prefix holds at most
+// MaxWindow jobs, so the table covers every term, each computed once by
+// the expression windowFor used to evaluate per dispatch.
+var plogp = func() (t [MaxWindow + 1][MaxWindow + 1]float64) {
+	for n := 1; n <= MaxWindow; n++ {
+		for c := 1; c <= n; c++ {
+			p := float64(c) / float64(n)
+			t[n][c] = p * math.Log(p)
+		}
+	}
+	return t
+}()
 
 // dispatcher owns the event loop's dispatch scratch state: the pick
 // tables, the aging-weight and class-pattern buffers group formation and

@@ -23,7 +23,8 @@
 //     group per device, through sched.Scheduler.RunGroup — the same
 //     single-group path the offline scheduler uses (loop.go);
 //   - per-job latency (wait, turnaround, deadline slack) and per-device
-//     utilization are accounted and summarized with stats.Summarize
+//     utilization are accounted and summarized from radix-sorted
+//     integer cycles with stats.SortUint64 and stats.SummarizeSorted
 //     (report.go), and persist as per-job CSV artifacts (csv.go).
 //
 // # The event core and engine modes

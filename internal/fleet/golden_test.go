@@ -190,3 +190,78 @@ func TestModeledOpenGolden(t *testing.T) {
 	}
 	compareGolden(t, "timeseries_modeled_open.golden", csv.String())
 }
+
+// preemptChaosRun runs the preemption-under-chaos scenario on one
+// engine: open-loop Poisson traffic with a quarter latency jobs on a
+// tight deadline, preemptive SLO dispatch, and a chaos trace that fails
+// a device, drains another and restores both mid-run. Preemption scans
+// the running flights for the earliest free device, and chaos changes
+// which of them count, so this scenario locks that scan's inputs.
+func preemptChaosRun(t *testing.T, engine EngineMode) Result {
+	t.Helper()
+	small := testPipeline(t)
+	tiny := pipelineFor(t, tinyConfig())
+	arr, err := ArrivalConfig{
+		Kind: Poisson, Jobs: 40, Rate: 1.5,
+		LatencyFrac: 0.25, Deadline: 30_000, Seed: 0xC4A05,
+	}.Generate(testNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Config{
+		Devices: []DeviceSpec{{Pipe: small, Count: 2}, {Pipe: tiny, Count: 2}},
+		NC:      2,
+		Policy:  sched.ILPSMRA,
+		Engine:  engine,
+		SLO:     SLOConfig{Enabled: true, Preempt: true},
+		Chaos: ChaosConfig{Enabled: true, Trace: []ChaosEvent{
+			{Cycle: 40_000, Device: 0, Kind: ChaosFail},
+			{Cycle: 60_000, Device: 2, Kind: ChaosDrain},
+			{Cycle: 120_000, Device: 0, Kind: ChaosRestore},
+			{Cycle: 150_000, Device: 2, Kind: ChaosRestore},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestPreemptChaosGolden locks SLO preemption and chaos together, on
+// the Modeled and the Cycle engine: the summary and the eviction trace,
+// which must hold at least one preemption and one chaos eviction. Cycle
+// flights resolve after dispatch, so that run also covers a flight's
+// free-time estimate changing while it runs. Regenerate with
+//
+//	go test ./internal/fleet -run PreemptChaosGolden -update
+//
+// only when preemption or chaos behavior is meant to change.
+func TestPreemptChaosGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine EngineMode
+	}{
+		{"modeled", Modeled},
+		{"cycle", Cycle},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := preemptChaosRun(t, tc.engine)
+			preempt, chaos := 0, 0
+			for _, e := range res.Evictions {
+				if e.TriggerJob == chaosTriggerID {
+					chaos++
+				} else {
+					preempt++
+				}
+			}
+			if preempt == 0 || chaos == 0 {
+				t.Errorf("evictions: %d preemption, %d chaos; want at least one of each", preempt, chaos)
+			}
+			compareGolden(t, "preempt_chaos_"+tc.name+".golden", res.Summary()+res.EvictionTrace())
+		})
+	}
+}

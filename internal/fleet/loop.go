@@ -37,6 +37,17 @@ type loop struct {
 	unresolved flightHeap
 	idleDevs   deviceHeap
 	disp       *dispatcher
+
+	// flightEpoch counts the writes scanFirstToFree reads: a flight
+	// placed on or cleared off a device, a flight resolving, and a device
+	// failing, draining or restoring. first and firstFree cache the
+	// scan's answer for firstEpoch, the epoch it ran at. The zero values
+	// cache a fresh loop's answer: no flight yet.
+	flightEpoch uint64
+	firstEpoch  uint64
+	first       *inflight
+	firstFree   uint64
+
 	// col is the observability sampler and ctl the control block; each
 	// is nil when its feature is off, so the hot loop pays one pointer
 	// check per use.
@@ -296,7 +307,10 @@ func (l *loop) dispatch() error {
 		if err != nil {
 			return err
 		}
+		// A modeled flight resolved in commitModeled above; this bump
+		// covers that write too, since the flight was on no device yet.
 		l.flightOf[d] = fl
+		l.flightEpoch++
 	}
 	// A drained queue means no pending speculation guess can be
 	// dispatched next, so the dedup signatures are dead weight: reset the
@@ -371,6 +385,7 @@ func (l *loop) await(fl *inflight) error {
 		}
 	}
 	fl.state = flightResolved
+	l.flightEpoch++
 	l.resolved.push(fl.complete, fl.device, fl)
 	return nil
 }
@@ -418,6 +433,7 @@ func (l *loop) retire(fl *inflight) {
 	}
 	l.remaining -= len(fl.jobs)
 	l.flightOf[fl.device] = nil
+	l.flightEpoch++
 	if l.ctl == nil || l.ctl.deviceUp(fl.device) {
 		// A draining device's last flight retires it out of placement
 		// order; a restore pushes it back.
@@ -447,6 +463,7 @@ func (l *loop) release(fl *inflight, triggerID int) {
 	l.f.evict(fl, triggerID, l.now, &l.res)
 	fl.state = flightEvicted
 	l.flightOf[fl.device] = nil
+	l.flightEpoch++
 	if l.col != nil {
 		l.col.addBusy(fl.device, fl.dispatch, l.now)
 	}
@@ -567,18 +584,7 @@ func (l *loop) preemptVictim(trigger *job) *inflight {
 	// devices are out on both sides of the decision: their completions
 	// never serve the trigger, and evicting them frees a device the
 	// dispatch pass would skip anyway.
-	var first *inflight
-	firstFree := uint64(inf)
-	for _, fl := range l.flightOf {
-		if fl == nil || (l.ctl != nil && !l.ctl.deviceUp(fl.device)) {
-			continue
-		}
-		free := f.predictedFree(fl)
-		if first == nil || free < firstFree ||
-			(free == firstFree && f.orderPos[fl.device] < f.orderPos[first.device]) {
-			first, firstFree = fl, free
-		}
-	}
+	first, firstFree := l.firstToFree()
 	if first == nil {
 		return nil
 	}
@@ -628,6 +634,41 @@ func (l *loop) preemptVictim(trigger *job) *inflight {
 		}
 	}
 	return victim
+}
+
+// firstToFree returns the flight on an up device predicted to free
+// first, placement order breaking ties, and its predicted free cycle
+// (nil when no up device runs one). The answer depends on nothing but
+// the writes flightEpoch counts, so scanFirstToFree runs once per
+// epoch.
+//
+//simlint:hotpath
+func (l *loop) firstToFree() (*inflight, uint64) {
+	if l.firstEpoch != l.flightEpoch {
+		l.first, l.firstFree = l.scanFirstToFree()
+		l.firstEpoch = l.flightEpoch
+	}
+	return l.first, l.firstFree
+}
+
+// scanFirstToFree is firstToFree's scan over the running flights.
+//
+//simlint:hotpath
+func (l *loop) scanFirstToFree() (*inflight, uint64) {
+	f := l.f
+	var first *inflight
+	firstFree := uint64(inf)
+	for _, fl := range l.flightOf {
+		if fl == nil || (l.ctl != nil && !l.ctl.deviceUp(fl.device)) {
+			continue
+		}
+		free := f.predictedFree(fl)
+		if first == nil || free < firstFree ||
+			(free == firstFree && f.orderPos[fl.device] < f.orderPos[first.device]) {
+			first, firstFree = fl, free
+		}
+	}
+	return first, firstFree
 }
 
 // result builds the drained loop's Result: the eviction records sorted

@@ -256,45 +256,68 @@ func (r Result) Turnarounds() []float64 {
 }
 
 // WaitSummary summarizes queueing delay (kilocycles).
-func (r Result) WaitSummary() stats.Summary { return stats.Summarize(r.Waits()) }
+func (r Result) WaitSummary() stats.Summary { return r.cycleSummary(JobRecord.Wait, Batch, Latency) }
 
 // TurnaroundSummary summarizes turnaround (kilocycles).
-func (r Result) TurnaroundSummary() stats.Summary { return stats.Summarize(r.Turnarounds()) }
-
-// classSamples projects the jobs of one SLO class through f, in
-// kilocycles.
-func (r Result) classSamples(c SLOClass, f func(JobRecord) float64) []float64 {
-	var out []float64
-	for _, j := range r.Jobs {
-		if j.SLO == c && j.Outcome == Done {
-			out = append(out, f(j)/1000)
-		}
-	}
-	return out
+func (r Result) TurnaroundSummary() stats.Summary {
+	return r.cycleSummary(JobRecord.Turnaround, Batch, Latency)
 }
 
 // WaitSummaryFor summarizes queueing delay (kilocycles) for one SLO
 // class.
-func (r Result) WaitSummaryFor(c SLOClass) stats.Summary {
-	return stats.Summarize(r.classSamples(c, func(j JobRecord) float64 { return float64(j.Wait()) }))
-}
+func (r Result) WaitSummaryFor(c SLOClass) stats.Summary { return r.cycleSummary(JobRecord.Wait, c, c) }
 
 // TurnaroundSummaryFor summarizes turnaround (kilocycles) for one SLO
 // class.
 func (r Result) TurnaroundSummaryFor(c SLOClass) stats.Summary {
-	return stats.Summarize(r.classSamples(c, func(j JobRecord) float64 { return float64(j.Turnaround()) }))
+	return r.cycleSummary(JobRecord.Turnaround, c, c)
+}
+
+// cycleSummary summarizes metric over the completed jobs of SLO class a
+// or b, in kilocycles, by the sorted-integer path Summary takes.
+func (r Result) cycleSummary(metric func(JobRecord) uint64, a, b SLOClass) stats.Summary {
+	n := len(r.Jobs)
+	buf := make([]uint64, 2*n)
+	v := buf[:0:n]
+	for _, j := range r.Jobs {
+		if j.Outcome == Done && (j.SLO == a || j.SLO == b) {
+			v = append(v, metric(j))
+		}
+	}
+	stats.SortUint64(v, buf[n:])
+	return kcycles(v)
+}
+
+// kcycles summarizes ascending cycle counts in kilocycles.
+func kcycles[T uint64 | int64](sorted []T) stats.Summary {
+	return stats.SummarizeSorted(sorted, 1000)
 }
 
 // LatencySlacks returns every latency job's deadline slack in
 // kilocycles (negative = missed), in arrival order.
 func (r Result) LatencySlacks() []float64 {
-	return r.classSamples(Latency, func(j JobRecord) float64 { return float64(j.Slack()) })
+	var out []float64
+	for _, j := range r.Jobs {
+		if j.SLO == Latency && j.Outcome == Done {
+			out = append(out, float64(j.Slack())/1000)
+		}
+	}
+	return out
 }
 
 // SlackSummary summarizes the latency-class deadline slack
 // (kilocycles); its percentiles are the per-class deadline-miss
 // percentiles (P50 < 0 means the median latency job missed).
-func (r Result) SlackSummary() stats.Summary { return stats.Summarize(r.LatencySlacks()) }
+func (r Result) SlackSummary() stats.Summary {
+	var slack []int64
+	for _, j := range r.Jobs {
+		if j.SLO == Latency && j.Outcome == Done {
+			slack = append(slack, j.Slack())
+		}
+	}
+	slices.Sort(slack)
+	return kcycles(slack)
+}
 
 // LatencyJobs counts jobs of the latency class.
 func (r Result) LatencyJobs() int {
@@ -362,12 +385,15 @@ func (r Result) deviceLabel(d int) string {
 }
 
 // summaryPass is what Summary reads from the job records, gathered in
-// one pass by index: the completed jobs' wait and turnaround samples per
-// SLO class and the completed latency jobs' deadline slacks, in
-// kilocycles, each sorted ascending once; and the job counts.
+// one pass by index: the completed jobs' wait and turnaround cycles per
+// SLO class and the completed latency jobs' deadline slacks, each sorted
+// ascending once; a scratch slice as long as the job list, which the
+// radix sorts use and the fleet-wide rows then merge into; and the job
+// counts.
 type summaryPass struct {
-	wait, turnaround [2][]float64 // by SLOClass
-	slack            []float64
+	wait, turnaround [2][]uint64 // by SLOClass
+	slack            []int64
+	scratch          []uint64
 	completed        int
 	latency          int
 	completedLatency int
@@ -376,11 +402,14 @@ type summaryPass struct {
 
 // summarize makes the pass. Each class's samples share one job-count
 // array per metric — latency samples fill it from the front, batch
-// samples from the back — so the pass allocates without counting first.
+// samples from the back — so the pass allocates without counting
+// first, and one allocation holds both arrays and the scratch.
 func (r Result) summarize() summaryPass {
 	var s summaryPass
 	n := len(r.Jobs)
-	waits, turns := make([]float64, n), make([]float64, n)
+	buf := make([]uint64, 3*n)
+	waits, turns := buf[:n], buf[n:2*n]
+	s.scratch = buf[2*n:]
 	lat, batch := 0, n
 	for i := range r.Jobs {
 		j := &r.Jobs[i]
@@ -394,56 +423,61 @@ func (r Result) summarize() summaryPass {
 			continue
 		}
 		s.completed++
-		w, t := float64(j.Wait())/1000, float64(j.Turnaround())/1000
+		w, t := j.Wait(), j.Turnaround()
 		if j.SLO == Latency {
 			waits[lat], turns[lat] = w, t
 			lat++
-			s.slack = append(s.slack, float64(j.Slack())/1000)
+			s.slack = append(s.slack, j.Slack())
 		} else {
 			batch--
 			waits[batch], turns[batch] = w, t
 		}
 	}
 	s.completedLatency = lat
-	s.wait = [2][]float64{Latency: waits[:lat], Batch: waits[batch:]}
-	s.turnaround = [2][]float64{Latency: turns[:lat], Batch: turns[batch:]}
+	s.wait = [2][]uint64{Latency: waits[:lat], Batch: waits[batch:]}
+	s.turnaround = [2][]uint64{Latency: turns[:lat], Batch: turns[batch:]}
 	for c := range s.wait {
-		slices.Sort(s.wait[c])
-		slices.Sort(s.turnaround[c])
+		stats.SortUint64(s.wait[c], s.scratch)
+		stats.SortUint64(s.turnaround[c], s.scratch)
 	}
 	slices.Sort(s.slack)
 	return s
 }
 
-// mergeSorted merges two ascending slices into one ascending slice,
-// returning either input as it stands when the other is empty.
-func mergeSorted(a, b []float64) []float64 {
+// mergeSorted merges two ascending slices into dst, which must hold
+// both, and returns the merged prefix of dst; when either input is
+// empty it returns the other as it stands.
+//
+//simlint:hotpath
+func mergeSorted(dst, a, b []uint64) []uint64 {
 	if len(a) == 0 {
 		return b
 	}
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]float64, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if b[0] < a[0] {
-			out, b = append(out, b[0]), b[1:]
-		} else {
-			out, a = append(out, a[0]), a[1:]
+	i, k := 0, 0
+	for _, x := range a {
+		for k < len(b) && b[k] < x {
+			dst[i] = b[k]
+			i++
+			k++
 		}
+		dst[i] = x
+		i++
 	}
-	out = append(out, a...)
-	return append(out, b...)
+	i += copy(dst[i:], b[k:])
+	return dst[:i]
 }
 
 // Summary renders the run as a deterministic multi-line report: two
 // runs with the same seed and configuration produce byte-identical
 // output (the reproducibility contract cmd/fleet and the tests rely
-// on). It reads the job records once (summarize) and sorts each class's
-// samples once; the fleet-wide rows merge the two sorted classes, the
-// same samples in the same ascending order the per-metric methods
-// (WaitSummary, SlackSummary, ...) sort them into, so every line
-// matches what those methods report.
+// on). It reads the job records once (summarize) and radix-sorts each
+// SLO class's integer cycles once; the fleet-wide rows merge the two
+// sorted classes, the same samples in the same ascending order the
+// per-metric methods (WaitSummary, SlackSummary, ...) sort them into,
+// so every line matches what those methods report.
 func (r Result) Summary() string {
 	s := r.summarize()
 	var b strings.Builder
@@ -480,8 +514,8 @@ func (r Result) Summary() string {
 		fmt.Fprintf(&b, " d%d[%s]=%.1f%%", d, r.deviceLabel(d), 100*r.Utilization(d))
 	}
 	fmt.Fprintf(&b, " mean=%.1f%%\n", 100*r.MeanUtilization())
-	fmt.Fprintf(&b, "wait        (kcycles) %v\n", stats.SummarizeSorted(mergeSorted(s.wait[Latency], s.wait[Batch])))
-	fmt.Fprintf(&b, "turnaround  (kcycles) %v\n", stats.SummarizeSorted(mergeSorted(s.turnaround[Latency], s.turnaround[Batch])))
+	fmt.Fprintf(&b, "wait        (kcycles) %v\n", kcycles(mergeSorted(s.scratch, s.wait[Latency], s.wait[Batch])))
+	fmt.Fprintf(&b, "turnaround  (kcycles) %v\n", kcycles(mergeSorted(s.scratch, s.turnaround[Latency], s.turnaround[Batch])))
 	// The per-class block appears exactly when the run carries SLO
 	// classes, so class-blind runs keep the historical summary shape.
 	if s.latency > 0 || len(r.Evictions) > 0 {
@@ -489,11 +523,11 @@ func (r Result) Summary() string {
 		if s.completedLatency > 0 {
 			missRate = float64(s.misses) / float64(s.completedLatency)
 		}
-		fmt.Fprintf(&b, "latency wait       (kcycles) %v\n", stats.SummarizeSorted(s.wait[Latency]))
-		fmt.Fprintf(&b, "latency turnaround (kcycles) %v\n", stats.SummarizeSorted(s.turnaround[Latency]))
-		fmt.Fprintf(&b, "latency slack      (kcycles) %v\n", stats.SummarizeSorted(s.slack))
-		fmt.Fprintf(&b, "batch wait         (kcycles) %v\n", stats.SummarizeSorted(s.wait[Batch]))
-		fmt.Fprintf(&b, "batch turnaround   (kcycles) %v\n", stats.SummarizeSorted(s.turnaround[Batch]))
+		fmt.Fprintf(&b, "latency wait       (kcycles) %v\n", kcycles(s.wait[Latency]))
+		fmt.Fprintf(&b, "latency turnaround (kcycles) %v\n", kcycles(s.turnaround[Latency]))
+		fmt.Fprintf(&b, "latency slack      (kcycles) %v\n", kcycles(s.slack))
+		fmt.Fprintf(&b, "batch wait         (kcycles) %v\n", kcycles(s.wait[Batch]))
+		fmt.Fprintf(&b, "batch turnaround   (kcycles) %v\n", kcycles(s.turnaround[Batch]))
 		fmt.Fprintf(&b, "deadline-miss      %d/%d (%.1f%%)\n", s.misses, s.completedLatency, 100*missRate)
 		fmt.Fprintf(&b, "evictions          %d (wasted %d cycles)\n", len(r.Evictions), r.WastedCycles())
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/stats"
 )
 
 // randomResult draws a Result whose job records exercise everything
@@ -111,6 +112,90 @@ func TestSummaryMatchesPerMetricMethods(t *testing.T) {
 				t.Fatalf("%s, seed %d: summary lines\n%s\nwant\n%s", tc.name, seed,
 					strings.Join(got, "\n"), strings.Join(want, "\n"))
 			}
+		}
+	}
+}
+
+// TestSummaryMatchesFloatSummaries checks the integer summary path
+// against stats.Summarize over the float samples the public API
+// returns (Waits, Turnarounds, LatencySlacks), on Results large enough
+// for the radix sort, with times wide enough for three passes, and
+// with both classes, ties and negative slacks. The Summary lines must
+// also still match the per-metric methods at that size.
+func TestSummaryMatchesFloatSummaries(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		s := rng.NewStream(seed)
+		r := randomResult(s, 3000, 0.3, false, 1)
+		r.Closed = false // so the per-metric lines form one block of Summary
+		for i := range r.Jobs {
+			j := &r.Jobs[i]
+			if j.Outcome == Done {
+				j.Arrival = uint64(s.Intn(1 << 30))
+				j.Dispatch = j.Arrival + uint64(s.Intn(1<<28))
+				j.Complete = j.Dispatch + uint64(s.Intn(4))*100_000
+				j.Deadline = uint64(s.Intn(3)) * (1 << 27)
+			}
+		}
+		classFloats := func(c SLOClass, metric func(JobRecord) uint64) []float64 {
+			var out []float64
+			for _, j := range r.Jobs {
+				if j.SLO == c && j.Outcome == Done {
+					out = append(out, float64(metric(j))/1000)
+				}
+			}
+			return out
+		}
+		checks := []struct {
+			name      string
+			got, want stats.Summary
+		}{
+			{"wait", r.WaitSummary(), stats.Summarize(r.Waits())},
+			{"turnaround", r.TurnaroundSummary(), stats.Summarize(r.Turnarounds())},
+			{"slack", r.SlackSummary(), stats.Summarize(r.LatencySlacks())},
+			{"latency wait", r.WaitSummaryFor(Latency), stats.Summarize(classFloats(Latency, JobRecord.Wait))},
+			{"batch wait", r.WaitSummaryFor(Batch), stats.Summarize(classFloats(Batch, JobRecord.Wait))},
+			{"latency turnaround", r.TurnaroundSummaryFor(Latency), stats.Summarize(classFloats(Latency, JobRecord.Turnaround))},
+			{"batch turnaround", r.TurnaroundSummaryFor(Batch), stats.Summarize(classFloats(Batch, JobRecord.Turnaround))},
+		}
+		for _, c := range checks {
+			if c.got != c.want || c.got.String() != c.want.String() {
+				t.Errorf("seed %d %s: %v, float path %v", seed, c.name, c.got, c.want)
+			}
+		}
+		if got, want := r.Summary(), strings.Join(perMetricLines(r), "\n"); !strings.Contains(got, want) {
+			t.Errorf("seed %d: summary\n%s\ndoes not contain the per-metric lines\n%s", seed, got, want)
+		}
+	}
+}
+
+// BenchmarkResultSummary times Result.Summary, the fleet's result-build
+// rung, over 500k job records built once outside the timer. The records
+// are shaped like the modeled-open benchmark workload's: a tenth of the
+// jobs are latency-class, and waits spread over 2^27 cycles, so the
+// radix sorts take three passes as they do on that workload's backlog.
+func BenchmarkResultSummary(b *testing.B) {
+	const jobs = 500_000
+	s := rng.NewStream(1)
+	r := Result{
+		Policy: sched.ILPSMRA, Engine: Modeled, Roster: "1xSmall-8SM", Devices: 1, NC: 2,
+		Makespan: 1 << 30, DeviceBusy: []uint64{1 << 29}, DeviceConfig: []string{"Small-8SM"},
+		Jobs: make([]JobRecord, jobs),
+	}
+	for i := range r.Jobs {
+		arrival := uint64(i) * 2_000
+		dispatch := arrival + uint64(s.Intn(1<<27))
+		rec := JobRecord{ID: i, Name: "miniA", Arrival: arrival, Dispatch: dispatch,
+			Complete: dispatch + 10_000 + uint64(s.Intn(200_000)), Attempts: 1}
+		if s.Intn(10) == 0 {
+			rec.SLO, rec.Deadline = Latency, 400_000
+		}
+		r.Jobs[i] = rec
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r.Summary() == "" {
+			b.Fatal("empty summary")
 		}
 	}
 }

@@ -378,3 +378,90 @@ func TestSLOTaggingKeepsTraffic(t *testing.T) {
 		t.Fatalf("latency share %d of %d is degenerate", latency, len(tagged))
 	}
 }
+
+// TestFirstToFreeCache makes each write the preemption scan reads —
+// flights placed, a Cycle flight resolving, a device draining and
+// restoring, a retire, an eviction and a device failure — and checks
+// after each that the epoch-cached answer equals a fresh scan. Each
+// write is chosen to change that answer, so a write that skipped its
+// epoch bump would leave the cache stale and fail here.
+func TestFirstToFreeCache(t *testing.T) {
+	for _, engine := range []EngineMode{Modeled, Cycle} {
+		t.Run(engine.String(), func(t *testing.T) {
+			f, err := New(Config{
+				Devices: []DeviceSpec{{Pipe: testPipeline(t), Count: 2}, {Pipe: pipelineFor(t, tinyConfig()), Count: 2}},
+				NC:      2, Policy: sched.ILPSMRA, Engine: engine,
+				SLO: SLOConfig{Enabled: true, Preempt: true},
+				// One far-off event only turns the control block on.
+				Chaos: ChaosConfig{Enabled: true, Trace: []ChaosEvent{{Cycle: 1 << 40, Device: 0, Kind: ChaosRestore}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs, err := f.resolve(testArrivals(t, 16, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := f.newLoop(jobs, nil)
+			defer l.wait()
+			prev, prevFree := l.firstToFree()
+			// step checks the cache against a fresh scan after a write
+			// and reports whether the write moved the answer; must says
+			// it has to, or the step would test nothing.
+			step := func(name string, must bool) bool {
+				t.Helper()
+				got, gotFree := l.firstToFree()
+				want, wantFree := l.scanFirstToFree()
+				if got != want || gotFree != wantFree {
+					t.Fatalf("after %s: cached first-to-free %p at %d, fresh scan %p at %d", name, got, gotFree, want, wantFree)
+				}
+				moved := want != prev || wantFree != prevFree
+				if must && !moved {
+					t.Fatalf("after %s: first-to-free unchanged (%p at %d); the step tests nothing", name, want, wantFree)
+				}
+				prev, prevFree = want, wantFree
+				return moved
+			}
+			for _, j := range jobs {
+				l.queue.insert(j)
+			}
+			if err := l.dispatch(); err != nil {
+				t.Fatal(err)
+			}
+			step("dispatch", true)
+			// Draining the first device to free leaves a Cycle run's
+			// next pending flight first, whose estimate its resolve
+			// then replaces.
+			drained, _ := l.firstToFree()
+			l.ctl.chaosDrain(drained.device)
+			step("drain", true)
+			resolvesMoved := false
+			for fl := l.unresolved.peek(); fl != nil; fl = l.unresolved.peek() {
+				if err := l.await(fl); err != nil {
+					t.Fatal(err)
+				}
+				resolvesMoved = step("resolve", false) || resolvesMoved
+			}
+			if engine == Cycle && !resolvesMoved {
+				t.Fatal("no resolve moved first-to-free; the resolve steps test nothing")
+			}
+			l.ctl.chaosRestore(drained.device)
+			step("restore", true)
+			first, _ := l.firstToFree()
+			root := l.resolved.peek()
+			l.advance(root.complete)
+			l.retire(root)
+			step("retire", root == first)
+			if err := l.dispatch(); err != nil {
+				t.Fatal(err)
+			}
+			step("dispatch onto the freed device", false)
+			first, _ = l.firstToFree()
+			l.release(first, 0)
+			step("evict", true)
+			first, _ = l.firstToFree()
+			l.ctl.chaosFail(first.device)
+			step("fail", true)
+		})
+	}
+}

@@ -15,11 +15,12 @@ func Percentile(samples []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return percentileSorted(sorted, 1, p)
 }
 
-// percentileSorted is Percentile over an already-sorted slice.
-func percentileSorted(sorted []float64, p float64) float64 {
+// percentileSorted is Percentile over an already-sorted slice, each
+// sample read as float64(v)/unit.
+func percentileSorted[T float64 | uint64 | int64](sorted []T, unit, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -29,19 +30,19 @@ func percentileSorted(sorted []float64, p float64) float64 {
 		return math.NaN()
 	}
 	if p <= 0 {
-		return sorted[0]
+		return float64(sorted[0]) / unit
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return float64(sorted[len(sorted)-1]) / unit
 	}
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return float64(sorted[lo]) / unit
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo])/unit*(1-frac) + float64(sorted[hi])/unit*frac
 }
 
 // Summary condenses a latency (or any scalar) sample set into the
@@ -62,29 +63,35 @@ type Summary struct {
 func Summarize(samples []float64) Summary {
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
-	return SummarizeSorted(sorted)
+	return SummarizeSorted(sorted, 1)
 }
 
 // SummarizeSorted is Summarize over samples already in ascending order,
-// without copying them. The mean is summed in ascending order, as
-// Summarize does, so any ascending arrangement of the same samples
-// yields the same Summary.
-func SummarizeSorted(sorted []float64) Summary {
+// without copying them, each read as float64(v)/unit: float samples
+// take unit 1, and cycle counts reported in kilocycles take unit 1000.
+// The mean is summed in ascending order, as Summarize does, so any
+// ascending arrangement of the same samples yields the same Summary.
+// For a positive unit, float64(v)/unit is monotone in v, so ascending
+// integers summarize bit for bit like Summarize over the converted
+// floats, with no converted copy.
+//
+//simlint:hotpath
+func SummarizeSorted[T float64 | uint64 | int64](sorted []T, unit float64) Summary {
 	if len(sorted) == 0 {
 		return Summary{}
 	}
 	sum := 0.0
 	for _, v := range sorted {
-		sum += v
+		sum += float64(v) / unit
 	}
 	return Summary{
 		N:    len(sorted),
-		Min:  sorted[0],
+		Min:  float64(sorted[0]) / unit,
 		Mean: sum / float64(len(sorted)),
-		Max:  sorted[len(sorted)-1],
-		P50:  percentileSorted(sorted, 50),
-		P95:  percentileSorted(sorted, 95),
-		P99:  percentileSorted(sorted, 99),
+		Max:  float64(sorted[len(sorted)-1]) / unit,
+		P50:  percentileSorted(sorted, unit, 50),
+		P95:  percentileSorted(sorted, unit, 95),
+		P99:  percentileSorted(sorted, unit, 99),
 	}
 }
 

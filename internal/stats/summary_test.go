@@ -119,7 +119,7 @@ func TestSummarize(t *testing.T) {
 			got := Summarize(tt.samples)
 			sorted := append([]float64(nil), tt.samples...)
 			sort.Float64s(sorted)
-			if s := SummarizeSorted(sorted); s != got {
+			if s := SummarizeSorted(sorted, 1); s != got {
 				t.Fatalf("SummarizeSorted = %+v, Summarize = %+v", s, got)
 			}
 			fields := []struct {
