@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation, plus ablation benchmarks for the design choices called
-// out in DESIGN.md.
+// evaluation, plus ablation benchmarks for mechanisms of the layer map
+// in ARCHITECTURE.md ("Layer map": the FR-FCFS DRAM controller and
+// ILP-SMRA's reallocation thresholds and period).
 //
 // The paper artifacts share one lazily initialized experiment suite
 // (solo profiles + all-pairs interference on the 60-SM device); the
@@ -164,7 +165,7 @@ func BenchmarkAppendixA(b *testing.B) {
 	artifactBench(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.AppendixA() })
 }
 
-// --- Ablations (DESIGN.md) --------------------------------------------
+// --- Ablations (ARCHITECTURE.md, "Layer map") -------------------------
 // These use the small test device so each ablation point costs seconds,
 // not minutes; the contrasts, not the absolute numbers, are the point.
 
@@ -197,27 +198,6 @@ func BenchmarkAblationMemSched(b *testing.B) {
 		fcfs = coRunCycles(b, cfg)
 	}
 	b.ReportMetric(float64(fcfs)/float64(frfcfs), "fcfs/frfcfs-cycles")
-}
-
-// BenchmarkAblationWarpSched contrasts GTO against loose round-robin
-// warp scheduling on a cache-sensitive kernel.
-func BenchmarkAblationWarpSched(b *testing.B) {
-	run := func(pol config.WarpSchedPolicy) uint64 {
-		cfg := testkit.Config()
-		cfg.WarpSched = pol
-		prof := profile.New(cfg)
-		r, err := prof.Run(testkit.MiniC(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r.Cycles
-	}
-	var gto, lrr uint64
-	for i := 0; i < b.N; i++ {
-		gto = run(config.SchedGTO)
-		lrr = run(config.SchedLRR)
-	}
-	b.ReportMetric(float64(lrr)/float64(gto), "lrr/gto-cycles")
 }
 
 // smraQueue is an asymmetric M+A pair that gives the reallocator room

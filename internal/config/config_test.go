@@ -13,8 +13,7 @@ func TestGTX480Valid(t *testing.T) {
 	// Table 4.1 values.
 	if cfg.NumSMs != 60 || cfg.CoreClockMHz != 700 || cfg.MaxWarpsPerSM != 48 ||
 		cfg.MaxBlocksPerSM != 8 || cfg.SharedMemPerSM != 48*1024 ||
-		cfg.L1.SizeBytes != 16*1024 || cfg.L2.SizeBytes != 768*1024 ||
-		cfg.WarpSched != SchedGTO {
+		cfg.L1.SizeBytes != 16*1024 || cfg.L2.SizeBytes != 768*1024 {
 		t.Fatalf("GTX480 deviates from Table 4.1: %+v", cfg)
 	}
 }

@@ -313,8 +313,8 @@ func (d *Device) dispatch(sm *smcore.SM, now uint64) {
 const NoEvent = ^uint64(0)
 
 // NextEvent returns the earliest future cycle (> Cycle) at which any
-// component of the device could make progress: an SM issues or wakes a
-// timer-parked warp, a thread block becomes dispatchable, a DRAM
+// component of the device could make progress: an SM issues or a warp's
+// fixed latency expires, a thread block becomes dispatchable, a DRAM
 // transfer completes or a queued request becomes serviceable, a
 // response becomes eligible, or a flit finishes traversing the
 // interconnect. Every cycle strictly before the returned horizon is

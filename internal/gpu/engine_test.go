@@ -1,11 +1,17 @@
 package gpu
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/kernel"
+	"repro/internal/stats"
 	"repro/internal/testkit"
 )
 
@@ -49,17 +55,65 @@ func launchCase(t *testing.T, cfg config.GPUConfig, ec engineCase) *Device {
 	return d
 }
 
+// update rewrites testdata/engine.golden. The golden pins the
+// substrate's simulated result for every engine case, so run
+//
+//	go test ./internal/gpu -run EngineEquivalence -update
+//
+// only when the substrate's behavior is *meant* to change.
+var update = flag.Bool("update", false, "rewrite testdata/engine.golden")
+
+const engineGolden = "engine.golden"
+
+// renderEngineCase is one case's block of engine.golden: the end cycle
+// and DeviceStats with every application's counters. Fast-forward skip
+// counts are left out: they describe the engine, not the result.
+func renderEngineCase(name string, end uint64, ds stats.Device) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s\n", name)
+	fmt.Fprintf(&b, "end_cycle %d\n", end)
+	fmt.Fprintf(&b, "device cycles=%d thread_instructions=%d\n", ds.Cycles, ds.ThreadInstructions)
+	for _, a := range ds.Apps {
+		fmt.Fprintf(&b, "app %+v\n", a)
+	}
+	return b.String()
+}
+
+// readEngineGolden splits engine.golden into its per-case blocks.
+func readEngineGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", engineGolden))
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to capture): %v", err)
+	}
+	blocks := make(map[string]string)
+	for _, blk := range strings.Split(string(raw), "== ")[1:] {
+		name, _, _ := strings.Cut(blk, "\n")
+		blocks[name] = "== " + blk
+	}
+	return blocks
+}
+
 // TestEngineEquivalence asserts that the fast-forward engine produces
 // byte-identical results to the naive per-cycle Step loop: same end
 // cycle, same DeviceStats, for one kernel of each class solo and a
 // co-run pair, on both the small test device and the full GTX480
-// configuration.
+// configuration. Each case's result must also match its block of
+// testdata/engine.golden, which locks the substrate itself: the two
+// engines share one SM model, so their agreement alone would not catch
+// a change to it.
 func TestEngineEquivalence(t *testing.T) {
 	const maxCycles = 10_000_000
+	var golden map[string]string
+	if !*update {
+		golden = readEngineGolden(t)
+	}
+	var captured []string
 	configs := []config.GPUConfig{testkit.Config(), config.GTX480()}
 	for _, cfg := range configs {
 		for _, ec := range engineCases() {
-			t.Run(cfg.Name+"/"+ec.name, func(t *testing.T) {
+			name := cfg.Name + "/" + ec.name
+			t.Run(name, func(t *testing.T) {
 				naive := launchCase(t, cfg, ec)
 				for !naive.AllDone() {
 					if naive.Cycle() >= maxCycles {
@@ -82,7 +136,27 @@ func TestEngineEquivalence(t *testing.T) {
 				if fast.SkippedCycles() == 0 {
 					t.Logf("note: no cycles were skipped for %s on %s", ec.name, cfg.Name)
 				}
+				got := renderEngineCase(name, fast.Cycle(), fs)
+				if *update {
+					captured = append(captured, got)
+					return
+				}
+				if want := golden[name]; got != want {
+					t.Errorf("diverged from %s:\n--- want ---\n%s--- got ---\n%s", engineGolden, want, got)
+				}
 			})
+		}
+	}
+	if *update {
+		if len(captured) != len(configs)*len(engineCases()) {
+			t.Fatal("-update must run every case: drop the subtest filter")
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", engineGolden)
+		if err := os.WriteFile(path, []byte(strings.Join(captured, "")), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -20,64 +20,57 @@ func (sm *SM) Tick(now uint64) {
 	if sm.app == NoApp || sm.kern == nil || sm.residentCTAs == 0 {
 		return
 	}
-	if sm.useScan {
-		// GTO: the oldest ready warp of each scheduler, found by direct
-		// scan of the age order — no wheel or heap maintenance. scanAt
-		// skips schedulers whose scan would provably fail.
-		for s := 0; s < sm.cfg.SchedulersPerSM; s++ {
-			if sm.scanAt[s] > now {
-				continue
+	// The oldest ready warp of each scheduler, found by direct scan of
+	// the age order. scanAt skips schedulers whose scan would provably
+	// fail.
+	for s := 0; s < sm.cfg.SchedulersPerSM; s++ {
+		if sm.scanAt[s] > now {
+			continue
+		}
+		base := s * sm.maxSlots
+		wakes := sm.ageWake[base : base+int(sm.ageLen[s])]
+		idx := -1
+		for i, wake := range wakes {
+			if wake <= now {
+				idx = i
+				break
 			}
-			base := s * sm.maxSlots
-			wakes := sm.ageWake[base : base+int(sm.ageLen[s])]
-			idx := -1
-			for i, wake := range wakes {
-				if wake <= now {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				// Failed scan (the rare transition into idleness): one
-				// extra pass arms the watermark with the earliest wake.
-				next := uint64(NoEvent)
-				for _, wake := range wakes {
-					if wake < next {
-						next = wake
-					}
-				}
-				sm.scanAt[s] = next
-				continue
-			}
-			slot := sm.ageSlot[base+idx]
-			w := &sm.warps[slot]
-			// Compute fast path: ALU/SFU/shared ops mutate nothing
-			// outside the warp, so they retire inline off one opcode
-			// load — no instruction struct, no full issue machinery.
-			if !w.cachedValid {
-				var op isa.Op
-				if w.opRow != nil {
-					op = isa.Op(w.opRow[w.pc])
-				} else {
-					op = sm.kern.OpAt(int(w.globalID), int(w.pc))
-				}
-				var lat uint64
-				switch op {
-				case isa.OpALU, isa.OpNop:
-					lat = sm.aluLat
-				case isa.OpSFU:
-					lat = sm.sfuLat
-				case isa.OpShared:
-					lat = sm.sharedLat
-				}
-				if lat > 0 {
-					w.blockedUntil = now + lat
-					w.pc++
-					sm.recordIssue(sm.appStats, op)
-					sm.ageWake[base+idx] = w.blockedUntil
-					continue
+		}
+		if idx < 0 {
+			// Failed scan (the rare transition into idleness): one
+			// extra pass arms the watermark with the earliest wake.
+			next := uint64(NoEvent)
+			for _, wake := range wakes {
+				if wake < next {
+					next = wake
 				}
 			}
+			sm.scanAt[s] = next
+			continue
+		}
+		slot := sm.ageSlot[base+idx]
+		w := &sm.warps[slot]
+		// ALU/SFU/shared ops mutate nothing outside the warp, so they
+		// retire here off one opcode load — no instruction struct, no
+		// full issue machinery. A stashed replay is always a load or a
+		// store, so its cached op goes to issue.
+		op := w.cachedOp
+		if !w.cachedValid {
+			if w.opRow != nil {
+				op = isa.Op(w.opRow[w.pc])
+			} else {
+				op = sm.kern.OpAt(int(w.globalID), int(w.pc))
+			}
+		}
+		var lat uint64
+		switch op {
+		case isa.OpALU, isa.OpNop:
+			lat = sm.aluLat
+		case isa.OpSFU:
+			lat = sm.sfuLat
+		case isa.OpShared:
+			lat = sm.sharedLat
+		default:
 			if sm.issue(slot, now) {
 				// Refresh the issued warp's age entry with its new wait
 				// (NoEvent while an event — fill or barrier release —
@@ -95,38 +88,28 @@ func (sm *SM) Tick(now uint64) {
 			} else {
 				// Structural stall (MSHR or output queue full): replay
 				// the instruction after a short penalty, like hardware
-				// replay queues do.
+				// replay queues do. The failed pick still burns the
+				// scheduler's issue slot for this cycle.
 				w.blockedUntil = now + replayPenalty
 				sm.ageWake[base+idx] = now + replayPenalty
 			}
-		}
-		// The loop left scanAt[s] exact for every scheduler that did
-		// not issue; one that did stays un-armed (≤ now), keeping the
-		// SM ticking. Event wake-ups reset idleUntil directly.
-		idle := sm.scanAt[0]
-		for _, t := range sm.scanAt[1:] {
-			if t < idle {
-				idle = t
-			}
-		}
-		sm.idleUntil = idle
-		return
-	}
-	sm.drainWheel(now)
-	for s := 0; s < sm.cfg.SchedulersPerSM; s++ {
-		slot := sm.pickWarp(s, now)
-		if slot < 0 {
 			continue
 		}
-		if !sm.issue(slot, now) {
-			// Structural stall: as above, with the replay parked in the
-			// timer wheel. The backoff also keeps saturated cores from
-			// re-decoding the same stalled access every cycle.
-			w := &sm.warps[slot]
-			w.blockedUntil = now + replayPenalty
-			sm.pushWake(slot, w.blockedUntil)
+		w.blockedUntil = now + lat
+		w.pc++
+		sm.recordIssue(sm.appStats, op)
+		sm.ageWake[base+idx] = w.blockedUntil
+	}
+	// The loop left scanAt[s] exact for every scheduler that did not
+	// issue; one that did stays un-armed (≤ now), keeping the SM
+	// ticking. Event wake-ups reset idleUntil directly.
+	idle := sm.scanAt[0]
+	for _, t := range sm.scanAt[1:] {
+		if t < idle {
+			idle = t
 		}
 	}
+	sm.idleUntil = idle
 }
 
 // replayPenalty is the re-issue delay after a structural stall.
@@ -143,25 +126,12 @@ func (sm *SM) stashReplay(w *warp, in isa.Instr) {
 	w.cachedValid = true
 }
 
-// pickWarp removes and returns an issuable warp slot from scheduler s's
-// ready heap, or -1 (LRR path). Stale entries (retired or re-blocked
-// warps) are dropped lazily.
-func (sm *SM) pickWarp(s int, now uint64) int32 {
-	for {
-		e, ok := sm.heapPop(s)
-		if !ok {
-			return -1
-		}
-		if sm.warps[e.slot].ready(now) {
-			return e.slot
-		}
-	}
-}
-
-// issue executes one instruction for the warp in slot. It returns false
-// on a structural stall, leaving all state unchanged so the instruction
-// retries later. On success the warp is re-parked according to its new
-// state (timer wheel, memory wait, barrier wait, or retirement).
+// issue executes a load, store, barrier or exit for the warp in slot
+// (Tick retires compute ops itself). It returns false on a structural
+// stall, leaving all state unchanged so the instruction retries later.
+// On success the warp's new state says what it waits on: a fixed
+// latency (blockedUntil), load fills, a barrier release, or nothing
+// once it retires.
 func (sm *SM) issue(slot int32, now uint64) bool {
 	w := &sm.warps[slot]
 	// Snapshot the owner's counters: retiring the last warp can complete
@@ -185,15 +155,6 @@ func (sm *SM) issue(slot int32, now uint64) bool {
 			sm.stashReplay(w, in)
 			return false
 		}
-	case isa.OpALU, isa.OpNop:
-		w.blockedUntil = now + uint64(sm.cfg.ALULatency)
-		w.pc++
-	case isa.OpSFU:
-		w.blockedUntil = now + uint64(sm.cfg.SFULatency)
-		w.pc++
-	case isa.OpShared:
-		w.blockedUntil = now + uint64(sm.cfg.SharedLatency)
-		w.pc++
 	case isa.OpBarrier:
 		sm.issueBarrier(slot, now)
 	case isa.OpExit:
@@ -201,9 +162,6 @@ func (sm *SM) issue(slot int32, now uint64) bool {
 	}
 	w.cachedValid = false
 	sm.recordIssue(issuedFor, in.Op)
-	if !sm.useScan && w.active && !w.finished && !w.atBarrier && w.pendingLoads == 0 {
-		sm.pushWake(slot, w.blockedUntil)
-	}
 	return true
 }
 
@@ -338,13 +296,8 @@ func (sm *SM) issueBarrier(slot int32, now uint64) {
 			if rw.active && !rw.finished && rw.atBarrier {
 				rw.atBarrier = false
 				rw.blockedUntil = now + 1
-				if sm.useScan {
-					// Wake at now+1 like the wheel park would: released
-					// warps never issue in their release cycle.
-					sm.wakeAt(ws, now+1)
-				} else if ws != slot {
-					sm.pushWake(ws, now+1)
-				}
+				// Released warps never issue in their release cycle.
+				sm.wakeAt(ws, now+1)
 			}
 		}
 		c.arrived = 0
@@ -357,9 +310,7 @@ func (sm *SM) retireWarp(slot int32) {
 	w.finished = true
 	w.active = false
 	sm.activeWarps--
-	if sm.useScan {
-		sm.ageRemove(slot)
-	}
+	sm.ageRemove(slot)
 	c := &sm.ctas[w.ctaSlot]
 	c.warpsLeft--
 	if c.warpsLeft > 0 {
@@ -391,11 +342,7 @@ func (sm *SM) HandleResponse(req memreq.Request) {
 		if w.pendingLoads > 0 {
 			w.pendingLoads--
 			if w.pendingLoads == 0 && w.active && !w.finished && !w.atBarrier {
-				if sm.useScan {
-					sm.wakeAt(int32(tok), w.blockedUntil)
-				} else {
-					sm.pushReady(int32(tok))
-				}
+				sm.wakeAt(int32(tok), w.blockedUntil)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 // Package smcore models one streaming multiprocessor (SIMT core): CTA
-// and warp slots with occupancy limits, dual GTO/LRR warp schedulers, a
-// scoreboard (per-warp pending-load counts and fixed-latency busy
-// windows), an L1 data cache with MSHRs, and a bounded memory output
-// queue toward the interconnect.
+// and warp slots with occupancy limits, dual greedy-then-oldest (GTO)
+// warp schedulers, a scoreboard (per-warp pending-load counts and
+// fixed-latency busy windows), an L1 data cache with MSHRs, and a
+// bounded memory output queue toward the interconnect.
 //
 // An SM is owned by at most one application at a time. Ownership can be
 // transferred with the drain-then-transfer protocol the thesis adopts
@@ -40,7 +40,6 @@ type warp struct {
 	pc           int32
 	pendingLoads int32
 	blockedUntil uint64
-	launchSeq    uint64
 	// stallEpoch and stallRoom record the L1 epoch and the miss room of
 	// the replayed load's last structural stall (valid while stalled):
 	// the replay fails again, unprobed, until either one moves.
@@ -52,11 +51,6 @@ type warp struct {
 	// grids above the table cap); it makes the compute fast path a
 	// single byte index.
 	opRow []uint8
-}
-
-func (w *warp) ready(now uint64) bool {
-	return w.active && !w.finished && !w.atBarrier &&
-		w.pendingLoads == 0 && w.blockedUntil <= now
 }
 
 type ctaSlot struct {
@@ -80,60 +74,29 @@ type SM struct {
 	warps        []warp
 	ctas         []ctaSlot
 	residentCTAs int
-	launchSeq    uint64
-
-	// readyBuf holds, per scheduler, a fixed-region min-heap of issuable
-	// warp slots (region s is readyBuf[s*maxSlots:], occupancy
-	// readyLen[s]). Under GTO the heap key is warp age (launchSeq), so
-	// the pop order is greedy-then-oldest collapsed to
-	// oldest-ready-first — the greedy warp, once it wakes, is the oldest
-	// ready warp whenever it is still runnable. Under LRR the key is
-	// push order, giving FIFO rotation. wheelBuf is a timer wheel laid
-	// out the same way (bucket b is wheelBuf[b*maxSlots:], occupancy
-	// wheelLen[b]): warps blocked on a fixed latency are parked in the
-	// bucket of their wake-up cycle. Together they make per-cycle
-	// scheduler work proportional to runnable warps rather than to warp
-	// slots, and the flat preallocated regions keep the hot loop free of
-	// append growth and pointer write barriers. A warp is in at most one
-	// structure at a time, so every region is bounded by maxSlots.
-	// Purely a performance device — no architectural effect.
-	readyBuf []readyEntry
-	readyLen []int32
-	readySeq uint64
-	wheelBuf []int32
-	wheelLen [wheelSize]int32
-	// wheelScratch is where drainWheel copies a bucket before processing
-	// it: a wait longer than wheelSize re-parks into the same bucket.
-	// wrapFree records that no fixed latency of this configuration can
-	// reach wheelSize, so buckets never self-re-park and drain in place.
-	wheelScratch []int32
-	wrapFree     bool
 	maxSlots     int
 
-	// useScan selects the GTO fast path: under greedy-then-oldest the
-	// scheduling key (launchSeq) is static per warp and a ready warp
-	// stays ready until it issues, so the ready heap always holds
-	// exactly the ready set and popping its minimum is equivalent to
-	// scanning the scheduler's warps in age order for the first ready
-	// one. The scan needs no wheel parking, no wake pushes and no heap
-	// maintenance — the structures above then serve only the LRR
-	// policy, whose keys depend on push order.
+	// Each scheduler issues from its oldest ready warp. Greedy-then-
+	// oldest collapses to this rule: the greedy warp, once it wakes, is
+	// the oldest ready warp whenever it is still runnable. A warp's age
+	// is fixed at launch and a ready warp stays ready until it issues,
+	// so the oldest ready warp is the first one a scan of the
+	// scheduler's warps in age order finds ready.
 	//
 	// ageSlot/ageWake/ageLen hold, per scheduler, its live warps in
-	// launch (age) order as parallel arrays: ageWake[i] is warp
-	// ageSlot[i]'s effective wake cycle (NoEvent while it waits on a
-	// load fill or barrier release), so the scan walks a dense uint64
-	// array instead of chasing warp structs. agePos maps a slot to its
-	// position in its region. scanAt[s] is the
-	// earliest cycle at which scheduler s's scan could find a ready
-	// warp: a failed scan records the region's minimum wake, and every
-	// event wake-up (load fill, barrier release, warp launch) resets
-	// it. Scans are skipped while scanAt > now — exactly the cycles in
-	// which they would fail — so a fully memory-blocked SM costs O(1)
-	// per cycle, like the heap path.
+	// launch (age) order as parallel arrays: region s starts at
+	// s*maxSlots, and ageWake[i] is warp ageSlot[i]'s effective wake
+	// cycle (NoEvent while it waits on a load fill or barrier release),
+	// so the scan walks a dense uint64 array instead of chasing warp
+	// structs. agePos maps a slot to its position in its region.
+	// scanAt[s] is the earliest cycle at which scheduler s's scan could
+	// find a ready warp: a failed scan records the region's minimum
+	// wake, and every event wake-up (load fill, barrier release, warp
+	// launch) resets it. Scans are skipped while scanAt > now — exactly
+	// the cycles in which they would fail — so a fully memory-blocked
+	// SM costs O(1) per cycle.
 	// idleUntil is min(scanAt): Tick returns immediately while now is
 	// strictly below it. Event wake-ups reset it alongside scanAt.
-	useScan   bool
 	ageSlot   []int32
 	ageWake   []uint64
 	ageLen    []int32
@@ -142,7 +105,7 @@ type SM struct {
 	idleUntil uint64
 	// slotSched caches slot % SchedulersPerSM (a non-constant modulo on
 	// the hottest paths otherwise); aluLat/sfuLat/sharedLat cache the
-	// functional-unit latencies pre-widened for the compute fast path.
+	// functional-unit latencies pre-widened for Tick's compute path.
 	slotSched []int32
 	aluLat    uint64
 	sfuLat    uint64
@@ -195,34 +158,15 @@ func New(id int, cfg config.GPUConfig) (*SM, error) {
 		sfuLat:     uint64(cfg.SFULatency),
 		sharedLat:  uint64(cfg.SharedLatency),
 	}
-	// The timer wheel only ever parks fixed functional-unit and replay
-	// waits; when they all fit inside one wheel revolution no entry can
-	// wrap around, which lets drainWheel skip its defensive bucket copy.
-	maxWait := cfg.ALULatency
-	for _, l := range [...]int{cfg.SFULatency, cfg.SharedLatency, cfg.L1.LatencyCycles + 1, replayPenalty} {
-		if l > maxWait {
-			maxWait = l
-		}
-	}
-	sm.wrapFree = maxWait < wheelSize
-	// Exactly one scheduling structure is allocated: the GTO scan path
-	// or the LRR wheel+heap machinery, never both.
-	sm.useScan = cfg.WarpSched == config.SchedGTO
-	if sm.useScan {
-		sm.ageSlot = make([]int32, cfg.SchedulersPerSM*cfg.MaxWarpsPerSM)
-		sm.ageWake = make([]uint64, cfg.SchedulersPerSM*cfg.MaxWarpsPerSM)
-		sm.ageLen = make([]int32, cfg.SchedulersPerSM)
-		sm.agePos = make([]int32, cfg.MaxWarpsPerSM)
-		sm.scanAt = make([]uint64, cfg.SchedulersPerSM)
-		sm.slotSched = make([]int32, cfg.MaxWarpsPerSM)
-		for i := range sm.slotSched {
-			sm.slotSched[i] = int32(i % cfg.SchedulersPerSM)
-		}
-	} else {
-		sm.readyBuf = make([]readyEntry, cfg.SchedulersPerSM*cfg.MaxWarpsPerSM)
-		sm.readyLen = make([]int32, cfg.SchedulersPerSM)
-		sm.wheelBuf = make([]int32, wheelSize*cfg.MaxWarpsPerSM)
-		sm.wheelScratch = make([]int32, cfg.MaxWarpsPerSM)
+	nslots := cfg.SchedulersPerSM * cfg.MaxWarpsPerSM
+	sm.ageSlot = make([]int32, nslots)
+	sm.ageWake = make([]uint64, nslots)
+	sm.ageLen = make([]int32, cfg.SchedulersPerSM)
+	sm.agePos = make([]int32, cfg.MaxWarpsPerSM)
+	sm.scanAt = make([]uint64, cfg.SchedulersPerSM)
+	sm.slotSched = make([]int32, cfg.MaxWarpsPerSM)
+	for i := range sm.slotSched {
+		sm.slotSched[i] = int32(i % cfg.SchedulersPerSM)
 	}
 	for i := range sm.ctas {
 		sm.ctas[i].warpSlots = make([]int32, 0, cfg.MaxWarpsPerSM)
@@ -230,88 +174,9 @@ func New(id int, cfg config.GPUConfig) (*SM, error) {
 	return sm, nil
 }
 
-// wheelSize buckets cover every fixed functional-unit latency; longer
-// waits re-park when their bucket drains early.
-const wheelSize = 64
-
-// readyEntry pairs a warp slot with its scheduling key.
-type readyEntry struct {
-	key  uint64
-	slot int32
-}
-
-// heapPush adds an entry to scheduler s's ready min-heap.
-func (sm *SM) heapPush(s int, key uint64, slot int32) {
-	h := sm.readyBuf[s*sm.maxSlots : (s+1)*sm.maxSlots]
-	i := int(sm.readyLen[s])
-	sm.readyLen[s] = int32(i + 1)
-	h[i] = readyEntry{key: key, slot: slot}
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].key <= h[i].key {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-// heapPop removes the minimum-key entry of scheduler s's ready heap.
-func (sm *SM) heapPop(s int) (readyEntry, bool) {
-	n := int(sm.readyLen[s])
-	if n == 0 {
-		return readyEntry{}, false
-	}
-	h := sm.readyBuf[s*sm.maxSlots : (s+1)*sm.maxSlots]
-	top := h[0]
-	n--
-	sm.readyLen[s] = int32(n)
-	if n > 0 {
-		h[0] = h[n]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < n && h[l].key < h[smallest].key {
-				smallest = l
-			}
-			if r < n && h[r].key < h[smallest].key {
-				smallest = r
-			}
-			if smallest == i {
-				break
-			}
-			h[i], h[smallest] = h[smallest], h[i]
-			i = smallest
-		}
-	}
-	return top, true
-}
-
-// pushWake parks a warp until cycle at.
-func (sm *SM) pushWake(slot int32, at uint64) {
-	b := int(at % wheelSize)
-	i := sm.wheelLen[b]
-	sm.wheelBuf[b*sm.maxSlots+int(i)] = slot
-	sm.wheelLen[b] = i + 1
-}
-
-// pushReady marks a warp immediately issuable.
-func (sm *SM) pushReady(slot int32) {
-	s := int(slot) % sm.cfg.SchedulersPerSM
-	var key uint64
-	if sm.cfg.WarpSched == config.SchedGTO {
-		key = sm.warps[slot].launchSeq
-	} else {
-		sm.readySeq++
-		key = sm.readySeq
-	}
-	sm.heapPush(s, key, slot)
-}
-
-// agePush appends a newly launched warp to its scheduler's age order
-// (GTO scan path). launchSeq grows monotonically, so appending keeps
-// the region sorted by age.
+// agePush appends a newly launched warp to its scheduler's age order.
+// A warp's age is its launch order, so appending keeps the region
+// sorted.
 func (sm *SM) agePush(slot int32, wake uint64) {
 	s := int(sm.slotSched[slot])
 	i := s*sm.maxSlots + int(sm.ageLen[s])
@@ -349,45 +214,7 @@ func (sm *SM) wakeAt(slot int32, wake uint64) {
 	sm.idleUntil = 0
 }
 
-// drainWheel moves warps whose timers expired onto their ready lists.
-// The bucket is copied out before processing: a wait longer than
-// wheelSize re-parks into the *same* bucket (its wake cycle is congruent
-// mod wheelSize), and clearing after iteration would silently drop it.
-func (sm *SM) drainWheel(now uint64) {
-	b := int(now % wheelSize)
-	n := int(sm.wheelLen[b])
-	if n == 0 {
-		return
-	}
-	entries := sm.wheelBuf[b*sm.maxSlots : b*sm.maxSlots+n]
-	if !sm.wrapFree {
-		copy(sm.wheelScratch, entries)
-		entries = sm.wheelScratch[:n]
-	}
-	sm.wheelLen[b] = 0
-	for _, slot := range entries {
-		w := &sm.warps[slot]
-		if !w.active || w.finished {
-			continue
-		}
-		if w.blockedUntil > now {
-			sm.pushWake(slot, w.blockedUntil) // long wait wrapped around
-			continue
-		}
-		if w.atBarrier || w.pendingLoads > 0 {
-			continue // an event push will resurface it
-		}
-		sm.pushReady(slot)
-	}
-}
-
 func (sm *SM) clearSchedState() {
-	for i := range sm.readyLen {
-		sm.readyLen[i] = 0
-	}
-	for i := range sm.wheelLen {
-		sm.wheelLen[i] = 0
-	}
 	for i := range sm.ageLen {
 		sm.ageLen[i] = 0
 	}
@@ -511,7 +338,6 @@ func (sm *SM) LaunchCTA(ctaID int, now uint64) error {
 		if w.active {
 			continue
 		}
-		sm.launchSeq++
 		buf := w.cachedLines // keep the replay buffer across reuse
 		globalID := ctaID*sm.kern.WarpsPerCTA + launched
 		*w = warp{
@@ -519,16 +345,11 @@ func (sm *SM) LaunchCTA(ctaID int, now uint64) error {
 			ctaSlot:      int32(slot),
 			globalID:     int32(globalID),
 			blockedUntil: now + 1,
-			launchSeq:    sm.launchSeq,
 			cachedLines:  buf[:0],
 			opRow:        sm.kern.OpsRow(globalID),
 		}
 		c.warpSlots = append(c.warpSlots, int32(i))
-		if sm.useScan {
-			sm.agePush(int32(i), now+1)
-		} else {
-			sm.pushWake(int32(i), now+1)
-		}
+		sm.agePush(int32(i), now+1)
 		launched++
 	}
 	sm.activeWarps += launched
@@ -556,8 +377,9 @@ func (sm *SM) PopOut() {
 }
 
 // NextEvent returns the earliest future cycle (> now) at which this SM
-// could make progress on its own: issue from a ready warp, wake a
-// timer-parked warp, or retry injection of a queued memory request.
+// could make progress on its own: issue from a ready warp, reach the
+// wake cycle of a warp waiting out a fixed latency, or retry injection
+// of a queued memory request.
 // Progress driven from outside — response fills and CTA dispatch — is
 // the device's concern. NoEvent means the SM is fully passive (idle, or
 // every resident warp is waiting on loads or a barrier release that only
@@ -569,36 +391,16 @@ func (sm *SM) NextEvent(now uint64) uint64 {
 	if sm.app == NoApp || sm.residentCTAs == 0 {
 		return NoEvent
 	}
+	// scanAt[s] is exact while armed (> now): no scan, and hence no
+	// issue, has happened since it was computed, and event wake-ups
+	// reset it. An unarmed scheduler may hold a ready warp.
 	next := uint64(NoEvent)
-	if sm.useScan {
-		// scanAt[s] is exact while armed (> now): no scan, and hence no
-		// issue, has happened since it was computed, and event wake-ups
-		// reset it. An unarmed scheduler may hold a ready warp.
-		for _, t := range sm.scanAt {
-			if t <= now {
-				return now + 1
-			}
-			if t < next {
-				next = t
-			}
-		}
-		return next
-	}
-	for _, n := range sm.readyLen {
-		if n > 0 {
+	for _, t := range sm.scanAt {
+		if t <= now {
 			return now + 1
 		}
-	}
-	for i := range sm.warps {
-		w := &sm.warps[i]
-		if !w.active || w.finished || w.atBarrier || w.pendingLoads > 0 {
-			continue
-		}
-		if w.blockedUntil <= now {
-			return now + 1 // should be on a ready list; stay conservative
-		}
-		if w.blockedUntil < next {
-			next = w.blockedUntil
+		if t < next {
+			next = t
 		}
 	}
 	return next

@@ -32,7 +32,12 @@ func memParams(ctas, warps, instrs int) kernel.Params {
 
 func newSM(t *testing.T, params kernel.Params) (*SM, *stats.App, *kernel.Kernel) {
 	t.Helper()
-	cfg := testCfg()
+	return newSMOn(t, testCfg(), params)
+}
+
+// newSMOn builds an SM on cfg and assigns it a kernel of params.
+func newSMOn(t *testing.T, cfg config.GPUConfig, params kernel.Params) (*SM, *stats.App, *kernel.Kernel) {
+	t.Helper()
 	sm, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +85,23 @@ func TestComputeKernelRetiresAllInstructions(t *testing.T) {
 	}
 	if st.ThreadInstructions != want*uint64(testCfg().WarpSize) {
 		t.Fatalf("thread instructions = %d", st.ThreadInstructions)
+	}
+}
+
+// TestZeroLatencyComputeRetires runs compute ops whose functional-unit
+// latencies are zero. New does not validate its configuration, so such
+// an op must still retire and leave its warp issuable.
+func TestZeroLatencyComputeRetires(t *testing.T) {
+	cfg := testCfg()
+	cfg.ALULatency, cfg.SFULatency, cfg.SharedLatency = 0, 0, 0
+	params := computeParams(4, 2, 50)
+	params.SFUFraction = 0.3
+	params.SharedFraction = 0.2
+	sm, st, k := newSMOn(t, cfg, params)
+	runCompute(t, sm, k, 100000)
+	want := uint64(params.CTAs * params.WarpsPerCTA * params.InstrsPerWarp)
+	if st.WarpInstructions != want {
+		t.Fatalf("warp instructions = %d, want %d", st.WarpInstructions, want)
 	}
 }
 
@@ -263,39 +285,182 @@ func TestOnCTADoneCallback(t *testing.T) {
 	}
 }
 
-func TestGTOvsLRRBothComplete(t *testing.T) {
-	for _, sched := range []config.WarpSchedPolicy{config.SchedGTO, config.SchedLRR} {
-		cfg := testCfg()
-		cfg.WarpSched = sched
-		sm, err := New(0, cfg)
-		if err != nil {
-			t.Fatal(err)
+// gtoTally counts the scheduling situations a checked run went through,
+// so a test can tell a run that exercised the GTO rule from one that
+// merely never contradicted it.
+type gtoTally struct {
+	contended int // scheduler-cycles with two or more ready warps
+	overtook  int // issues by a warp younger than a blocked warp of its scheduler
+	heldBack  int // structural stalls of the oldest ready warp while a younger one was ready
+	retries   int // stalls of a warp exactly replayPenalty cycles after its last one
+}
+
+// tickGTO runs one Tick and checks it against greedy-then-oldest: a
+// scheduler owns the warp slots of one parity (slot % SchedulersPerSM)
+// and tries only its oldest ready warp. That warp either issues (its
+// PC advances or it retires) or fails a structural stall, burning the
+// scheduler's slot for the cycle and re-arming itself replayPenalty
+// cycles later. No other warp of the scheduler moves. Callers launch
+// blocks in ID order, so a smaller kernel-wide warp index (globalID)
+// is an older warp. lastStall holds each slot's most recent stall
+// cycle.
+func tickGTO(t *testing.T, sm *SM, now uint64, lastStall []uint64, tally *gtoTally) {
+	t.Helper()
+	type snap struct {
+		pc     int32
+		active bool
+	}
+	nsched := sm.cfg.SchedulersPerSM
+	before := make([]snap, len(sm.warps))
+	oldest := make([]int, nsched)
+	nready := make([]int, nsched)
+	for s := range oldest {
+		oldest[s] = -1
+	}
+	for i := range sm.warps {
+		w := &sm.warps[i]
+		before[i] = snap{w.pc, w.active}
+		ready := w.active && !w.finished && !w.atBarrier && w.pendingLoads == 0 && w.blockedUntil <= now
+		if !ready {
+			continue
 		}
-		params := computeParams(6, 2, 80)
-		k, err := kernel.New(params, cfg.L1.LineBytes)
-		if err != nil {
-			t.Fatal(err)
+		s := i % nsched
+		nready[s]++
+		if o := oldest[s]; o < 0 || w.globalID < sm.warps[o].globalID {
+			oldest[s] = i
 		}
-		st := &stats.App{}
-		if err := sm.Assign(0, k, st); err != nil {
-			t.Fatal(err)
+	}
+	sm.Tick(now)
+	for s := 0; s < nsched; s++ {
+		moved := -1
+		for i := s; i < len(sm.warps); i += nsched {
+			if w := &sm.warps[i]; w.pc != before[i].pc || w.active != before[i].active {
+				if moved >= 0 {
+					t.Fatalf("cycle %d: scheduler %d issued from slots %d and %d", now, s, moved, i)
+				}
+				moved = i
+			}
 		}
-		next := 0
+		o := oldest[s]
+		if nready[s] > 1 {
+			tally.contended++
+		}
+		switch {
+		case o < 0:
+			if moved >= 0 {
+				t.Fatalf("cycle %d: scheduler %d issued from slot %d with no warp ready", now, s, moved)
+			}
+		case moved == o:
+			for i := s; i < len(sm.warps); i += nsched {
+				if w := &sm.warps[i]; before[i].active && i != o && w.globalID < sm.warps[o].globalID {
+					tally.overtook++
+					break
+				}
+			}
+		case moved >= 0:
+			t.Fatalf("cycle %d: scheduler %d issued from slot %d, but its oldest ready warp is slot %d",
+				now, s, moved, o)
+		default:
+			if got := sm.warps[o].blockedUntil; got != now+replayPenalty {
+				t.Fatalf("cycle %d: scheduler %d issued nothing; its oldest ready slot %d was not stalled (re-armed for %d, want %d)",
+					now, s, o, got, now+replayPenalty)
+			}
+			if nready[s] > 1 {
+				tally.heldBack++
+			}
+			if lastStall[o] != 0 && lastStall[o]+replayPenalty == now {
+				tally.retries++
+			}
+			lastStall[o] = now
+		}
+	}
+}
+
+// TestGTOIssueOrder pins which warp each scheduler issues from, not only
+// how many instructions complete. The first run answers loads after a
+// delay, so older warps block on fills while younger ones compute; the
+// second never drains the output queue, so the oldest warp's load keeps
+// failing while younger warps of its scheduler are ready. Neither may
+// issue out of age order, and a failed load is retried exactly
+// replayPenalty cycles later.
+func TestGTOIssueOrder(t *testing.T) {
+	t.Run("delayed-fills", func(t *testing.T) {
+		params := memParams(8, 2, 60)
+		params.StoreFraction = 0.2
+		params.SFUFraction = 0.2
+		params.SharedFraction = 0.1
+		params.BarrierEvery = 12
+		sm, st, k := newSM(t, params)
+		const fillDelay = 30
+		type fill struct {
+			due uint64
+			req memreq.Request
+		}
+		var fills []fill
+		lastStall := make([]uint64, len(sm.warps))
+		var tally gtoTally
 		var now uint64
-		for cycle := 0; cycle < 100000; cycle++ {
+		next := 0
+		for next < k.CTAs || !sm.Idle() {
 			now++
+			if now > 100000 {
+				t.Fatalf("SM did not finish (resident=%d)", sm.ResidentCTAs())
+			}
 			if next < k.CTAs && sm.CanLaunch() {
-				_ = sm.LaunchCTA(next, now)
+				if err := sm.LaunchCTA(next, now); err != nil {
+					t.Fatal(err)
+				}
 				next++
 			}
-			sm.Tick(now)
-			if next == k.CTAs && sm.Idle() {
-				break
+			tickGTO(t, sm, now, lastStall, &tally)
+			for req, ok := sm.PeekOut(); ok; req, ok = sm.PeekOut() {
+				sm.PopOut()
+				if req.Kind == memreq.Read {
+					fills = append(fills, fill{now + fillDelay, memreq.Request{
+						Kind: memreq.ReadReply, Line: req.Line, App: req.App, Size: 128,
+					}})
+				}
+			}
+			for len(fills) > 0 && fills[0].due <= now {
+				sm.HandleResponse(fills[0].req)
+				fills = fills[1:]
 			}
 		}
 		want := uint64(params.CTAs * params.WarpsPerCTA * params.InstrsPerWarp)
 		if st.WarpInstructions != want {
-			t.Fatalf("%v: %d instructions, want %d", sched, st.WarpInstructions, want)
+			t.Fatalf("warp instructions = %d, want %d", st.WarpInstructions, want)
 		}
-	}
+		if tally.contended == 0 || tally.overtook == 0 {
+			t.Fatalf("run never exercised the age order: %+v", tally)
+		}
+	})
+	t.Run("full-output-queue", func(t *testing.T) {
+		// A barrier releases every warp of a block in one cycle, and the
+		// instruction after it is a load: the oldest warp's load finds
+		// the queue full while younger warps are ready beside it.
+		params := memParams(2, 4, 60)
+		params.BarrierEvery = 4
+		params.MemEvery = 5
+		params.CoalescedLines = 4
+		sm, _, k := newSM(t, params)
+		lastStall := make([]uint64, len(sm.warps))
+		var tally gtoTally
+		var now uint64
+		for next := 0; now < 400; {
+			now++
+			if next < k.CTAs && sm.CanLaunch() {
+				if err := sm.LaunchCTA(next, now); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			tickGTO(t, sm, now, lastStall, &tally)
+		}
+		if sm.OutPending() < sm.outLimit-1 {
+			t.Fatalf("output queue holds %d of %d: loads never stalled on it", sm.OutPending(), sm.outLimit)
+		}
+		if tally.heldBack == 0 || tally.retries == 0 {
+			t.Fatalf("run never held back a ready warp behind a stalled load: %+v", tally)
+		}
+	})
 }

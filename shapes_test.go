@@ -106,10 +106,9 @@ func TestShapeFig4_1(t *testing.T) {
 		t.Errorf("FCFS co-run (%.1f) should beat serial (%.1f)", fcfs, serial)
 	}
 	// Co-scheduling gain over serial reproduces; the paper's additional
-	// ILP-over-FCFS margin does not on this substrate (see
-	// EXPERIMENTS.md, "Known divergence"): slowdowns are measured
-	// against full-device solo runs, so bandwidth-saturated classes
-	// (which lose no throughput from losing SMs) look like cheap
+	// ILP-over-FCFS margin does not on this substrate: slowdowns are
+	// measured against full-device solo runs, so bandwidth-saturated
+	// classes (which lose no throughput from losing SMs) look like cheap
 	// co-runners to the Eq. 3.3 objective, and this simulator's
 	// compute-to-bandwidth ratio amplifies that bias.
 	if ilp <= serial*1.02 {
@@ -139,9 +138,9 @@ func TestShapeFig4_3(t *testing.T) {
 	smra := avg(sched.ILPSMRA.String())
 	ilp := avg("ILP")
 	// Paper: +36%% on average. On this substrate the average gain is a
-	// few percent (see EXPERIMENTS.md, "Known divergence"); the shape
-	// kept here is that dynamic reallocation never loses to static ILP
-	// and the combined policy does not collapse below Even.
+	// few percent; the shape kept here is that dynamic reallocation
+	// never loses to static ILP and the combined policy does not
+	// collapse below Even.
 	if smra < 0.97 {
 		t.Errorf("ILP-SMRA average vs Even = %.3f, collapsed", smra)
 	}
