@@ -43,8 +43,8 @@ func newDispatchRig(tb testing.TB) *dispatchRig {
 		disp:     f.newDispatcher(),
 		resolved: flightHeap{live: flightResolved},
 	}
-	for _, j := range jobs {
-		rig.queue.insert(j)
+	for i := range jobs {
+		rig.queue.insert(&jobs[i])
 	}
 	return rig
 }
@@ -122,9 +122,10 @@ func BenchmarkFleetDispatch(b *testing.B) {
 // TestModeledRunMemoryBounded runs a million-job overloaded Modeled
 // fleet — 16 test devices, Poisson arrivals at one per kilocycle, a
 // tenth of them latency jobs under preemptive SLO dispatch — and bounds
-// what Run and Summary allocate per job. Per-job state is one small
-// record plus its JobRecord; per-application state is shared, and
-// Summary sorts each class once. The backlog grows to hundreds of
+// what Run and Summary allocate per job. Per-job state is one JobRecord,
+// which the event loop runs on and Result.Jobs returns; per-application
+// state is shared, and Summary sorts each class once. The bound leaves
+// no room for a second per-job record. The backlog grows to hundreds of
 // thousands of batch jobs, so the test also pins latency arrivals to an
 // O(1) insert instead of a shift of the whole backlog.
 func TestModeledRunMemoryBounded(t *testing.T) {
@@ -132,7 +133,7 @@ func TestModeledRunMemoryBounded(t *testing.T) {
 		t.Skip("million-job run")
 	}
 	const jobs = 1 << 20
-	const maxBytesPerJob = 400
+	const maxBytesPerJob = 240
 	p := testPipeline(t)
 	f, err := New(Config{
 		Devices: homo(p, 16), NC: 2, Policy: sched.ILP, Engine: Modeled,

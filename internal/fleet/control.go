@@ -129,9 +129,10 @@ const (
 	DefaultScaleEpoch = 1 << 16
 )
 
-// Job lifecycle states (job.state), the conservation test's ground
-// truth: every submitted attempt ends done, abandoned or rejected. The
-// zero value is jsPending so arena-allocated jobs start unsubmitted.
+// Job lifecycle states (JobRecord.state), the conservation test's
+// ground truth: every submitted attempt ends done, abandoned or
+// rejected. The zero value is jsPending so arena-allocated jobs start
+// unsubmitted.
 const (
 	jsPending uint8 = iota
 	jsWaiting
@@ -220,7 +221,7 @@ const (
 // pure function of the deterministic event history.
 type ctlEvent struct {
 	kind ctlKind
-	j    *job
+	j    *JobRecord
 	aux  int
 }
 
@@ -229,7 +230,7 @@ type ctlEvent struct {
 // system (or just finished).
 type clientState struct {
 	stream *rng.Stream
-	reqs   []*job
+	reqs   []JobRecord
 	cursor int
 }
 
@@ -257,7 +258,7 @@ type loopCtl struct {
 	// loop's event heap empties instead of ticking forever.
 	scaleArmed bool
 	// rmBuf is the single-job scratch abandon passes to removeJobs.
-	rmBuf [1]*job
+	rmBuf [1]*JobRecord
 
 	// Chaos state, indexed by device. A failed or draining device is
 	// "down": it never sits in the idle heap and the dispatch pass never
@@ -306,13 +307,13 @@ func (f *Fleet) newLoopCtl(l *loop) *loopCtl {
 
 // initClients seeds every closed-loop client (none on an open-loop run)
 // and schedules its first submission after an initial think draw.
-func (c *loopCtl) initClients(perClient [][]*job) {
+func (c *loopCtl) initClients(perClient [][]JobRecord) {
 	c.clients = make([]clientState, len(perClient))
 	for id, reqs := range perClient {
 		cs := &c.clients[id]
 		cs.stream = rng.NewStream(rng.Hash3(c.f.cfg.Closed.Seed, uint64(id), 3))
 		cs.reqs = reqs
-		c.push(c.thinkDraw(cs), ctlEvent{kind: evSubmit, j: cs.reqs[0]})
+		c.push(c.thinkDraw(cs), ctlEvent{kind: evSubmit, j: &cs.reqs[0]})
 	}
 }
 
@@ -459,10 +460,10 @@ func (c *loopCtl) chaosRestore(d int) {
 
 // submit is a closed-loop (re-)submission: count it, run admission,
 // queue it and arm its timeout.
-func (c *loopCtl) submit(j *job, now uint64, retry bool) {
+func (c *loopCtl) submit(j *JobRecord, now uint64, retry bool) {
 	cc := &c.f.cfg.Closed
-	j.attempts++
-	j.arrival = now
+	j.Attempts++
+	j.Arrival = now
 	c.l.res.Submitted++
 	if retry {
 		c.l.res.Retried++
@@ -475,7 +476,7 @@ func (c *loopCtl) submit(j *job, now uint64, retry bool) {
 	}
 	c.l.queue.insert(j)
 	if cc.Timeout > 0 {
-		c.push(now+cc.Timeout, ctlEvent{kind: evAbandon, j: j, aux: j.attempts})
+		c.push(now+cc.Timeout, ctlEvent{kind: evAbandon, j: j, aux: j.Attempts})
 	}
 }
 
@@ -483,8 +484,8 @@ func (c *loopCtl) submit(j *job, now uint64, retry bool) {
 // the autoscaler and runs admission. It returns false when the job was
 // terminally rejected (open arrivals never retry); the caller then
 // skips the queue insert.
-func (c *loopCtl) admitOpen(j *job, now uint64) bool {
-	j.attempts = 1
+func (c *loopCtl) admitOpen(j *JobRecord, now uint64) bool {
+	j.Attempts = 1
 	c.l.res.Submitted++
 	c.armScale(now)
 	if c.admit(j, now) {
@@ -498,16 +499,16 @@ func (c *loopCtl) admitOpen(j *job, now uint64) bool {
 
 // admit applies admission control to one submission: true admits
 // (possibly degrading a latency job to batch in Degrade mode).
-func (c *loopCtl) admit(j *job, now uint64) bool {
+func (c *loopCtl) admit(j *JobRecord, now uint64) bool {
 	ad := &c.f.cfg.Admission
 	if !ad.Enabled || c.predictedWait(now) <= ad.MaxWait {
 		return true
 	}
 	if ad.Degrade {
-		if j.slo == Latency {
+		if j.SLO == Latency {
 			c.l.res.Degraded++
-			j.slo = Batch
-			j.deadline = 0
+			j.SLO = Batch
+			j.Deadline = 0
 		}
 		// Degrade mode never drops work; batch submissions ride out the
 		// predicted wait.
@@ -559,8 +560,8 @@ func (c *loopCtl) predictedWait(now uint64) uint64 {
 // timers no-ops: only the attempt the timer was armed for, and only
 // while it is still waiting (running or finished requests keep their
 // outcome).
-func (c *loopCtl) abandon(j *job, attempt int, now uint64) {
-	if j.state != jsWaiting || j.attempts != attempt {
+func (c *loopCtl) abandon(j *JobRecord, attempt int, now uint64) {
+	if j.state != jsWaiting || j.Attempts != attempt {
 		return
 	}
 	c.rmBuf[0] = j
@@ -572,11 +573,11 @@ func (c *loopCtl) abandon(j *job, attempt int, now uint64) {
 // fail ends one attempt short of completion: schedule a backoff retry
 // while the budget lasts, otherwise settle the request terminally and
 // let its client move on.
-func (c *loopCtl) fail(j *job, now uint64, terminal uint8) {
+func (c *loopCtl) fail(j *JobRecord, now uint64, terminal uint8) {
 	cc := &c.f.cfg.Closed
-	if j.client >= 0 && j.attempts <= cc.Retries {
+	if j.client >= 0 && j.Attempts <= cc.Retries {
 		j.state = jsPending
-		shift := uint(j.attempts - 1)
+		shift := uint(j.Attempts - 1)
 		if shift > 20 {
 			shift = 20
 		}
@@ -586,7 +587,7 @@ func (c *loopCtl) fail(j *job, now uint64, terminal uint8) {
 	j.state = terminal
 	c.l.remaining--
 	if j.client >= 0 {
-		c.clientAdvance(j.client, now, now)
+		c.clientAdvance(int(j.client), now, now)
 	}
 }
 
@@ -596,7 +597,7 @@ func (c *loopCtl) fail(j *job, now uint64, terminal uint8) {
 func (c *loopCtl) onRetire(fl *inflight, now uint64) {
 	for _, j := range fl.jobs {
 		if j.client >= 0 {
-			c.clientAdvance(j.client, now, j.complete)
+			c.clientAdvance(int(j.client), now, j.Complete)
 		}
 	}
 }
@@ -615,7 +616,7 @@ func (c *loopCtl) clientAdvance(id int, now, base uint64) {
 	if at < now {
 		at = now
 	}
-	c.push(at, ctlEvent{kind: evSubmit, j: cs.reqs[cs.cursor]})
+	c.push(at, ctlEvent{kind: evSubmit, j: &cs.reqs[cs.cursor]})
 }
 
 // thinkDraw draws one exponential think time from the client's stream.
@@ -716,8 +717,8 @@ func (c *loopCtl) provision(d int) {
 // Requests + request). Names and SLO tags come from per-client streams
 // derived only from the seed and the client id. Submission cycles are
 // stamped at submit time; resolve only needs the names in a fixed
-// order.
-func (f *Fleet) resolveClosed() ([]*job, [][]*job, error) {
+// order. Each client's sequence is a sub-slice of the one record arena.
+func (f *Fleet) resolveClosed() ([]JobRecord, [][]JobRecord, error) {
 	cc := f.cfg.Closed
 	arrivals := make([]Arrival, 0, cc.Clients*cc.Requests)
 	for c := 0; c < cc.Clients; c++ {
@@ -736,11 +737,11 @@ func (f *Fleet) resolveClosed() ([]*job, [][]*job, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	perClient := make([][]*job, cc.Clients)
+	perClient := make([][]JobRecord, cc.Clients)
 	for c := 0; c < cc.Clients; c++ {
 		reqs := jobs[c*cc.Requests : (c+1)*cc.Requests]
-		for _, j := range reqs {
-			j.client = c
+		for i := range reqs {
+			reqs[i].client = int32(c)
 		}
 		perClient[c] = reqs
 	}

@@ -129,13 +129,13 @@ func (d *dispatcher) recycle(fl *inflight) {
 // window[i]'s wait normalized to the longest wait in the window, in
 // [0,1]. A nil result means aging is off (zero weight or an empty
 // window).
-func (d *dispatcher) agingWeights(window []*job, now uint64) []float64 {
+func (d *dispatcher) agingWeights(window []*JobRecord, now uint64) []float64 {
 	if d.f.cfg.Aging == 0 || len(window) == 0 {
 		return nil
 	}
 	maxWait := uint64(0)
 	for _, j := range window {
-		if w := now - j.arrival; w > maxWait {
+		if w := now - j.Arrival; w > maxWait {
 			maxWait = w
 		}
 	}
@@ -144,7 +144,7 @@ func (d *dispatcher) agingWeights(window []*job, now uint64) []float64 {
 	}
 	d.agingW = d.agingW[:0]
 	for _, j := range window {
-		d.agingW = append(d.agingW, float64(now-j.arrival)/float64(maxWait))
+		d.agingW = append(d.agingW, float64(now-j.Arrival)/float64(maxWait))
 	}
 	return d.agingW
 }
@@ -152,7 +152,7 @@ func (d *dispatcher) agingWeights(window []*job, now uint64) []float64 {
 // containsJob reports whether a formed group (at most NC members)
 // already holds j — the linear scan that replaced the per-dispatch
 // taken maps, allocation-free and faster at group sizes up to 8.
-func containsJob(members []*job, j *job) bool {
+func containsJob(members []*JobRecord, j *JobRecord) bool {
 	for _, m := range members {
 		if m == j {
 			return true
@@ -193,7 +193,7 @@ func containsJob(members []*job, j *job) bool {
 // The members are appended into dst (the flight's reused member
 // buffer, passed in truncated to length zero), so steady-state
 // dispatch forms groups without allocating.
-func (d *dispatcher) formGroup(dst []*job, queue *jobQueue, t int, now uint64) (members []*job, usedILP bool) {
+func (d *dispatcher) formGroup(dst []*JobRecord, queue *jobQueue, t int, now uint64) (members []*JobRecord, usedILP bool) {
 	f := d.f
 	switch f.cfg.Policy {
 	case sched.Serial:
@@ -222,7 +222,7 @@ func (d *dispatcher) formGroup(dst []*job, queue *jobQueue, t int, now uint64) (
 // not make dispatch linear in the backlog.
 //
 //simlint:hotpath
-func (d *dispatcher) formGreedyGroup(dst []*job, queue *jobQueue, t int, now uint64) []*job {
+func (d *dispatcher) formGreedyGroup(dst []*JobRecord, queue *jobQueue, t int, now uint64) []*JobRecord {
 	f := d.f
 	window := queue.window(f.windowFor(queue, t))
 	aging := d.agingWeights(window, now)
@@ -265,7 +265,7 @@ func (d *dispatcher) formGreedyGroup(dst []*job, queue *jobQueue, t int, now uin
 // dispatch afresh.
 //
 //simlint:hotpath
-func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64) []*job {
+func (d *dispatcher) formILPGroup(dst []*JobRecord, queue *jobQueue, t int, now uint64) []*JobRecord {
 	f := d.f
 	window := queue.window(f.windowFor(queue, t))
 	var counts [classify.NumClasses]int
@@ -379,7 +379,7 @@ func (f *Fleet) buildMatchTables() {
 // Equation 3.4 efficiency of their class multiset on device type t.
 //
 //simlint:hotpath
-func (f *Fleet) patternEff(t int, members []*job, extra *job) float64 {
+func (f *Fleet) patternEff(t int, members []*JobRecord, extra *JobRecord) float64 {
 	key := classKey(extra.class(t))
 	for _, m := range members {
 		key += classKey(m.class(t))

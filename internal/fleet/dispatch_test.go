@@ -12,14 +12,14 @@ import (
 
 // classJobs returns one synthetic job per class, classed the same on
 // every one of types device types — enough to spell any pattern.
-func classJobs(types int) []*job {
-	jobs := make([]*job, classify.NumClasses)
+func classJobs(types int) []*JobRecord {
+	jobs := make([]*JobRecord, classify.NumClasses)
 	for c := range jobs {
 		app := &appInfo{apps: make([]sched.QueuedApp, types)}
 		for t := range app.apps {
 			app.apps[t].Class = classify.Class(c)
 		}
-		jobs[c] = &job{app: app}
+		jobs[c] = &JobRecord{app: app}
 	}
 	return jobs
 }
@@ -40,7 +40,7 @@ func TestPatternEffMatchesEfficiency(t *testing.T) {
 			}
 			for size := 2; size <= nc; size++ {
 				for _, p := range match.Patterns(size) {
-					members := make([]*job, len(p))
+					members := make([]*JobRecord, len(p))
 					for i, c := range p {
 						members[i] = byClass[c]
 					}

@@ -38,6 +38,9 @@
 // O(log n) whatever the fleet size, which is what lets the same loop
 // serve 4 devices × 60 jobs and 64 devices × 100k jobs. Every run is
 // one event loop (loop.go) over the whole roster, under every engine.
+// Each job is one JobRecord: resolve allocates the records as one arena
+// (sim.go), the loop keeps its per-job state in their unexported fields,
+// and Run finalizes them in place and returns the arena as Result.Jobs.
 //
 // Config.Engine selects how a dispatched group's completion is learned
 // (engine.go). Cycle simulates every group cycle-accurately — the

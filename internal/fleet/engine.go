@@ -82,7 +82,7 @@ const DefaultHybridWarm = 2
 // allocates nothing once the pools are warm.
 //
 //simlint:hotpath
-func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*job, t int, calib float64) error {
+func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*JobRecord, t int, calib float64) error {
 	m := d.f.types[t].Matrix()
 	d.patBuf = d.patBuf[:0]
 	if m != nil && len(members) > 1 {
@@ -109,10 +109,10 @@ func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*job, t int, 
 		if end < 1 {
 			end = 1
 		}
-		rep.Apps = append(rep.Apps, j.name())
+		rep.Apps = append(rep.Apps, j.Name)
 		rep.Classes = append(rep.Classes, j.class(t))
 		rep.Stats = append(rep.Stats, stats.App{
-			Name:               j.name(),
+			Name:               j.Name,
 			ThreadInstructions: sp.instrs,
 			EndCycle:           end,
 			Done:               true,
@@ -126,9 +126,9 @@ func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*job, t int, 
 
 // missingSolo builds the cold-path error for an uncalibrated member
 // (kept out of the hot-path functions so they stay fmt-free).
-func (d *dispatcher) missingSolo(j *job, t int) error {
+func (d *dispatcher) missingSolo(j *JobRecord, t int) error {
 	return fmt.Errorf("fleet: no solo profile for %q on %s (modeled engine needs a calibrated universe)",
-		j.name(), d.f.types[t].Config().Name)
+		j.Name, d.f.types[t].Config().Name)
 }
 
 // commitModeled resolves a modeled flight at dispatch time: one
@@ -153,10 +153,10 @@ func (d *dispatcher) commitModeled(fl *inflight, now uint64, calib float64, reso
 // Hybrid engine's calibration table: the member names sorted, so the
 // same multiset dispatched in a different draw order shares one
 // calibration.
-func compositionKey(members []*job, t int) string {
+func compositionKey(members []*JobRecord, t int) string {
 	names := make([]string, len(members))
 	for i, j := range members {
-		names[i] = j.name()
+		names[i] = j.Name
 	}
 	sort.Strings(names)
 	return fmt.Sprintf("t%d:%s", t, strings.Join(names, "|"))

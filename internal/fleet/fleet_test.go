@@ -258,11 +258,15 @@ func TestLowerBoundCyclesSound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bound := f.lowerBoundCycles(jobs, 0)
-				g := group(jobs, 0)
-				for k, m := range jobs {
-					if g[k].Arrival != m.id || g[k].Params.Name != m.name() {
-						t.Fatalf("group member %d is %s arriving at %d, want job %d (%s)", k, g[k].Params.Name, g[k].Arrival, m.id, m.name())
+				members := make([]*JobRecord, len(jobs))
+				for k := range jobs {
+					members[k] = &jobs[k]
+				}
+				bound := f.lowerBoundCycles(members, 0)
+				g := group(members, 0)
+				for k, m := range members {
+					if g[k].Arrival != m.ID || g[k].Params.Name != m.Name {
+						t.Fatalf("group member %d is %s arriving at %d, want job %d (%s)", k, g[k].Params.Name, g[k].Arrival, m.ID, m.Name)
 					}
 				}
 				rep, err := p.Scheduler().RunGroup(g, sched.FCFS)

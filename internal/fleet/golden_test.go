@@ -235,7 +235,10 @@ func preemptChaosRun(t *testing.T, engine EngineMode) Result {
 // the Modeled and the Cycle engine: the summary and the eviction trace,
 // which must hold at least one preemption and one chaos eviction. Cycle
 // flights resolve after dispatch, so that run also covers a flight's
-// free-time estimate changing while it runs. Regenerate with
+// free-time estimate changing while it runs. Every returned record must
+// hold its exported fields only: the event loop keeps its per-job state
+// in the record while it runs, an evicted job's checkpoint progress
+// included. Regenerate with
 //
 //	go test ./internal/fleet -run PreemptChaosGolden -update
 //
@@ -260,6 +263,16 @@ func TestPreemptChaosGolden(t *testing.T) {
 			}
 			if preempt == 0 || chaos == 0 {
 				t.Errorf("evictions: %d preemption, %d chaos; want at least one of each", preempt, chaos)
+			}
+			for _, j := range res.Jobs {
+				exported := JobRecord{
+					ID: j.ID, Name: j.Name, Class: j.Class, SLO: j.SLO, Deadline: j.Deadline,
+					Arrival: j.Arrival, Dispatch: j.Dispatch, Complete: j.Complete, Device: j.Device,
+					Evictions: j.Evictions, Outcome: j.Outcome, Attempts: j.Attempts,
+				}
+				if j != exported {
+					t.Fatalf("job %d returns loop state: %+v", j.ID, j)
+				}
 			}
 			compareGolden(t, "preempt_chaos_"+tc.name+".golden", res.Summary()+res.EvictionTrace())
 		})

@@ -55,9 +55,10 @@ type loop struct {
 	ctl *loopCtl
 	now uint64
 	seq int
-	// arr is the open-loop arrival stream in arrival order. Closed-loop
-	// submissions arrive through the control heap instead.
-	arr     []*job
+	// arr is the open-loop arrival stream in arrival order, walked by
+	// index. Closed-loop submissions arrive through the control heap
+	// instead.
+	arr     []JobRecord
 	nextArr int
 	// remaining counts the unsettled jobs: submissions not yet
 	// completed, rejected or abandoned.
@@ -79,8 +80,9 @@ type loop struct {
 }
 
 // Run executes the arrival stream on the fleet and returns the per-job
-// and per-device accounting: resolve the jobs, build the loop, run it
-// until every job settles, and build the result.
+// and per-device accounting: resolve the job records, build the loop,
+// run it until every job settles, wait out the simulations it started,
+// and build the result on the same records.
 func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 	closed := f.cfg.Closed.Enabled
 	if closed && len(arrivals) > 0 {
@@ -90,8 +92,8 @@ func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 		return Result{}, fmt.Errorf("fleet: empty arrival stream")
 	}
 	var (
-		jobs      []*job
-		perClient [][]*job
+		jobs      []JobRecord
+		perClient [][]JobRecord
 		err       error
 	)
 	if closed {
@@ -103,8 +105,11 @@ func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 		return Result{}, err
 	}
 	l := f.newLoop(jobs, perClient)
-	defer l.wait()
-	if err := l.run(); err != nil {
+	err = l.run()
+	// No worker outlives Run, and none is left running when result
+	// finalizes the records.
+	l.wait()
+	if err != nil {
 		return Result{}, err
 	}
 	return l.result(jobs), nil
@@ -113,7 +118,7 @@ func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 // newLoop builds the loop over the whole roster. Open-loop jobs form
 // its arrival stream; closed-loop runs hand perClient's request
 // sequences to the control block instead.
-func (f *Fleet) newLoop(jobs []*job, perClient [][]*job) *loop {
+func (f *Fleet) newLoop(jobs []JobRecord, perClient [][]JobRecord) *loop {
 	l := &loop{
 		f:          f,
 		flightOf:   make([]*inflight, len(f.devType)),
@@ -189,8 +194,8 @@ func (l *loop) run() error {
 	for l.remaining > 0 {
 		// Admit arrivals due by now (priority order when SLO-aware);
 		// admission control may reject or degrade a submission first.
-		for l.nextArr < len(l.arr) && l.arr[l.nextArr].arrival <= l.now {
-			j := l.arr[l.nextArr]
+		for l.nextArr < len(l.arr) && l.arr[l.nextArr].Arrival <= l.now {
+			j := &l.arr[l.nextArr]
 			l.nextArr++
 			if l.ctl != nil && !l.ctl.admitOpen(j, l.now) {
 				continue
@@ -204,9 +209,9 @@ func (l *loop) run() error {
 		// would miss its deadline waiting for the predicted next natural
 		// completion, clear one running all-batch group and loop back so
 		// the dispatch pass places the trigger on the freed device.
-		if f.cfg.SLO.Preempt && l.queue.Len() > 0 && l.queue.at(0).slo == Latency {
+		if f.cfg.SLO.Preempt && l.queue.Len() > 0 && l.queue.at(0).SLO == Latency {
 			if victim := l.preemptVictim(l.queue.at(0)); victim != nil {
-				l.release(victim, l.queue.at(0).id)
+				l.release(victim, l.queue.at(0).ID)
 				l.idleDevs.push(victim.device)
 				continue
 			}
@@ -218,7 +223,7 @@ func (l *loop) run() error {
 		// device id among resolved completions (the heap key).
 		tArr, tCtl := uint64(inf), uint64(inf)
 		if l.nextArr < len(l.arr) {
-			tArr = l.arr[l.nextArr].arrival
+			tArr = l.arr[l.nextArr].Arrival
 		}
 		if l.ctl != nil {
 			tCtl = l.ctl.next()
@@ -327,7 +332,8 @@ func (l *loop) dispatch() error {
 // A Hybrid composition past its warm-up is served by the calibrated
 // model, born resolved. Otherwise the group simulates on a worker and
 // waits in the unresolved heap under a sound lower bound on its
-// completion.
+// completion. The group is built before the worker starts, so the
+// worker reads no job record.
 func (l *loop) start(fl *inflight) error {
 	f := l.f
 	if f.cfg.Engine == Hybrid {
@@ -346,10 +352,11 @@ func (l *loop) start(fl *inflight) error {
 	fl.done = make(chan struct{})
 	fl.earliest = l.now + f.lowerBoundCycles(fl.jobs, fl.typ)
 	l.unresolved.push(fl.earliest, fl.seq, fl)
+	g := group(fl.jobs, fl.typ)
 	go func() {
 		l.sem <- struct{}{}
 		defer func() { <-l.sem }()
-		fl.rep, fl.err = f.types[fl.typ].Scheduler().RunGroup(group(fl.jobs, fl.typ), f.cfg.Policy)
+		fl.rep, fl.err = f.types[fl.typ].Scheduler().RunGroup(g, f.cfg.Policy)
 		close(fl.done)
 	}()
 	return nil
@@ -403,17 +410,17 @@ func (l *loop) retire(fl *inflight) {
 	fl.state = flightRetired
 	groupEnd := uint64(0)
 	for i, j := range fl.jobs {
-		j.dispatch = fl.dispatch
-		j.device = fl.device
+		j.Dispatch = fl.dispatch
+		j.Device = fl.device
 		j.state = jsDone
 		end := f.memberEnd(fl, i)
 		groupEnd = max(groupEnd, end)
-		j.complete = fl.dispatch + end
+		j.Complete = fl.dispatch + end
 	}
 	res.DeviceBusy[fl.device] += groupEnd
 	res.Makespan = max(res.Makespan, fl.dispatch+groupEnd)
-	for _, st := range fl.rep.Stats {
-		res.ThreadInstructions += st.ThreadInstructions
+	for i := range fl.rep.Stats {
+		res.ThreadInstructions += fl.rep.Stats[i].ThreadInstructions
 	}
 	res.Groups++
 	if fl.ilp {
@@ -546,7 +553,7 @@ func (l *loop) speculate() {
 		members, _ := l.disp.formGroup(nil, &spec, t, l.now)
 		sig := fmt.Sprintf("t%d:", t)
 		for _, m := range members {
-			sig += m.name() + "|"
+			sig += m.Name + "|"
 		}
 		if l.speculated[sig] {
 			continue
@@ -573,7 +580,7 @@ func (l *loop) speculate() {
 // batch progress without saving anything).
 //
 //simlint:hotpath
-func (l *loop) preemptVictim(trigger *job) *inflight {
+func (l *loop) preemptVictim(trigger *JobRecord) *inflight {
 	f, now := l.f, l.now
 	// Waiting means the dispatch loop hands the queue head to the FIRST
 	// device that frees — there is no holding back for a faster one —
@@ -611,7 +618,7 @@ func (l *loop) preemptVictim(trigger *job) *inflight {
 		}
 		evictable := true
 		for _, j := range fl.jobs {
-			if j.slo == Latency {
+			if j.SLO == Latency {
 				evictable = false
 				break
 			}
@@ -675,8 +682,8 @@ func (l *loop) scanFirstToFree() (*inflight, uint64) {
 // stably by (cycle, device) — a chaos failure and a preemption can evict
 // on different devices in one cycle, and event order need not be device
 // order — the finished time series, the Hybrid engine's fidelity delta,
-// and the per-job records in arrival order.
-func (l *loop) result(jobs []*job) Result {
+// and the per-job records in arrival order, finalized in place.
+func (l *loop) result(jobs []JobRecord) Result {
 	f, res := l.f, l.res
 	sort.SliceStable(res.Evictions, func(i, j int) bool {
 		a, b := res.Evictions[i], res.Evictions[j]
@@ -696,9 +703,9 @@ func (l *loop) result(jobs []*job) Result {
 	if samples > 0 {
 		res.ModelDelta = delta / float64(samples)
 	}
-	res.Jobs = make([]JobRecord, len(jobs))
-	for i, j := range jobs {
-		f.jobRecord(&res.Jobs[i], j)
+	for i := range jobs {
+		f.finalize(&jobs[i])
 	}
+	res.Jobs = jobs
 	return res
 }

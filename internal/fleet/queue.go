@@ -30,7 +30,7 @@ type jobQueue struct {
 	// slo selects SLO-aware ordering (latency before batch).
 	slo bool
 	// scratch assembles windows that span both runs.
-	scratch []*job
+	scratch []*JobRecord
 	// latency counts waiting Latency-class jobs, maintained by the
 	// mutators below so the observability sampler reads the queue's class
 	// split in O(1) instead of walking the backlog every interval.
@@ -47,19 +47,19 @@ type jobQueue struct {
 
 // jobRun is one head-indexed run of the queue, sorted by (arrival, id).
 type jobRun struct {
-	buf  []*job
+	buf  []*JobRecord
 	head int
 }
 
 // live is the run's waiting jobs.
-func (r *jobRun) live() []*job { return r.buf[r.head:] }
+func (r *jobRun) live() []*JobRecord { return r.buf[r.head:] }
 
 // Len is the number of waiting jobs.
 func (q *jobQueue) Len() int { return len(q.seg[Latency].live()) + len(q.seg[Batch].live()) }
 
 // runOf is the run j waits in.
-func (q *jobQueue) runOf(j *job) SLOClass {
-	if q.slo && j.slo == Latency {
+func (q *jobQueue) runOf(j *JobRecord) SLOClass {
+	if q.slo && j.SLO == Latency {
 		return Latency
 	}
 	return Batch
@@ -68,7 +68,7 @@ func (q *jobQueue) runOf(j *job) SLOClass {
 // at returns the i-th waiting job (0 = next to dispatch).
 //
 //simlint:hotpath
-func (q *jobQueue) at(i int) *job {
+func (q *jobQueue) at(i int) *JobRecord {
 	lat := q.seg[Latency].live()
 	if i < len(lat) {
 		return lat[i]
@@ -81,7 +81,7 @@ func (q *jobQueue) at(i int) *job {
 // callers must not hold it across mutations or another window call.
 //
 //simlint:hotpath
-func (q *jobQueue) window(n int) []*job {
+func (q *jobQueue) window(n int) []*JobRecord {
 	lat, batch := q.seg[Latency].live(), q.seg[Batch].live()
 	if n <= len(lat) {
 		return lat[:n]
@@ -95,8 +95,8 @@ func (q *jobQueue) window(n int) []*job {
 }
 
 // insert places j at its priority position.
-func (q *jobQueue) insert(j *job) {
-	if j.slo == Latency {
+func (q *jobQueue) insert(j *JobRecord) {
+	if j.SLO == Latency {
 		q.latency++
 	}
 	q.work += j.app.soloEst
@@ -105,7 +105,7 @@ func (q *jobQueue) insert(j *job) {
 	r := &q.seg[q.runOf(j)]
 	v := r.live()
 	pos := sort.Search(len(v), func(i int) bool {
-		return j.arrival < v[i].arrival || (j.arrival == v[i].arrival && j.id < v[i].id)
+		return j.Arrival < v[i].Arrival || (j.Arrival == v[i].Arrival && j.ID < v[i].ID)
 	})
 	r.buf = append(r.buf, j)
 	if pos == len(v) {
@@ -117,8 +117,8 @@ func (q *jobQueue) insert(j *job) {
 }
 
 // unqueue drops one leaving job from the counters.
-func (q *jobQueue) unqueue(j *job) {
-	if j.slo == Latency {
+func (q *jobQueue) unqueue(j *JobRecord) {
+	if j.SLO == Latency {
 		q.latency--
 	}
 	q.work -= j.app.soloEst
@@ -147,7 +147,7 @@ func (q *jobQueue) advance(n int) {
 // (the dispatch window); each run's scan stops as soon as all of its
 // members are found, so the cost is O(window · NC + survivors in the
 // prefix), never O(backlog), and it allocates nothing.
-func (q *jobQueue) removeJobs(members []*job) {
+func (q *jobQueue) removeJobs(members []*JobRecord) {
 	inLat := 0
 	for _, m := range members {
 		if q.runOf(m) == Latency {
@@ -159,14 +159,14 @@ func (q *jobQueue) removeJobs(members []*job) {
 }
 
 // remove takes want of the members out of the run's prefix.
-func (r *jobRun) remove(q *jobQueue, members []*job, want int) {
+func (r *jobRun) remove(q *jobQueue, members []*JobRecord, want int) {
 	if want == 0 {
 		return
 	}
 	found := 0
 	// kept collects prefix survivors; bounded by the dispatch window,
 	// so the stack buffer almost always suffices.
-	var keptBuf [MaxWindow]*job
+	var keptBuf [MaxWindow]*JobRecord
 	kept := keptBuf[:0]
 	i := r.head
 	for ; i < len(r.buf) && found < want; i++ {
@@ -215,7 +215,7 @@ func (q *jobQueue) clone() jobQueue {
 	c := *q
 	c.scratch = nil
 	for s := range c.seg {
-		c.seg[s] = jobRun{buf: append([]*job(nil), q.seg[s].live()...)}
+		c.seg[s] = jobRun{buf: append([]*JobRecord(nil), q.seg[s].live()...)}
 	}
 	return c
 }

@@ -10,14 +10,14 @@ import (
 // refBefore is the dispatch-priority order the queue must keep: latency
 // class before batch when SLO-aware, then arrival cycle, then arrival
 // index.
-func refBefore(slo bool, a, b *job) bool {
-	if slo && a.slo != b.slo {
-		return a.slo == Latency
+func refBefore(slo bool, a, b *JobRecord) bool {
+	if slo && a.SLO != b.SLO {
+		return a.SLO == Latency
 	}
-	if a.arrival != b.arrival {
-		return a.arrival < b.arrival
+	if a.Arrival != b.Arrival {
+		return a.Arrival < b.Arrival
 	}
-	return a.id < b.id
+	return a.ID < b.ID
 }
 
 // TestJobQueueMatchesReference drives the two-run queue and a naive
@@ -30,8 +30,8 @@ func TestJobQueueMatchesReference(t *testing.T) {
 	info := &appInfo{soloEst: 3, coEst: 5}
 	for _, slo := range []bool{false, true} {
 		q := jobQueue{slo: slo}
-		var ref []*job
-		refInsert := func(j *job) {
+		var ref []*JobRecord
+		refInsert := func(j *JobRecord) {
 			pos := len(ref)
 			for i, r := range ref {
 				if refBefore(slo, j, r) {
@@ -51,9 +51,9 @@ func TestJobQueueMatchesReference(t *testing.T) {
 			latency := 0
 			for i, r := range ref {
 				if q.at(i) != r {
-					t.Fatalf("step %d: slot %d holds j%d, want j%d", step, i, q.at(i).id, r.id)
+					t.Fatalf("step %d: slot %d holds j%d, want j%d", step, i, q.at(i).ID, r.ID)
 				}
-				if r.slo == Latency {
+				if r.SLO == Latency {
 					latency++
 				}
 			}
@@ -69,7 +69,7 @@ func TestJobQueueMatchesReference(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("step %d: window(%d)[%d] is j%d, want j%d", step, n, i, got[i].id, want[i].id)
+						t.Fatalf("step %d: window(%d)[%d] is j%d, want j%d", step, n, i, got[i].ID, want[i].ID)
 					}
 				}
 			}
@@ -80,25 +80,25 @@ func TestJobQueueMatchesReference(t *testing.T) {
 		// gone holds removed jobs; re-entering one (an evicted job going
 		// back) brings an older id that may tie on arrival with waiting
 		// jobs, which only the id tie-break orders.
-		var gone []*job
+		var gone []*JobRecord
 		for step := 0; step < 2000; step++ {
 			switch op := stream.Intn(10); {
 			case op < 5 || len(ref) == 0:
 				// In-order arrival (the common case: append position).
 				arrival += uint64(stream.Intn(8))
-				j := &job{id: id, app: info, arrival: arrival, slo: SLOClass(stream.Intn(2))}
+				j := &JobRecord{ID: id, app: info, Arrival: arrival, SLO: SLOClass(stream.Intn(2))}
 				id++
 				q.insert(j)
 				refInsert(j)
 			case op < 7:
 				// Re-entry of an evicted job: mid-queue insert.
-				var j *job
+				var j *JobRecord
 				if len(gone) > 0 && stream.Intn(4) > 0 {
 					k := stream.Intn(len(gone))
 					j = gone[k]
 					gone = append(gone[:k], gone[k+1:]...)
 				} else {
-					j = &job{id: id, app: info, arrival: arrival / 2, slo: SLOClass(stream.Intn(2))}
+					j = &JobRecord{ID: id, app: info, Arrival: arrival / 2, SLO: SLOClass(stream.Intn(2))}
 					id++
 				}
 				q.insert(j)
@@ -109,7 +109,7 @@ func TestJobQueueMatchesReference(t *testing.T) {
 				if w > len(ref) {
 					w = len(ref)
 				}
-				var taken []*job
+				var taken []*JobRecord
 				for i := 0; i < w; i++ {
 					if stream.Intn(2) == 0 || len(taken) == 0 {
 						taken = append(taken, ref[i])
@@ -150,10 +150,10 @@ func BenchmarkJobQueueInsert(b *testing.B) {
 		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
 			q := jobQueue{slo: true}
 			for i := 0; i < backlog; i++ {
-				q.insert(&job{id: i, app: info, arrival: uint64(i), slo: Batch})
+				q.insert(&JobRecord{ID: i, app: info, Arrival: uint64(i), SLO: Batch})
 			}
-			j := &job{id: backlog, app: info, arrival: uint64(backlog), slo: Latency}
-			members := []*job{j}
+			j := &JobRecord{ID: backlog, app: info, Arrival: uint64(backlog), SLO: Latency}
+			members := []*JobRecord{j}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

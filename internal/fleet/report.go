@@ -11,7 +11,10 @@ import (
 	"repro/internal/stats"
 )
 
-// JobRecord is one job's lifecycle in fleet time (cycles).
+// JobRecord is one job's lifecycle in fleet time (cycles). It is also
+// the only per-job record a run keeps: the event loop runs on it, and
+// its unexported fields are the loop's per-job state, live only during
+// Run and zero in every record Run returns.
 type JobRecord struct {
 	// ID is the arrival index.
 	ID int
@@ -38,9 +41,20 @@ type JobRecord struct {
 	// open-loop runs without admission control), Rejected by admission,
 	// or Abandoned by its client's timeout.
 	Outcome JobOutcome
+	// state is the lifecycle the conservation accounting reads
+	// (jsPending .. jsRejected, control.go); client is the closed-loop
+	// client pool that owns the job, -1 for open-loop arrivals. Both
+	// fit the padding after Outcome.
+	state  uint8
+	client int32
 	// Attempts counts submissions, retries included (always 1 outside
 	// closed-loop runs).
 	Attempts int
+	// app is the state the job shares with every job of its
+	// application (sim.go). progress is the checkpointed completed
+	// fraction preserved across evictions, in [0, MaxCheckpoint].
+	app      *appInfo
+	progress float64
 }
 
 // JobOutcome is a job's terminal state.
@@ -72,7 +86,7 @@ func (o JobOutcome) String() string {
 
 // Wait is the queueing delay before the final dispatch (0 for jobs
 // that never dispatched — rejected or abandoned ones).
-func (j JobRecord) Wait() uint64 {
+func (j *JobRecord) Wait() uint64 {
 	if j.Dispatch < j.Arrival {
 		return 0
 	}
@@ -81,7 +95,7 @@ func (j JobRecord) Wait() uint64 {
 
 // Turnaround is arrival to completion (0 for jobs that never
 // completed).
-func (j JobRecord) Turnaround() uint64 {
+func (j *JobRecord) Turnaround() uint64 {
 	if j.Complete < j.Arrival {
 		return 0
 	}
@@ -90,13 +104,13 @@ func (j JobRecord) Turnaround() uint64 {
 
 // Missed reports whether a latency job completed past its deadline.
 // Batch jobs never miss.
-func (j JobRecord) Missed() bool {
+func (j *JobRecord) Missed() bool {
 	return j.SLO == Latency && j.Complete > j.Arrival+j.Deadline
 }
 
 // Slack is the margin to the deadline in cycles (negative = missed),
 // meaningful for latency jobs only.
-func (j JobRecord) Slack() int64 {
+func (j *JobRecord) Slack() int64 {
 	return int64(j.Arrival+j.Deadline) - int64(j.Complete)
 }
 
@@ -236,8 +250,8 @@ func (r Result) MeanUtilization() float64 {
 // (rejected and abandoned jobs have no dispatch to measure).
 func (r Result) Waits() []float64 {
 	out := make([]float64, 0, len(r.Jobs))
-	for _, j := range r.Jobs {
-		if j.Outcome == Done {
+	for i := range r.Jobs {
+		if j := &r.Jobs[i]; j.Outcome == Done {
 			out = append(out, float64(j.Wait())/1000)
 		}
 	}
@@ -247,8 +261,8 @@ func (r Result) Waits() []float64 {
 // Turnarounds returns every completed job's turnaround in kilocycles.
 func (r Result) Turnarounds() []float64 {
 	out := make([]float64, 0, len(r.Jobs))
-	for _, j := range r.Jobs {
-		if j.Outcome == Done {
+	for i := range r.Jobs {
+		if j := &r.Jobs[i]; j.Outcome == Done {
 			out = append(out, float64(j.Turnaround())/1000)
 		}
 	}
@@ -256,31 +270,33 @@ func (r Result) Turnarounds() []float64 {
 }
 
 // WaitSummary summarizes queueing delay (kilocycles).
-func (r Result) WaitSummary() stats.Summary { return r.cycleSummary(JobRecord.Wait, Batch, Latency) }
+func (r Result) WaitSummary() stats.Summary { return r.cycleSummary((*JobRecord).Wait, Batch, Latency) }
 
 // TurnaroundSummary summarizes turnaround (kilocycles).
 func (r Result) TurnaroundSummary() stats.Summary {
-	return r.cycleSummary(JobRecord.Turnaround, Batch, Latency)
+	return r.cycleSummary((*JobRecord).Turnaround, Batch, Latency)
 }
 
 // WaitSummaryFor summarizes queueing delay (kilocycles) for one SLO
 // class.
-func (r Result) WaitSummaryFor(c SLOClass) stats.Summary { return r.cycleSummary(JobRecord.Wait, c, c) }
+func (r Result) WaitSummaryFor(c SLOClass) stats.Summary {
+	return r.cycleSummary((*JobRecord).Wait, c, c)
+}
 
 // TurnaroundSummaryFor summarizes turnaround (kilocycles) for one SLO
 // class.
 func (r Result) TurnaroundSummaryFor(c SLOClass) stats.Summary {
-	return r.cycleSummary(JobRecord.Turnaround, c, c)
+	return r.cycleSummary((*JobRecord).Turnaround, c, c)
 }
 
 // cycleSummary summarizes metric over the completed jobs of SLO class a
 // or b, in kilocycles, by the sorted-integer path Summary takes.
-func (r Result) cycleSummary(metric func(JobRecord) uint64, a, b SLOClass) stats.Summary {
+func (r Result) cycleSummary(metric func(*JobRecord) uint64, a, b SLOClass) stats.Summary {
 	n := len(r.Jobs)
 	buf := make([]uint64, 2*n)
 	v := buf[:0:n]
-	for _, j := range r.Jobs {
-		if j.Outcome == Done && (j.SLO == a || j.SLO == b) {
+	for i := range r.Jobs {
+		if j := &r.Jobs[i]; j.Outcome == Done && (j.SLO == a || j.SLO == b) {
 			v = append(v, metric(j))
 		}
 	}
@@ -297,8 +313,8 @@ func kcycles[T uint64 | int64](sorted []T) stats.Summary {
 // kilocycles (negative = missed), in arrival order.
 func (r Result) LatencySlacks() []float64 {
 	var out []float64
-	for _, j := range r.Jobs {
-		if j.SLO == Latency && j.Outcome == Done {
+	for i := range r.Jobs {
+		if j := &r.Jobs[i]; j.SLO == Latency && j.Outcome == Done {
 			out = append(out, float64(j.Slack())/1000)
 		}
 	}
@@ -310,8 +326,8 @@ func (r Result) LatencySlacks() []float64 {
 // percentiles (P50 < 0 means the median latency job missed).
 func (r Result) SlackSummary() stats.Summary {
 	var slack []int64
-	for _, j := range r.Jobs {
-		if j.SLO == Latency && j.Outcome == Done {
+	for i := range r.Jobs {
+		if j := &r.Jobs[i]; j.SLO == Latency && j.Outcome == Done {
 			slack = append(slack, j.Slack())
 		}
 	}
@@ -334,8 +350,8 @@ func (r Result) LatencyJobs() int {
 // deadline.
 func (r Result) DeadlineMisses() int {
 	n := 0
-	for _, j := range r.Jobs {
-		if j.Missed() {
+	for i := range r.Jobs {
+		if r.Jobs[i].Missed() {
 			n++
 		}
 	}

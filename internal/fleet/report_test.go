@@ -136,10 +136,10 @@ func TestSummaryMatchesFloatSummaries(t *testing.T) {
 				j.Deadline = uint64(s.Intn(3)) * (1 << 27)
 			}
 		}
-		classFloats := func(c SLOClass, metric func(JobRecord) uint64) []float64 {
+		classFloats := func(c SLOClass, metric func(*JobRecord) uint64) []float64 {
 			var out []float64
-			for _, j := range r.Jobs {
-				if j.SLO == c && j.Outcome == Done {
+			for i := range r.Jobs {
+				if j := &r.Jobs[i]; j.SLO == c && j.Outcome == Done {
 					out = append(out, float64(metric(j))/1000)
 				}
 			}
@@ -152,10 +152,10 @@ func TestSummaryMatchesFloatSummaries(t *testing.T) {
 			{"wait", r.WaitSummary(), stats.Summarize(r.Waits())},
 			{"turnaround", r.TurnaroundSummary(), stats.Summarize(r.Turnarounds())},
 			{"slack", r.SlackSummary(), stats.Summarize(r.LatencySlacks())},
-			{"latency wait", r.WaitSummaryFor(Latency), stats.Summarize(classFloats(Latency, JobRecord.Wait))},
-			{"batch wait", r.WaitSummaryFor(Batch), stats.Summarize(classFloats(Batch, JobRecord.Wait))},
-			{"latency turnaround", r.TurnaroundSummaryFor(Latency), stats.Summarize(classFloats(Latency, JobRecord.Turnaround))},
-			{"batch turnaround", r.TurnaroundSummaryFor(Batch), stats.Summarize(classFloats(Batch, JobRecord.Turnaround))},
+			{"latency wait", r.WaitSummaryFor(Latency), stats.Summarize(classFloats(Latency, (*JobRecord).Wait))},
+			{"batch wait", r.WaitSummaryFor(Batch), stats.Summarize(classFloats(Batch, (*JobRecord).Wait))},
+			{"latency turnaround", r.TurnaroundSummaryFor(Latency), stats.Summarize(classFloats(Latency, (*JobRecord).Turnaround))},
+			{"batch turnaround", r.TurnaroundSummaryFor(Batch), stats.Summarize(classFloats(Batch, (*JobRecord).Turnaround))},
 		}
 		for _, c := range checks {
 			if c.got != c.want || c.got.String() != c.want.String() {

@@ -9,41 +9,13 @@ import (
 	"repro/internal/sched"
 )
 
-// job is the dispatcher's mutable per-job state. Everything a job
-// shares with every other job of its application — the per-type
-// QueuedApp and solo profile, and the type-averaged estimates — lives
-// in one appInfo record that resolve builds per distinct name, so a job
-// is one small fixed record however many device types the roster has.
-type job struct {
-	id       int
-	app      *appInfo
-	arrival  uint64
-	dispatch uint64
-	complete uint64
-	device   int
-	// slo and deadline come from the arrival; deadline is relative to
-	// arrival (0 for batch jobs).
-	slo      SLOClass
-	deadline uint64
-	// progress is the checkpointed completed fraction preserved across
-	// evictions, in [0, MaxCheckpoint]. evictions counts how often the
-	// job was preempted.
-	progress  float64
-	evictions int
-	// client is the closed-loop client pool that owns the job, -1 for
-	// open-loop arrivals. attempts counts submissions (retries
-	// included); state is the lifecycle the conservation accounting
-	// reads (jsPending .. jsRejected, control.go).
-	client   int
-	attempts int
-	state    uint8
-}
-
-// appInfo is the state every job of one application shares. An
-// application may classify differently across hardware generations, so
-// apps and solo are indexed by device type.
+// appInfo is the state every job of one application shares: the
+// per-type QueuedApp and solo profile, and the type-averaged estimates.
+// resolve builds one per distinct name, so a job's record holds one
+// pointer however many device types the roster has. An application may
+// classify differently across hardware generations, so apps and solo
+// are indexed by device type.
 type appInfo struct {
-	name string
 	// apps holds the QueuedApp handed to each type's scheduler; its
 	// Arrival is meaningless here (group stamps the job's own).
 	apps []sched.QueuedApp
@@ -72,34 +44,31 @@ type soloProfile struct {
 	ok     bool
 }
 
-// name returns the application name (identical across device types).
-func (j *job) name() string { return j.app.name }
-
 // class is the job's class on device type t.
-func (j *job) class(t int) classify.Class { return j.app.apps[t].Class }
+func (j *JobRecord) class(t int) classify.Class { return j.app.apps[t].Class }
 
 // group builds the sched.Group members run as on device type t. Each
 // member's QueuedApp is its application's, with Arrival set to the
 // job's id, so within-group FCFS ordering is exactly what a per-job
 // Queue call would have produced.
-func group(members []*job, t int) sched.Group {
+func group(members []*JobRecord, t int) sched.Group {
 	g := make(sched.Group, len(members))
 	for i, m := range members {
 		g[i] = m.app.apps[t]
-		g[i].Arrival = m.id
+		g[i].Arrival = m.ID
 	}
 	return g
 }
 
 // deadlineAbs is the absolute fleet cycle the job must complete by
 // (only meaningful for latency jobs).
-func (j *job) deadlineAbs() uint64 { return j.arrival + j.deadline }
+func (j *JobRecord) deadlineAbs() uint64 { return j.Arrival + j.Deadline }
 
 // remainingFrac is the share of the job's duration a (re-)dispatch must
 // still execute: everything for a fresh job; for a checkpointed one the
 // un-preserved remainder plus the explicit restart cost (re-reading
 // inputs, replaying the un-checkpointed tail), capped at a full re-run.
-func (j *job) remainingFrac(slo SLOConfig) float64 {
+func (j *JobRecord) remainingFrac(slo SLOConfig) float64 {
 	if j.progress == 0 {
 		return 1
 	}
@@ -113,7 +82,7 @@ func (j *job) remainingFrac(slo SLOConfig) float64 {
 // effectiveCycles scales a simulated per-member completion to the
 // checkpoint model: a job that preserved fraction p of itself only
 // occupies the device for its remaining fraction of the simulated run.
-func (f *Fleet) effectiveCycles(j *job, end uint64) uint64 {
+func (f *Fleet) effectiveCycles(j *JobRecord, end uint64) uint64 {
 	rem := j.remainingFrac(f.cfg.SLO)
 	if rem >= 1 {
 		return end
@@ -146,7 +115,7 @@ type inflight struct {
 	// still running on its worker — the pipelining that makes a 4-device
 	// fleet measurably faster than 4 sequential sims.
 	earliest uint64
-	jobs     []*job
+	jobs     []*JobRecord
 	ilp      bool
 	// state tracks the flight through the event core's heaps (pending →
 	// resolved → retired, or → evicted from either); modeled marks
@@ -186,7 +155,7 @@ type inflight struct {
 // enough that the event loop can commit to other devices' completions
 // while this group is still simulating — that is where the fleet's
 // wall-clock concurrency comes from.
-func (f *Fleet) lowerBoundCycles(members []*job, t int) uint64 {
+func (f *Fleet) lowerBoundCycles(members []*JobRecord, t int) uint64 {
 	peak := f.types[t].Config().PeakIPC()
 	bound := 1.0
 	for _, m := range members {
@@ -207,39 +176,26 @@ func (f *Fleet) lowerBoundCycles(members []*job, t int) uint64 {
 	return uint64(bound)
 }
 
-// jobRecord projects one job's final state onto its record — the one
-// place outcome, device and class are decided. It writes the fields of
-// rec in place (merge hands it a zeroed slot of Result.Jobs), so no
-// record is built and then copied.
-func (f *Fleet) jobRecord(rec *JobRecord, j *job) {
-	rec.ID = j.id
-	rec.Name = j.name()
-	rec.SLO = j.slo
-	rec.Deadline = j.deadline
-	rec.Arrival = j.arrival
-	rec.Dispatch = j.dispatch
-	rec.Complete = j.complete
-	rec.Device = j.device
-	rec.Evictions = j.evictions
-	rec.Attempts = j.attempts
+// finalize completes a settled job's record in place for Run to return
+// — the one place outcome, device and class are decided — and zeroes
+// the loop's private fields, so a returned record holds exported state
+// only. Done is Outcome's zero value, so only the other outcomes are
+// written.
+func (f *Fleet) finalize(j *JobRecord) {
 	// Open-loop jobs outside control runs never count attempts; report
 	// the one submission they had.
-	if rec.Attempts == 0 {
-		rec.Attempts = 1
-	}
+	j.Attempts = max(j.Attempts, 1)
 	t := 0
 	switch j.state {
 	case jsRejected:
-		rec.Outcome = Rejected
-		rec.Device = -1
+		j.Outcome, j.Device = Rejected, -1
 	case jsAbandoned:
-		rec.Outcome = Abandoned
-		rec.Device = -1
+		j.Outcome, j.Device = Abandoned, -1
 	default:
-		rec.Outcome = Done
-		t = f.devType[j.device]
+		t = f.devType[j.Device]
 	}
-	rec.Class = j.class(t)
+	j.Class = j.class(t)
+	j.state, j.client, j.app, j.progress = 0, 0, nil, 0
 }
 
 // coRunCycles estimates the trigger's co-run duration on device type t:
@@ -251,7 +207,7 @@ func (f *Fleet) jobRecord(rec *JobRecord, j *job) {
 // then misses by a small margin, and the rescue never fires.
 //
 //simlint:hotpath
-func (f *Fleet) coRunCycles(j *job, t int) (uint64, bool) {
+func (f *Fleet) coRunCycles(j *JobRecord, t int) (uint64, bool) {
 	solo, ok := f.soloCycles(j, t)
 	if !ok {
 		return 0, false
@@ -312,8 +268,8 @@ func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 				j.progress = slo.MaxCheckpoint
 			}
 		}
-		j.evictions++
-		rec.Jobs = append(rec.Jobs, j.id)
+		j.Evictions++
+		rec.Jobs = append(rec.Jobs, j.ID)
 		rec.Progress = append(rec.Progress, j.progress)
 		waste := float64(elapsed) - (j.progress-before)*solo
 		if waste < 0 {
@@ -378,7 +334,7 @@ func (f *Fleet) predictedFree(fl *inflight) uint64 {
 // scaled to its checkpointed remainder. It is the dispatcher's cheapest
 // (and fastest-possible) runtime estimate — resolve cached every
 // application's solo profile per type, so this is a slice index.
-func (f *Fleet) soloCycles(j *job, t int) (uint64, bool) {
+func (f *Fleet) soloCycles(j *JobRecord, t int) (uint64, bool) {
 	sp := j.app.solo[t]
 	if !sp.ok {
 		return 0, false
@@ -422,11 +378,11 @@ func (f *Fleet) flightCycles(fl *inflight) uint64 {
 // (Queue's workload lookup, the profiler's locked solo-profile table) is
 // done once per distinct name into a shared appInfo, and each job costs
 // one map lookup — resolve cost scales with the universe, not the job
-// count. Jobs come from one arena: a single allocation for the run.
-func (f *Fleet) resolve(arrivals []Arrival) ([]*job, error) {
+// count. The records are one arena, a single allocation for the run:
+// the event loop runs on them and Result.Jobs returns them.
+func (f *Fleet) resolve(arrivals []Arrival) ([]JobRecord, error) {
 	infos := make(map[string]*appInfo)
-	arena := make([]job, len(arrivals))
-	jobs := make([]*job, len(arrivals))
+	jobs := make([]JobRecord, len(arrivals))
 	for i := range arrivals {
 		a := &arrivals[i]
 		if i > 0 && a.Cycle < arrivals[i-1].Cycle {
@@ -443,10 +399,9 @@ func (f *Fleet) resolve(arrivals []Arrival) ([]*job, error) {
 		}
 		// Field by field: the arena is already zeroed, and a composite
 		// literal would be built aside and copied in.
-		j := &arena[i]
-		j.id, j.app, j.client = i, info, -1
-		j.arrival, j.slo, j.deadline = a.Cycle, a.SLO, a.Deadline
-		jobs[i] = j
+		j := &jobs[i]
+		j.ID, j.Name, j.app, j.client = i, a.Name, info, -1
+		j.Arrival, j.SLO, j.Deadline = a.Cycle, a.SLO, a.Deadline
 	}
 	return jobs, nil
 }
@@ -455,7 +410,7 @@ func (f *Fleet) resolve(arrivals []Arrival) ([]*job, error) {
 // solo profile on every device type, and the type-averaged estimates.
 func (f *Fleet) newAppInfo(name string) (*appInfo, error) {
 	nt := len(f.types)
-	info := &appInfo{name: name, apps: make([]sched.QueuedApp, nt), solo: make([]soloProfile, nt)}
+	info := &appInfo{apps: make([]sched.QueuedApp, nt), solo: make([]soloProfile, nt)}
 	est, cnt := uint64(0), uint64(0)
 	for t, pipe := range f.types {
 		queued, err := pipe.Queue([]string{name})

@@ -217,8 +217,8 @@ func TestWindowForAdaptive(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := &jobQueue{}
-		for _, j := range jobs {
-			q.insert(j)
+		for i := range jobs {
+			q.insert(&jobs[i])
 		}
 		return q
 	}
@@ -291,16 +291,17 @@ func TestCoRunCyclesTable(t *testing.T) {
 					t.Errorf("nc=%d type %d class %v: table %v, scan %v", nc, ty, cls, got, want)
 				}
 			}
-			for _, j := range jobs {
+			for i := range jobs {
+				j := &jobs[i]
 				solo, ok := f.soloCycles(j, ty)
 				got, gotOK := f.coRunCycles(j, ty)
 				want := uint64(float64(solo) * refWorstSlow(pipe.Matrix(), j.class(ty), nc))
 				if !ok || !gotOK || got != want {
-					t.Errorf("nc=%d type %d %s: coRunCycles %d (%v), want %d", nc, ty, j.name(), got, gotOK, want)
+					t.Errorf("nc=%d type %d %s: coRunCycles %d (%v), want %d", nc, ty, j.Name, got, gotOK, want)
 				}
 			}
 		}
-		if allocs := testing.AllocsPerRun(100, func() { f.coRunCycles(jobs[0], 1) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { f.coRunCycles(&jobs[0], 1) }); allocs != 0 {
 			t.Fatalf("nc=%d: coRunCycles allocates %.1f times per call, want 0", nc, allocs)
 		}
 	}
@@ -422,8 +423,8 @@ func TestFirstToFreeCache(t *testing.T) {
 				prev, prevFree = want, wantFree
 				return moved
 			}
-			for _, j := range jobs {
-				l.queue.insert(j)
+			for i := range jobs {
+				l.queue.insert(&jobs[i])
 			}
 			if err := l.dispatch(); err != nil {
 				t.Fatal(err)

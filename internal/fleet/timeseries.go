@@ -177,7 +177,7 @@ func (s *sampler) advanceTo(next uint64) {
 func (s *sampler) noteRetire(fl *inflight) {
 	s.done += uint64(len(fl.jobs))
 	for _, j := range fl.jobs {
-		if j.slo == Latency && j.complete > j.deadlineAbs() {
+		if j.Missed() {
 			s.missed++
 		}
 	}
