@@ -142,11 +142,6 @@ func (c *Cache) Config() config.CacheConfig { return c.cfg }
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// LineAddr truncates an address to its line base.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ (uint64(c.cfg.LineBytes) - 1)
-}
-
 // setIndex hashes the line address into a set. Hashing (rather than
 // slicing address bits) prevents pathological aliasing: lines are
 // interleaved across memory partitions, so an L2 bank only ever sees

@@ -66,15 +66,6 @@ type Stats struct {
 	BusyCycles uint64 // cycles the data bus was transferring
 }
 
-// RowHitRate returns RowHits / (RowHits+RowMisses), or 0 when idle.
-func (s Stats) RowHitRate() float64 {
-	t := s.RowHits + s.RowMisses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(t)
-}
-
 // Controller is one partition's memory controller. It is driven by
 // Tick once per core cycle.
 type Controller struct {

@@ -89,47 +89,29 @@ func (s *Suite) FleetChaos() (Artifact, error) {
 	for _, m := range modes {
 		a.Columns = append(a.Columns, m.name)
 	}
-	labels := []string{
-		"deadline-miss rate",
-		"wait p99 (kcyc)",
-		"completed jobs",
-		"chaos evictions",
-		"failures",
-		"drains",
-		"restores",
-		"throughput",
-		"makespan (Mcyc)",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
-	for _, m := range modes {
+	err = fleetTable(&a, func(i int) (fleet.Result, error) {
+		m := modes[i]
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: m.policy, Engine: fleet.Modeled,
 			SLO: fleet.SLOConfig{Enabled: true}, Chaos: m.chaos, Autoscale: m.scale,
 			SampleEvery: meanSolo / 4,
 		})
 		if err != nil {
-			return Artifact{}, err
+			return fleet.Result{}, err
 		}
-		res, err := f.Run(arrivals)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("fleet chaos/%s: %w", m.name, err)
-		}
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("deadline-miss rate", res.MissRate())
-		add("wait p99 (kcyc)", res.WaitSummary().P99)
-		add("completed jobs", float64(res.CompletedJobs()))
-		add("chaos evictions", float64(res.ChaosEvictions))
-		add("failures", float64(res.Failures))
-		add("drains", float64(res.Drains))
-		add("restores", float64(res.Restores))
-		add("throughput", res.Throughput())
-		add("makespan (Mcyc)", float64(res.Makespan)/1e6)
-	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
+		return f.Run(arrivals)
+	},
+		missRateRow,
+		metric{"wait p99 (kcyc)", func(_ fleet.Result, st fleet.RunStats) float64 { return st.Wait.P99 }},
+		completedRow,
+		metric{"chaos evictions", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(r.ChaosEvictions) }},
+		metric{"failures", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(r.Failures) }},
+		metric{"drains", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(r.Drains) }},
+		metric{"restores", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(r.Restores) }},
+		throughputRow,
+		makespanRow)
+	if err != nil {
+		return Artifact{}, err
 	}
 	// Headline: what the outage costs and what a planned drain saves.
 	calm := a.MustValue("wait p99 (kcyc)", "ilp-calm")

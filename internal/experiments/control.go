@@ -9,19 +9,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// meanSoloCycles is the calibrated universe's mean solo duration — the
-// natural cycle scale for deadlines, think times and admission bounds,
-// so the control scenarios track the workload suite instead of magic
-// constants.
-func (s *Suite) meanSoloCycles() uint64 {
-	profiles := s.P.Profiles()
-	mean := uint64(0)
-	for _, r := range profiles {
-		mean += r.Cycles
-	}
-	return mean / uint64(len(profiles))
-}
-
 // FleetAdmission is the admission-control ablation under a flash
 // crowd: a closed-loop client pool far larger than the fleet's service
 // capacity submits latency-heavy traffic, and the same crowd is served
@@ -65,40 +52,24 @@ func (s *Suite) FleetAdmission() (Artifact, error) {
 	for _, m := range modes {
 		a.Columns = append(a.Columns, m.name)
 	}
-	labels := []string{
-		"deadline-miss rate",
-		"latency p99 wait (kcyc)",
-		"completed jobs",
-		"rejected",
-		"degraded",
-		"throughput",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
-	for _, m := range modes {
+	err := fleetTable(&a, func(i int) (fleet.Result, error) {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: sched.ILPSMRA, Engine: fleet.Modeled,
-			SLO: fleet.SLOConfig{Enabled: true}, Closed: closed, Admission: m.adm,
+			SLO: fleet.SLOConfig{Enabled: true}, Closed: closed, Admission: modes[i].adm,
 		})
 		if err != nil {
-			return Artifact{}, err
+			return fleet.Result{}, err
 		}
-		res, err := f.Run(nil)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("fleet admission/%s: %w", m.name, err)
-		}
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("deadline-miss rate", res.MissRate())
-		add("latency p99 wait (kcyc)", res.WaitSummaryFor(fleet.Latency).P99)
-		add("completed jobs", float64(res.CompletedJobs()))
-		add("rejected", float64(res.Rejected))
-		add("degraded", float64(res.Degraded))
-		add("throughput", res.Throughput())
-	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
+		return f.Run(nil)
+	},
+		missRateRow,
+		latencyP99Row,
+		completedRow,
+		metric{"rejected", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(r.Rejected) }},
+		metric{"degraded", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(r.Degraded) }},
+		throughputRow)
+	if err != nil {
+		return Artifact{}, err
 	}
 	// Headline: the ablation's trade — misses bought down, paid in
 	// rejections (or degradations, which keep the work).
@@ -159,43 +130,26 @@ func (s *Suite) FleetElastic() (Artifact, error) {
 	for _, m := range modes {
 		a.Columns = append(a.Columns, m.name)
 	}
-	labels := []string{
-		"mean active devices",
-		"deadline-miss rate",
-		"wait p95 (kcyc)",
-		"throughput",
-		"provisions",
-		"decommissions",
-		"makespan (Mcyc)",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
-	for _, m := range modes {
+	err = fleetTable(&a, func(i int) (fleet.Result, error) {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: sched.ILPSMRA, Engine: fleet.Modeled,
-			SLO: fleet.SLOConfig{Enabled: true}, Autoscale: m.scale,
+			SLO: fleet.SLOConfig{Enabled: true}, Autoscale: modes[i].scale,
 			SampleEvery: meanSolo / 4,
 		})
 		if err != nil {
-			return Artifact{}, err
+			return fleet.Result{}, err
 		}
-		res, err := f.Run(arrivals)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("fleet elastic/%s: %w", m.name, err)
-		}
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("mean active devices", meanActiveDevices(res, devices))
-		add("deadline-miss rate", res.MissRate())
-		add("wait p95 (kcyc)", res.WaitSummary().P95)
-		add("throughput", res.Throughput())
-		add("provisions", float64(res.Provisions))
-		add("decommissions", float64(res.Decommissions))
-		add("makespan (Mcyc)", float64(res.Makespan)/1e6)
-	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
+		return f.Run(arrivals)
+	},
+		metric{"mean active devices", func(r fleet.Result, _ fleet.RunStats) float64 { return meanActiveDevices(r, devices) }},
+		missRateRow,
+		metric{"wait p95 (kcyc)", func(_ fleet.Result, st fleet.RunStats) float64 { return st.Wait.P95 }},
+		throughputRow,
+		metric{"provisions", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(r.Provisions) }},
+		metric{"decommissions", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(r.Decommissions) }},
+		makespanRow)
+	if err != nil {
+		return Artifact{}, err
 	}
 	fixedActive := a.MustValue("mean active devices", "fixed-roster")
 	elasticActive := a.MustValue("mean active devices", "autoscale-2:8")

@@ -16,6 +16,58 @@ import (
 // setting.
 var fleetPolicies = []sched.Policy{sched.Serial, sched.FCFS, sched.ILP, sched.ILPSMRA}
 
+// meanSoloCycles is the calibrated universe's mean solo duration — the
+// natural cycle scale for deadlines, think times and admission bounds,
+// so the fleet scenarios track the workload suite instead of magic
+// constants.
+func (s *Suite) meanSoloCycles() uint64 {
+	profiles := s.P.Profiles()
+	mean := uint64(0)
+	for _, r := range profiles {
+		mean += r.Cycles
+	}
+	return mean / uint64(len(profiles))
+}
+
+// metric is one row of a fleet table: its label and what it reads from
+// each column's run.
+type metric struct {
+	label string
+	value func(fleet.Result, fleet.RunStats) float64
+}
+
+// The rows several fleet tables share.
+var (
+	missRateRow   = metric{"deadline-miss rate", func(_ fleet.Result, st fleet.RunStats) float64 { return st.MissRate }}
+	throughputRow = metric{"throughput", func(r fleet.Result, _ fleet.RunStats) float64 { return r.Throughput() }}
+	makespanRow   = metric{"makespan (Mcyc)", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(r.Makespan) / 1e6 }}
+	evictionsRow  = metric{"evictions", func(r fleet.Result, _ fleet.RunStats) float64 { return float64(len(r.Evictions)) }}
+	completedRow  = metric{"completed jobs", func(_ fleet.Result, st fleet.RunStats) float64 { return float64(st.Completed) }}
+	latencyP99Row = metric{"latency p99 wait (kcyc)", func(_ fleet.Result, st fleet.RunStats) float64 { return st.ClassWait[fleet.Latency].P99 }}
+	batchP95Row   = metric{"batch p95 wait (kcyc)", func(_ fleet.Result, st fleet.RunStats) float64 { return st.ClassWait[fleet.Batch].P95 }}
+)
+
+// fleetTable runs one fleet per column of a, run(i) serving column i,
+// and appends one row per metric holding its value for every column.
+func fleetTable(a *Artifact, run func(i int) (fleet.Result, error), metrics ...metric) error {
+	rows := make([]Row, len(metrics))
+	for k, m := range metrics {
+		rows[k].Label = m.label
+	}
+	for i, col := range a.Columns {
+		res, err := run(i)
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", a.ID, col, err)
+		}
+		st := res.Stats()
+		for k, m := range metrics {
+			rows[k].Values = append(rows[k].Values, m.value(res, st))
+		}
+	}
+	a.Rows = append(a.Rows, rows...)
+	return nil
+}
+
 // FleetOnline is an extension beyond the paper: the same policy ladder
 // evaluated online, with jobs arriving over simulated time to a
 // 4-device fleet under three traffic regimes — light (fleet mostly
@@ -63,7 +115,7 @@ func (s *Suite) FleetOnline() (Artifact, error) {
 				return Artifact{}, fmt.Errorf("fleet %s/%v: %w", regime.name, policy, err)
 			}
 			thpt.Values = append(thpt.Values, res.Throughput())
-			p95.Values = append(p95.Values, res.TurnaroundSummary().P95)
+			p95.Values = append(p95.Values, res.Stats().Turnaround.P95)
 		}
 		a.Rows = append(a.Rows, thpt, p95)
 	}
@@ -106,13 +158,7 @@ func (s *Suite) FleetSLO() (Artifact, error) {
 	// a magic cycle count: twice the mean solo duration, comfortable for
 	// a dispatched latency job (even co-running) but tight enough that
 	// queueing behind batch backlogs blows it.
-	profiles := s.P.Profiles()
-	meanSolo := uint64(0)
-	for _, r := range profiles {
-		meanSolo += r.Cycles
-	}
-	meanSolo /= uint64(len(profiles))
-	deadline := 2 * meanSolo
+	deadline := 2 * s.meanSoloCycles()
 	acfg := fleet.ArrivalConfig{
 		Kind: fleet.Poisson, Jobs: jobs, Rate: 0.8,
 		LatencyFrac: latencyFrac, Deadline: deadline,
@@ -138,40 +184,24 @@ func (s *Suite) FleetSLO() (Artifact, error) {
 	for _, m := range modes {
 		a.Columns = append(a.Columns, m.name)
 	}
-	labels := []string{
-		"deadline-miss rate",
-		"latency p99 turnaround (kcyc)",
-		"latency p99 wait (kcyc)",
-		"batch p95 wait (kcyc)",
-		"batch jobs per Mcycle",
-		"throughput",
-		"evictions",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
-	for _, m := range modes {
-		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{NC: nc, Policy: sched.ILPSMRA, SLO: m.slo})
+	err = fleetTable(&a, func(i int) (fleet.Result, error) {
+		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{NC: nc, Policy: sched.ILPSMRA, SLO: modes[i].slo})
 		if err != nil {
-			return Artifact{}, err
+			return fleet.Result{}, err
 		}
-		res, err := f.Run(arrivals)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("fleet slo/%s: %w", m.name, err)
-		}
-		batchJobs := len(res.Jobs) - res.LatencyJobs()
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("deadline-miss rate", res.MissRate())
-		add("latency p99 turnaround (kcyc)", res.TurnaroundSummaryFor(fleet.Latency).P99)
-		add("latency p99 wait (kcyc)", res.WaitSummaryFor(fleet.Latency).P99)
-		add("batch p95 wait (kcyc)", res.WaitSummaryFor(fleet.Batch).P95)
-		add("batch jobs per Mcycle", 1e6*float64(batchJobs)/float64(res.Makespan))
-		add("throughput", res.Throughput())
-		add("evictions", float64(len(res.Evictions)))
-	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
+		return f.Run(arrivals)
+	},
+		missRateRow,
+		metric{"latency p99 turnaround (kcyc)", func(_ fleet.Result, st fleet.RunStats) float64 { return st.ClassTurnaround[fleet.Latency].P99 }},
+		latencyP99Row,
+		batchP95Row,
+		metric{"batch jobs per Mcycle", func(r fleet.Result, st fleet.RunStats) float64 {
+			return 1e6 * float64(len(r.Jobs)-st.Latency) / float64(r.Makespan)
+		}},
+		throughputRow,
+		evictionsRow)
+	if err != nil {
+		return Artifact{}, err
 	}
 	// Headlines: what preemption buys the latency class and what it
 	// costs the batch class, on identical traffic.
@@ -216,13 +246,7 @@ func (s *Suite) FleetScale() (Artifact, error) {
 	}
 	// Deadline scaled from the calibrated universe exactly as FleetSLO
 	// does: twice the mean solo duration on the big generation.
-	profiles := s.P.Profiles()
-	meanSolo := uint64(0)
-	for _, r := range profiles {
-		meanSolo += r.Cycles
-	}
-	meanSolo /= uint64(len(profiles))
-	deadline := 2 * meanSolo
+	deadline := 2 * s.meanSoloCycles()
 	acfg := fleet.ArrivalConfig{
 		Kind: fleet.Bursty, Jobs: jobs, Rate: 1.2,
 		LatencyFrac: latencyFrac, Deadline: deadline,
@@ -241,42 +265,25 @@ func (s *Suite) FleetScale() (Artifact, error) {
 	for _, p := range policies {
 		a.Columns = append(a.Columns, p.String())
 	}
-	labels := []string{
-		"throughput",
-		"mean utilization",
-		"deadline-miss rate",
-		"latency p99 wait (kcyc)",
-		"batch p95 wait (kcyc)",
-		"evictions",
-		"makespan (Mcyc)",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
-	for _, policy := range policies {
+	err = fleetTable(&a, func(i int) (fleet.Result, error) {
 		f, err := fleet.New(fleet.Config{
-			Devices: roster, NC: nc, Policy: policy, Engine: fleet.Modeled,
+			Devices: roster, NC: nc, Policy: policies[i], Engine: fleet.Modeled,
 			SLO: fleet.SLOConfig{Enabled: true, Preempt: true},
 		})
 		if err != nil {
-			return Artifact{}, err
+			return fleet.Result{}, err
 		}
-		res, err := f.Run(arrivals)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("fleet scale/%v: %w", policy, err)
-		}
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("throughput", res.Throughput())
-		add("mean utilization", res.MeanUtilization())
-		add("deadline-miss rate", res.MissRate())
-		add("latency p99 wait (kcyc)", res.WaitSummaryFor(fleet.Latency).P99)
-		add("batch p95 wait (kcyc)", res.WaitSummaryFor(fleet.Batch).P95)
-		add("evictions", float64(len(res.Evictions)))
-		add("makespan (Mcyc)", float64(res.Makespan)/1e6)
-	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
+		return f.Run(arrivals)
+	},
+		throughputRow,
+		metric{"mean utilization", func(r fleet.Result, _ fleet.RunStats) float64 { return r.MeanUtilization() }},
+		missRateRow,
+		latencyP99Row,
+		batchP95Row,
+		evictionsRow,
+		makespanRow)
+	if err != nil {
+		return Artifact{}, err
 	}
 	fcfs := a.MustValue("throughput", sched.FCFS.String())
 	smra := a.MustValue("throughput", sched.ILPSMRA.String())
@@ -340,7 +347,7 @@ func (s *Suite) FleetHetero() (Artifact, error) {
 				return Artifact{}, fmt.Errorf("fleet %s/%v: %w", roster.name, policy, err)
 			}
 			thpt.Values = append(thpt.Values, res.Throughput())
-			p95.Values = append(p95.Values, res.WaitSummary().P95)
+			p95.Values = append(p95.Values, res.Stats().Wait.P95)
 		}
 		a.Rows = append(a.Rows, thpt, p95)
 	}

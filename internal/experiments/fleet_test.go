@@ -1,12 +1,22 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/testkit"
 )
+
+// update rewrites testdata/fleet_chaos.golden:
+//
+//	go test ./internal/experiments -run FleetChaosGolden -update
+//
+// Run it only when the scenario's output is meant to change.
+var update = flag.Bool("update", false, "rewrite testdata/fleet_chaos.golden")
 
 var (
 	testPipeMu sync.Mutex
@@ -67,5 +77,33 @@ func TestFleetChaosDeterministic(t *testing.T) {
 	drain, fail := a.MustValue("wait p99 (kcyc)", "ilp-drain"), a.MustValue("wait p99 (kcyc)", "ilp-fail")
 	if drain > fail {
 		t.Errorf("drain wait p99 %.1f kcyc > fail wait p99 %.1f kcyc; planned drain should not beat a crash's tail", drain, fail)
+	}
+}
+
+// TestFleetChaosGolden locks the FleetChaos artifact on the testkit
+// suite byte for byte: every row reads a run's aggregated job records,
+// so the golden pins what the artifact table renders from them.
+func TestFleetChaosGolden(t *testing.T) {
+	a, err := testSuite(t).FleetChaos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := a.String()
+	path := filepath.Join("testdata", "fleet_chaos.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to capture): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("diverged from %s:\n--- want ---\n%s--- got ---\n%s", path, want, got)
 	}
 }

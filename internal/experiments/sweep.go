@@ -22,14 +22,6 @@ func (s *Suite) FleetSweep() (Artifact, error) {
 		jobs        = 48
 		latencyFrac = 0.15
 	)
-	// Deadline scaled from the calibrated universe, as in FleetSLO.
-	profiles := s.P.Profiles()
-	meanSolo := uint64(0)
-	for _, r := range profiles {
-		meanSolo += r.Cycles
-	}
-	meanSolo /= uint64(len(profiles))
-
 	roster := fmt.Sprintf("%dx%s", devices, s.P.Config().Name)
 	g := sweep.Grid{
 		Policies:    []string{"fcfs", "ilp-smra"},
@@ -40,7 +32,7 @@ func (s *Suite) FleetSweep() (Artifact, error) {
 		Jobs:        jobs,
 		Rate:        0.8,
 		LatencyFrac: latencyFrac,
-		Deadline:    2 * meanSolo,
+		Deadline:    2 * s.meanSoloCycles(), // scaled from the calibrated universe, as in FleetSLO
 		Seed:        rng.Hash2(s.Seed, 0x53EE9),
 	}
 	r := sweep.Runner{

@@ -16,7 +16,7 @@ import (
 // clients, admission and the autoscaler:
 //
 //   - fail kills a device outright. A group in flight is evicted
-//     through the same EvictionRecord/RestartFrac machinery preemption
+//     through the same EvictionRecord checkpoint machinery preemption
 //     uses (trigger "chaos", id -1): its jobs re-enter the queue with
 //     checkpointed progress and the device leaves the idle heap.
 //   - drain stops new dispatch: the device leaves the idle heap but a

@@ -519,8 +519,8 @@ func (c *loopCtl) admit(j *JobRecord, now uint64) bool {
 
 // predictedWait estimates the queueing wait a submission arriving now
 // would see: zero with an idle active device; otherwise the time until
-// the first device frees (the model's predicted completion — exact
-// under the Modeled engine) plus the queued backlog's work spread over
+// the first up device frees (firstToFree: the model's predicted
+// completion, exact under the Modeled engine) plus the queued backlog's work spread over
 // the effective (up) roster. Down devices are priced out on both
 // sides: a draining device's flight frees no capacity when it retires,
 // and a failed device contributes nothing to the denominator. With
@@ -530,20 +530,9 @@ func (c *loopCtl) predictedWait(now uint64) uint64 {
 	if len(c.l.idleDevs.v) > 0 {
 		return 0
 	}
-	earliest := uint64(math.MaxUint64)
-	for _, fl := range c.l.flightOf {
-		if fl == nil {
-			continue
-		}
-		if !c.deviceUp(fl.device) {
-			continue
-		}
-		if free := c.f.predictedFree(fl); free < earliest {
-			earliest = free
-		}
-	}
+	_, earliest := c.l.firstToFree()
 	var wait uint64
-	if earliest != math.MaxUint64 && earliest > now {
+	if earliest != inf && earliest > now {
 		wait = earliest - now
 	}
 	if up := c.upActive(); up > 0 {

@@ -220,12 +220,13 @@ func TestAdmissionReducesMisses(t *testing.T) {
 	if on.Rejected == 0 {
 		t.Fatal("admission on rejected nothing; the bound never bit")
 	}
-	if off.DeadlineMisses() == 0 {
+	offStats, onStats := off.Stats(), on.Stats()
+	if offStats.Misses == 0 {
 		t.Fatal("flash crowd missed no deadlines; the ablation has no signal")
 	}
-	if on.MissRate() >= off.MissRate() {
+	if onStats.MissRate >= offStats.MissRate {
 		t.Errorf("admission on miss rate %.3f not below off %.3f (rejected %d)",
-			on.MissRate(), off.MissRate(), on.Rejected)
+			onStats.MissRate, offStats.MissRate, on.Rejected)
 	}
 	checkConservation(t, "admission-off", off, 96)
 	checkConservation(t, "admission-on", on, 96)

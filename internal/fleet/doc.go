@@ -23,9 +23,12 @@
 //     group per device, through sched.Scheduler.RunGroup — the same
 //     single-group path the offline scheduler uses (loop.go);
 //   - per-job latency (wait, turnaround, deadline slack) and per-device
-//     utilization are accounted and summarized from radix-sorted
-//     integer cycles with stats.SortUint64 and stats.SummarizeSorted
-//     (report.go), and persist as per-job CSV artifacts (csv.go).
+//     utilization are accounted, and Result.Stats aggregates the job
+//     records in one pass into a RunStats that Summary, the sweep
+//     metrics and the experiment tables all read, summarized from
+//     radix-sorted integer cycles with stats.SortUint64 and
+//     stats.SummarizeSorted (report.go); the records persist as per-job
+//     CSV artifacts (csv.go).
 //
 // # The event core and engine modes
 //
@@ -68,9 +71,10 @@
 // while "can eviction save it?" assumes the solo optimum (a possible
 // rescue is worth one batch group's progress). Evicted jobs re-enter
 // the queue with their completed fraction checkpointed from the
-// solo-profile progress model, capped at MaxCheckpoint; a re-dispatch
-// runs the un-preserved remainder plus an explicit restart cost
-// (RestartFrac). Groups containing a latency member are never evicted.
+// solo-profile progress model, capped at 90% of the job; a re-dispatch
+// runs the un-preserved remainder plus an explicit restart cost of a
+// tenth of its solo duration. Groups containing a latency member are
+// never evicted.
 //
 // # Heterogeneous rosters
 //

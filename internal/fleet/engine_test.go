@@ -118,9 +118,9 @@ func TestHybridWithinTolerance(t *testing.T) {
 	if d := rel(float64(hybrid.Makespan), float64(cycle.Makespan)); d > 0.35 {
 		t.Errorf("hybrid makespan %d vs cycle %d (%.0f%% apart)", hybrid.Makespan, cycle.Makespan, 100*d)
 	}
-	if d := rel(hybrid.TurnaroundSummary().Mean, cycle.TurnaroundSummary().Mean); d > 0.35 {
-		t.Errorf("hybrid mean turnaround %.1f vs cycle %.1f (%.0f%% apart)",
-			hybrid.TurnaroundSummary().Mean, cycle.TurnaroundSummary().Mean, 100*d)
+	hybridTurn, cycleTurn := hybrid.Stats().Turnaround.Mean, cycle.Stats().Turnaround.Mean
+	if d := rel(hybridTurn, cycleTurn); d > 0.35 {
+		t.Errorf("hybrid mean turnaround %.1f vs cycle %.1f (%.0f%% apart)", hybridTurn, cycleTurn, 100*d)
 	}
 	if hybrid.ModelDelta <= 0 || hybrid.ModelDelta > 0.5 {
 		t.Errorf("model delta %.3f outside the plausible band (0, 0.5]", hybrid.ModelDelta)

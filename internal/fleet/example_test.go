@@ -38,8 +38,8 @@ func ExampleFleet_Run() {
 		log.Fatal(err)
 	}
 	fmt.Printf("jobs=%d groups=%d devices=%d\n", len(res.Jobs), res.Groups, res.Devices)
-	fmt.Printf("latency jobs=%d misses=%d evictions=%d\n",
-		res.LatencyJobs(), res.DeadlineMisses(), len(res.Evictions))
+	st := res.Stats()
+	fmt.Printf("latency jobs=%d misses=%d evictions=%d\n", st.Latency, st.Misses, len(res.Evictions))
 	// Output:
 	// jobs=3 groups=2 devices=1
 	// latency jobs=1 misses=0 evictions=0

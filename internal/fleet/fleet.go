@@ -149,7 +149,6 @@ func (c Config) withDefaults() Config {
 			c.Autoscale.Epoch = DefaultScaleEpoch
 		}
 	}
-	c.SLO = c.SLO.withDefaults()
 	c.Chaos = c.Chaos.withDefaults()
 	return c
 }

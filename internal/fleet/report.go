@@ -52,7 +52,7 @@ type JobRecord struct {
 	Attempts int
 	// app is the state the job shares with every job of its
 	// application (sim.go). progress is the checkpointed completed
-	// fraction preserved across evictions, in [0, MaxCheckpoint].
+	// fraction preserved across evictions, in [0, maxCheckpoint].
 	app      *appInfo
 	progress float64
 }
@@ -203,19 +203,6 @@ func (r Result) CompletedJobs() int {
 	return n
 }
 
-// CompletedLatencyJobs counts latency-class jobs that ran to
-// completion — the deadline-miss denominator (rejected or abandoned
-// jobs never had a completion to judge).
-func (r Result) CompletedLatencyJobs() int {
-	n := 0
-	for _, j := range r.Jobs {
-		if j.SLO == Latency && j.Outcome == Done {
-			n++
-		}
-	}
-	return n
-}
-
 // Throughput is the fleet analogue of Equation 1.1: retired thread
 // instructions over the fleet makespan. Devices run in parallel, so
 // with N busy devices this approaches N times a single device's rate.
@@ -246,18 +233,6 @@ func (r Result) MeanUtilization() float64 {
 	return sum / float64(len(r.DeviceBusy))
 }
 
-// Waits returns every completed job's queueing delay in kilocycles
-// (rejected and abandoned jobs have no dispatch to measure).
-func (r Result) Waits() []float64 {
-	out := make([]float64, 0, len(r.Jobs))
-	for i := range r.Jobs {
-		if j := &r.Jobs[i]; j.Outcome == Done {
-			out = append(out, float64(j.Wait())/1000)
-		}
-	}
-	return out
-}
-
 // Turnarounds returns every completed job's turnaround in kilocycles.
 func (r Result) Turnarounds() []float64 {
 	out := make([]float64, 0, len(r.Jobs))
@@ -267,83 +242,6 @@ func (r Result) Turnarounds() []float64 {
 		}
 	}
 	return out
-}
-
-// WaitSummary summarizes queueing delay (kilocycles).
-func (r Result) WaitSummary() stats.Summary { return r.cycleSummary((*JobRecord).Wait, Batch, Latency) }
-
-// TurnaroundSummary summarizes turnaround (kilocycles).
-func (r Result) TurnaroundSummary() stats.Summary {
-	return r.cycleSummary((*JobRecord).Turnaround, Batch, Latency)
-}
-
-// WaitSummaryFor summarizes queueing delay (kilocycles) for one SLO
-// class.
-func (r Result) WaitSummaryFor(c SLOClass) stats.Summary {
-	return r.cycleSummary((*JobRecord).Wait, c, c)
-}
-
-// TurnaroundSummaryFor summarizes turnaround (kilocycles) for one SLO
-// class.
-func (r Result) TurnaroundSummaryFor(c SLOClass) stats.Summary {
-	return r.cycleSummary((*JobRecord).Turnaround, c, c)
-}
-
-// cycleSummary summarizes metric over the completed jobs of SLO class a
-// or b, in kilocycles, by the sorted-integer path Summary takes.
-func (r Result) cycleSummary(metric func(*JobRecord) uint64, a, b SLOClass) stats.Summary {
-	n := len(r.Jobs)
-	buf := make([]uint64, 2*n)
-	v := buf[:0:n]
-	for i := range r.Jobs {
-		if j := &r.Jobs[i]; j.Outcome == Done && (j.SLO == a || j.SLO == b) {
-			v = append(v, metric(j))
-		}
-	}
-	stats.SortUint64(v, buf[n:])
-	return kcycles(v)
-}
-
-// kcycles summarizes ascending cycle counts in kilocycles.
-func kcycles[T uint64 | int64](sorted []T) stats.Summary {
-	return stats.SummarizeSorted(sorted, 1000)
-}
-
-// LatencySlacks returns every latency job's deadline slack in
-// kilocycles (negative = missed), in arrival order.
-func (r Result) LatencySlacks() []float64 {
-	var out []float64
-	for i := range r.Jobs {
-		if j := &r.Jobs[i]; j.SLO == Latency && j.Outcome == Done {
-			out = append(out, float64(j.Slack())/1000)
-		}
-	}
-	return out
-}
-
-// SlackSummary summarizes the latency-class deadline slack
-// (kilocycles); its percentiles are the per-class deadline-miss
-// percentiles (P50 < 0 means the median latency job missed).
-func (r Result) SlackSummary() stats.Summary {
-	var slack []int64
-	for i := range r.Jobs {
-		if j := &r.Jobs[i]; j.SLO == Latency && j.Outcome == Done {
-			slack = append(slack, j.Slack())
-		}
-	}
-	slices.Sort(slack)
-	return kcycles(slack)
-}
-
-// LatencyJobs counts jobs of the latency class.
-func (r Result) LatencyJobs() int {
-	n := 0
-	for _, j := range r.Jobs {
-		if j.SLO == Latency {
-			n++
-		}
-	}
-	return n
 }
 
 // DeadlineMisses counts latency jobs that completed past their
@@ -356,17 +254,6 @@ func (r Result) DeadlineMisses() int {
 		}
 	}
 	return n
-}
-
-// MissRate is the fraction of completed latency jobs that missed their
-// deadline (0 when there are none). Rejected and abandoned jobs are
-// excluded from the denominator — admission shedding load must not
-// masquerade as meeting deadlines for jobs it never ran.
-func (r Result) MissRate() float64 {
-	if n := r.CompletedLatencyJobs(); n > 0 {
-		return float64(r.DeadlineMisses()) / float64(n)
-	}
-	return 0
 }
 
 // WastedCycles sums the eviction records' wasted work.
@@ -400,64 +287,94 @@ func (r Result) deviceLabel(d int) string {
 	return "?"
 }
 
-// summaryPass is what Summary reads from the job records, gathered in
-// one pass by index: the completed jobs' wait and turnaround cycles per
-// SLO class and the completed latency jobs' deadline slacks, each sorted
-// ascending once; a scratch slice as long as the job list, which the
-// radix sorts use and the fleet-wide rows then merge into; and the job
-// counts.
-type summaryPass struct {
-	wait, turnaround [2][]uint64 // by SLOClass
-	slack            []int64
-	scratch          []uint64
-	completed        int
-	latency          int
-	completedLatency int
-	misses           int
+// RunStats is what a run's job records aggregate to: the job counts,
+// the deadline-miss rate, and the completed jobs' wait, turnaround and
+// deadline-slack distributions in kilocycles. Result.Stats computes it;
+// Summary, the sweep metrics and the experiment tables all read it.
+type RunStats struct {
+	// Completed counts jobs that ran to completion. Latency counts
+	// latency-class jobs, and CompletedLatency those of them that
+	// completed: the deadline-miss denominator, since rejected and
+	// abandoned jobs never had a completion to judge.
+	Completed        int
+	Latency          int
+	CompletedLatency int
+	// Misses counts latency jobs that completed past their deadline, and
+	// MissRate is Misses over CompletedLatency (0 when there are none),
+	// so admission shedding load cannot masquerade as meeting deadlines
+	// for jobs it never ran.
+	Misses   int
+	MissRate float64
+	// Wait and Turnaround summarize every completed job's queueing delay
+	// and turnaround; ClassWait and ClassTurnaround split them by SLO
+	// class.
+	Wait, Turnaround           stats.Summary
+	ClassWait, ClassTurnaround [2]stats.Summary // by SLOClass
+	// Slack summarizes the completed latency jobs' deadline slack
+	// (negative = missed); its percentiles are the latency class's
+	// deadline-miss percentiles (P50 < 0 means the median job missed).
+	Slack stats.Summary
 }
 
-// summarize makes the pass. Each class's samples share one job-count
-// array per metric — latency samples fill it from the front, batch
-// samples from the back — so the pass allocates without counting
-// first, and one allocation holds both arrays and the scratch.
-func (r Result) summarize() summaryPass {
-	var s summaryPass
+// Stats aggregates the job records in one pass by index. Each SLO
+// class's wait and turnaround cycles share one job-count array per
+// metric — latency samples fill it from the front, batch samples from
+// the back — so the pass allocates without counting first, and one
+// allocation holds both arrays and the scratch the radix sorts use.
+// Each class is sorted once; the fleet-wide summaries merge the two
+// sorted classes into the scratch, the same samples in the same
+// ascending order one sort of all of them would give.
+func (r Result) Stats() RunStats {
+	var s RunStats
 	n := len(r.Jobs)
 	buf := make([]uint64, 3*n)
-	waits, turns := buf[:n], buf[n:2*n]
-	s.scratch = buf[2*n:]
+	waits, turns, scratch := buf[:n], buf[n:2*n], buf[2*n:]
+	var slack []int64
 	lat, batch := 0, n
 	for i := range r.Jobs {
 		j := &r.Jobs[i]
 		if j.SLO == Latency {
-			s.latency++
+			s.Latency++
 		}
 		if j.Missed() {
-			s.misses++
+			s.Misses++
 		}
 		if j.Outcome != Done {
 			continue
 		}
-		s.completed++
+		s.Completed++
 		w, t := j.Wait(), j.Turnaround()
 		if j.SLO == Latency {
 			waits[lat], turns[lat] = w, t
 			lat++
-			s.slack = append(s.slack, j.Slack())
+			slack = append(slack, j.Slack())
 		} else {
 			batch--
 			waits[batch], turns[batch] = w, t
 		}
 	}
-	s.completedLatency = lat
-	s.wait = [2][]uint64{Latency: waits[:lat], Batch: waits[batch:]}
-	s.turnaround = [2][]uint64{Latency: turns[:lat], Batch: turns[batch:]}
-	for c := range s.wait {
-		stats.SortUint64(s.wait[c], s.scratch)
-		stats.SortUint64(s.turnaround[c], s.scratch)
+	s.CompletedLatency = lat
+	if lat > 0 {
+		s.MissRate = float64(s.Misses) / float64(lat)
 	}
-	slices.Sort(s.slack)
+	wait := [2][]uint64{Latency: waits[:lat], Batch: waits[batch:]}
+	turn := [2][]uint64{Latency: turns[:lat], Batch: turns[batch:]}
+	for c := range wait {
+		stats.SortUint64(wait[c], scratch)
+		stats.SortUint64(turn[c], scratch)
+		s.ClassWait[c] = kcycles(wait[c])
+		s.ClassTurnaround[c] = kcycles(turn[c])
+	}
+	s.Wait = kcycles(mergeSorted(scratch, wait[Latency], wait[Batch]))
+	s.Turnaround = kcycles(mergeSorted(scratch, turn[Latency], turn[Batch]))
+	slices.Sort(slack)
+	s.Slack = kcycles(slack)
 	return s
+}
+
+// kcycles summarizes ascending cycle counts in kilocycles.
+func kcycles[T uint64 | int64](sorted []T) stats.Summary {
+	return stats.SummarizeSorted(sorted, 1000)
 }
 
 // mergeSorted merges two ascending slices into dst, which must hold
@@ -489,13 +406,9 @@ func mergeSorted(dst, a, b []uint64) []uint64 {
 // Summary renders the run as a deterministic multi-line report: two
 // runs with the same seed and configuration produce byte-identical
 // output (the reproducibility contract cmd/fleet and the tests rely
-// on). It reads the job records once (summarize) and radix-sorts each
-// SLO class's integer cycles once; the fleet-wide rows merge the two
-// sorted classes, the same samples in the same ascending order the
-// per-metric methods (WaitSummary, SlackSummary, ...) sort them into,
-// so every line matches what those methods report.
+// on). Every line that aggregates job records renders from one Stats.
 func (r Result) Summary() string {
-	s := r.summarize()
+	s := r.Stats()
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleet: policy=%v devices=%d [%s] nc=%d jobs=%d\n", r.Policy, r.Devices, r.Roster, r.NC, len(r.Jobs))
 	fmt.Fprintf(&b, "makespan    %d cycles\n", r.Makespan)
@@ -516,7 +429,7 @@ func (r Result) Summary() string {
 	// so open-loop runs keep the historical (golden-locked) shape.
 	if r.Closed || r.Admission || r.Autoscale || r.Chaos {
 		fmt.Fprintf(&b, "control     submitted=%d completed=%d rejected=%d degraded=%d abandoned=%d retried=%d\n",
-			r.Submitted, s.completed, r.Rejected, r.Degraded, r.Abandoned, r.Retried)
+			r.Submitted, s.Completed, r.Rejected, r.Degraded, r.Abandoned, r.Retried)
 	}
 	if r.Autoscale {
 		fmt.Fprintf(&b, "autoscale   provisions=%d decommissions=%d\n", r.Provisions, r.Decommissions)
@@ -530,21 +443,17 @@ func (r Result) Summary() string {
 		fmt.Fprintf(&b, " d%d[%s]=%.1f%%", d, r.deviceLabel(d), 100*r.Utilization(d))
 	}
 	fmt.Fprintf(&b, " mean=%.1f%%\n", 100*r.MeanUtilization())
-	fmt.Fprintf(&b, "wait        (kcycles) %v\n", kcycles(mergeSorted(s.scratch, s.wait[Latency], s.wait[Batch])))
-	fmt.Fprintf(&b, "turnaround  (kcycles) %v\n", kcycles(mergeSorted(s.scratch, s.turnaround[Latency], s.turnaround[Batch])))
+	fmt.Fprintf(&b, "wait        (kcycles) %v\n", s.Wait)
+	fmt.Fprintf(&b, "turnaround  (kcycles) %v\n", s.Turnaround)
 	// The per-class block appears exactly when the run carries SLO
 	// classes, so class-blind runs keep the historical summary shape.
-	if s.latency > 0 || len(r.Evictions) > 0 {
-		missRate := 0.0
-		if s.completedLatency > 0 {
-			missRate = float64(s.misses) / float64(s.completedLatency)
-		}
-		fmt.Fprintf(&b, "latency wait       (kcycles) %v\n", kcycles(s.wait[Latency]))
-		fmt.Fprintf(&b, "latency turnaround (kcycles) %v\n", kcycles(s.turnaround[Latency]))
-		fmt.Fprintf(&b, "latency slack      (kcycles) %v\n", kcycles(s.slack))
-		fmt.Fprintf(&b, "batch wait         (kcycles) %v\n", kcycles(s.wait[Batch]))
-		fmt.Fprintf(&b, "batch turnaround   (kcycles) %v\n", kcycles(s.turnaround[Batch]))
-		fmt.Fprintf(&b, "deadline-miss      %d/%d (%.1f%%)\n", s.misses, s.completedLatency, 100*missRate)
+	if s.Latency > 0 || len(r.Evictions) > 0 {
+		fmt.Fprintf(&b, "latency wait       (kcycles) %v\n", s.ClassWait[Latency])
+		fmt.Fprintf(&b, "latency turnaround (kcycles) %v\n", s.ClassTurnaround[Latency])
+		fmt.Fprintf(&b, "latency slack      (kcycles) %v\n", s.Slack)
+		fmt.Fprintf(&b, "batch wait         (kcycles) %v\n", s.ClassWait[Batch])
+		fmt.Fprintf(&b, "batch turnaround   (kcycles) %v\n", s.ClassTurnaround[Batch])
+		fmt.Fprintf(&b, "deadline-miss      %d/%d (%.1f%%)\n", s.Misses, s.CompletedLatency, 100*s.MissRate)
 		fmt.Fprintf(&b, "evictions          %d (wasted %d cycles)\n", len(r.Evictions), r.WastedCycles())
 	}
 	return b.String()

@@ -48,34 +48,101 @@ func randomResult(s *rng.Stream, jobs int, latFrac float64, latencyFails bool, e
 	return r
 }
 
-// perMetricLines renders the Summary lines that aggregate job records
-// from the public per-metric methods, each of which sorts its own
-// samples per call: the reference the one-pass Summary must match.
-func perMetricLines(r Result) []string {
+// referenceStats aggregates the job records the slow way: the counts
+// by per-record scans, and each distribution by stats.Summarize over
+// its samples in float kilocycles, in arrival order.
+func referenceStats(r Result) RunStats {
+	var s RunStats
+	var wait, turn, classWait, classTurn [2][]float64
+	var slack []float64
+	for i := range r.Jobs {
+		j := &r.Jobs[i]
+		if j.SLO == Latency {
+			s.Latency++
+		}
+		if j.Missed() {
+			s.Misses++
+		}
+		if j.Outcome != Done {
+			continue
+		}
+		s.Completed++
+		w, t := float64(j.Wait())/1000, float64(j.Turnaround())/1000
+		wait[0], turn[0] = append(wait[0], w), append(turn[0], t)
+		classWait[j.SLO] = append(classWait[j.SLO], w)
+		classTurn[j.SLO] = append(classTurn[j.SLO], t)
+		if j.SLO == Latency {
+			s.CompletedLatency++
+			slack = append(slack, float64(j.Slack())/1000)
+		}
+	}
+	if s.CompletedLatency > 0 {
+		s.MissRate = float64(s.Misses) / float64(s.CompletedLatency)
+	}
+	s.Wait, s.Turnaround = stats.Summarize(wait[0]), stats.Summarize(turn[0])
+	for c := range classWait {
+		s.ClassWait[c] = stats.Summarize(classWait[c])
+		s.ClassTurnaround[c] = stats.Summarize(classTurn[c])
+	}
+	s.Slack = stats.Summarize(slack)
+	return s
+}
+
+// referenceLines renders the Summary lines that aggregate job records
+// from the reference aggregation.
+func referenceLines(r Result, s RunStats) []string {
 	var lines []string
 	if r.Closed {
 		lines = append(lines, fmt.Sprintf("control     submitted=%d completed=%d rejected=%d degraded=%d abandoned=%d retried=%d",
-			r.Submitted, r.CompletedJobs(), r.Rejected, r.Degraded, r.Abandoned, r.Retried))
+			r.Submitted, s.Completed, r.Rejected, r.Degraded, r.Abandoned, r.Retried))
 	}
 	lines = append(lines,
-		fmt.Sprintf("wait        (kcycles) %v", r.WaitSummary()),
-		fmt.Sprintf("turnaround  (kcycles) %v", r.TurnaroundSummary()))
-	if r.LatencyJobs() > 0 || len(r.Evictions) > 0 {
+		fmt.Sprintf("wait        (kcycles) %v", s.Wait),
+		fmt.Sprintf("turnaround  (kcycles) %v", s.Turnaround))
+	if s.Latency > 0 || len(r.Evictions) > 0 {
 		lines = append(lines,
-			fmt.Sprintf("latency wait       (kcycles) %v", r.WaitSummaryFor(Latency)),
-			fmt.Sprintf("latency turnaround (kcycles) %v", r.TurnaroundSummaryFor(Latency)),
-			fmt.Sprintf("latency slack      (kcycles) %v", r.SlackSummary()),
-			fmt.Sprintf("batch wait         (kcycles) %v", r.WaitSummaryFor(Batch)),
-			fmt.Sprintf("batch turnaround   (kcycles) %v", r.TurnaroundSummaryFor(Batch)),
-			fmt.Sprintf("deadline-miss      %d/%d (%.1f%%)", r.DeadlineMisses(), r.CompletedLatencyJobs(), 100*r.MissRate()))
+			fmt.Sprintf("latency wait       (kcycles) %v", s.ClassWait[Latency]),
+			fmt.Sprintf("latency turnaround (kcycles) %v", s.ClassTurnaround[Latency]),
+			fmt.Sprintf("latency slack      (kcycles) %v", s.Slack),
+			fmt.Sprintf("batch wait         (kcycles) %v", s.ClassWait[Batch]),
+			fmt.Sprintf("batch turnaround   (kcycles) %v", s.ClassTurnaround[Batch]),
+			fmt.Sprintf("deadline-miss      %d/%d (%.1f%%)", s.Misses, s.CompletedLatency, 100*s.MissRate))
 	}
 	return lines
 }
 
-// TestSummaryMatchesPerMetricMethods checks the one-pass Summary against
-// the per-metric methods over random Results: every line that
-// aggregates job records must equal the line rendered from the methods,
-// and the per-class block must appear exactly when they say it should.
+// checkSummary checks r.Stats against referenceStats, and every Summary
+// line that aggregates job records against the line rendered from the
+// reference, so the per-class block must appear exactly when the
+// reference says it should.
+func checkSummary(t *testing.T, name string, seed uint64, r Result) RunStats {
+	t.Helper()
+	want := referenceStats(r)
+	if got := r.Stats(); got != want {
+		t.Fatalf("%s, seed %d: Stats\n%+v\nreference\n%+v", name, seed, got, want)
+	}
+	prefixes := []string{"control ", "wait ", "turnaround ", "latency ", "batch ", "deadline-miss "}
+	var got []string
+	for _, line := range strings.Split(r.Summary(), "\n") {
+		for _, p := range prefixes {
+			if strings.HasPrefix(line, p) {
+				got = append(got, line)
+				break
+			}
+		}
+	}
+	if g, w := strings.Join(got, "\n"), strings.Join(referenceLines(r, want), "\n"); g != w {
+		t.Fatalf("%s, seed %d: summary lines\n%s\nwant\n%s", name, seed, g, w)
+	}
+	return want
+}
+
+// TestSummaryMatchesPerMetricMethods checks the one-pass Stats and
+// Summary against the reference aggregation and the per-metric methods
+// over random Results: every RunStats field and every Summary line that
+// aggregates job records must equal the reference, whose counts must in
+// turn equal CompletedJobs and DeadlineMisses, and whose turnaround
+// summary must equal stats.Summarize over Turnarounds.
 func TestSummaryMatchesPerMetricMethods(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -94,77 +161,38 @@ func TestSummaryMatchesPerMetricMethods(t *testing.T) {
 		{"latency never completes", 80, 0.4, true, 0},
 		{"one job", 1, 0.5, false, 0},
 	}
-	prefixes := []string{"control ", "wait ", "turnaround ", "latency ", "batch ", "deadline-miss "}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 25; seed++ {
 			r := randomResult(rng.NewStream(seed), tc.jobs, tc.latFrac, tc.latencyFails, tc.evictions)
-			var got []string
-			for _, line := range strings.Split(r.Summary(), "\n") {
-				for _, p := range prefixes {
-					if strings.HasPrefix(line, p) {
-						got = append(got, line)
-						break
-					}
-				}
+			s := checkSummary(t, tc.name, seed, r)
+			if s.Completed != r.CompletedJobs() || s.Misses != r.DeadlineMisses() {
+				t.Fatalf("%s, seed %d: completed %d misses %d, methods say %d and %d",
+					tc.name, seed, s.Completed, s.Misses, r.CompletedJobs(), r.DeadlineMisses())
 			}
-			want := perMetricLines(r)
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Fatalf("%s, seed %d: summary lines\n%s\nwant\n%s", tc.name, seed,
-					strings.Join(got, "\n"), strings.Join(want, "\n"))
+			if want := stats.Summarize(r.Turnarounds()); s.Turnaround != want {
+				t.Fatalf("%s, seed %d: turnaround %v, Turnarounds say %v", tc.name, seed, s.Turnaround, want)
 			}
 		}
 	}
 }
 
 // TestSummaryMatchesFloatSummaries checks the integer summary path
-// against stats.Summarize over the float samples the public API
-// returns (Waits, Turnarounds, LatencySlacks), on Results large enough
-// for the radix sort, with times wide enough for three passes, and
-// with both classes, ties and negative slacks. The Summary lines must
-// also still match the per-metric methods at that size.
+// against the float reference aggregation on Results large enough for
+// the radix sort, with times wide enough for three passes, and with
+// both classes, ties and negative slacks.
 func TestSummaryMatchesFloatSummaries(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
+	for seed := uint64(1); seed <= 25; seed++ {
 		s := rng.NewStream(seed)
 		r := randomResult(s, 3000, 0.3, false, 1)
-		r.Closed = false // so the per-metric lines form one block of Summary
 		for i := range r.Jobs {
-			j := &r.Jobs[i]
-			if j.Outcome == Done {
+			if j := &r.Jobs[i]; j.Outcome == Done {
 				j.Arrival = uint64(s.Intn(1 << 30))
 				j.Dispatch = j.Arrival + uint64(s.Intn(1<<28))
 				j.Complete = j.Dispatch + uint64(s.Intn(4))*100_000
 				j.Deadline = uint64(s.Intn(3)) * (1 << 27)
 			}
 		}
-		classFloats := func(c SLOClass, metric func(*JobRecord) uint64) []float64 {
-			var out []float64
-			for i := range r.Jobs {
-				if j := &r.Jobs[i]; j.SLO == c && j.Outcome == Done {
-					out = append(out, float64(metric(j))/1000)
-				}
-			}
-			return out
-		}
-		checks := []struct {
-			name      string
-			got, want stats.Summary
-		}{
-			{"wait", r.WaitSummary(), stats.Summarize(r.Waits())},
-			{"turnaround", r.TurnaroundSummary(), stats.Summarize(r.Turnarounds())},
-			{"slack", r.SlackSummary(), stats.Summarize(r.LatencySlacks())},
-			{"latency wait", r.WaitSummaryFor(Latency), stats.Summarize(classFloats(Latency, (*JobRecord).Wait))},
-			{"batch wait", r.WaitSummaryFor(Batch), stats.Summarize(classFloats(Batch, (*JobRecord).Wait))},
-			{"latency turnaround", r.TurnaroundSummaryFor(Latency), stats.Summarize(classFloats(Latency, (*JobRecord).Turnaround))},
-			{"batch turnaround", r.TurnaroundSummaryFor(Batch), stats.Summarize(classFloats(Batch, (*JobRecord).Turnaround))},
-		}
-		for _, c := range checks {
-			if c.got != c.want || c.got.String() != c.want.String() {
-				t.Errorf("seed %d %s: %v, float path %v", seed, c.name, c.got, c.want)
-			}
-		}
-		if got, want := r.Summary(), strings.Join(perMetricLines(r), "\n"); !strings.Contains(got, want) {
-			t.Errorf("seed %d: summary\n%s\ndoes not contain the per-metric lines\n%s", seed, got, want)
-		}
+		checkSummary(t, "wide", seed, r)
 	}
 }
 

@@ -68,11 +68,11 @@ func (j *JobRecord) deadlineAbs() uint64 { return j.Arrival + j.Deadline }
 // still execute: everything for a fresh job; for a checkpointed one the
 // un-preserved remainder plus the explicit restart cost (re-reading
 // inputs, replaying the un-checkpointed tail), capped at a full re-run.
-func (j *JobRecord) remainingFrac(slo SLOConfig) float64 {
+func (j *JobRecord) remainingFrac() float64 {
 	if j.progress == 0 {
 		return 1
 	}
-	rem := 1 - j.progress + slo.RestartFrac
+	rem := 1 - j.progress + restartFrac
 	if rem > 1 {
 		rem = 1
 	}
@@ -83,7 +83,7 @@ func (j *JobRecord) remainingFrac(slo SLOConfig) float64 {
 // checkpoint model: a job that preserved fraction p of itself only
 // occupies the device for its remaining fraction of the simulated run.
 func (f *Fleet) effectiveCycles(j *JobRecord, end uint64) uint64 {
-	rem := j.remainingFrac(f.cfg.SLO)
+	rem := j.remainingFrac()
 	if rem >= 1 {
 		return end
 	}
@@ -168,7 +168,7 @@ func (f *Fleet) lowerBoundCycles(members []*JobRecord, t int) uint64 {
 		// A checkpointed member's effective runtime is its simulated end
 		// scaled by the remaining fraction, so its bound scales the same
 		// way (end >= lb implies end*rem >= lb*rem).
-		lb *= m.remainingFrac(f.cfg.SLO)
+		lb *= m.remainingFrac()
 		if lb > bound {
 			bound = lb
 		}
@@ -233,13 +233,12 @@ const chaosTriggerID = -1
 // The checkpoint is taken from the solo-profile progress model, not from
 // simulator state: a job that ran elapsed cycles preserves up to
 // elapsed/solo of itself (optimistic — co-running is slower than solo),
-// capped at MaxCheckpoint. Wasted accounts the attempt time the
+// capped at maxCheckpoint. Wasted accounts the attempt time the
 // checkpoints do not preserve plus the restart tax the re-dispatch will
 // pay.
 func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 	elapsed := now - fl.dispatch
 	rec := EvictionRecord{Cycle: now, Device: fl.device, TriggerJob: triggerID}
-	slo := f.cfg.SLO
 	for _, j := range fl.jobs {
 		before := j.progress
 		var solo float64
@@ -247,14 +246,14 @@ func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 			solo = float64(sp.cycles)
 		}
 		if solo > 0 {
-			// A re-dispatched attempt spends its first min(RestartFrac,
+			// A re-dispatched attempt spends its first min(restartFrac,
 			// progress)*solo cycles replaying already-checkpointed work;
 			// only the time past that replay earns new progress —
 			// otherwise repeated evictions would mint checkpoint credit
 			// out of restarts alone.
 			fresh := float64(elapsed)
 			if before > 0 {
-				replay := slo.RestartFrac
+				replay := restartFrac
 				if before < replay {
 					replay = before
 				}
@@ -264,8 +263,8 @@ func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 				}
 			}
 			j.progress += fresh / solo
-			if j.progress > slo.MaxCheckpoint {
-				j.progress = slo.MaxCheckpoint
+			if j.progress > maxCheckpoint {
+				j.progress = maxCheckpoint
 			}
 		}
 		j.Evictions++
@@ -276,9 +275,9 @@ func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 			waste = 0
 		}
 		// The restart tax actually charged on re-dispatch is capped by
-		// remainingFrac at min(RestartFrac, progress) of the solo run —
+		// remainingFrac at min(restartFrac, progress) of the solo run —
 		// a job with no checkpoint re-runs from scratch and pays none.
-		tax := slo.RestartFrac
+		tax := restartFrac
 		if j.progress < tax {
 			tax = j.progress
 		}
@@ -339,7 +338,7 @@ func (f *Fleet) soloCycles(j *JobRecord, t int) (uint64, bool) {
 	if !sp.ok {
 		return 0, false
 	}
-	c := uint64(math.Ceil(float64(sp.cycles) * j.remainingFrac(f.cfg.SLO)))
+	c := uint64(math.Ceil(float64(sp.cycles) * j.remainingFrac()))
 	if c < 1 {
 		c = 1
 	}

@@ -31,18 +31,6 @@ func (c SLOClass) String() string {
 	}
 }
 
-// ParseSLOClass parses the CLI spelling.
-func ParseSLOClass(s string) (SLOClass, error) {
-	switch strings.ToLower(s) {
-	case "batch":
-		return Batch, nil
-	case "latency", "lat":
-		return Latency, nil
-	default:
-		return 0, fmt.Errorf("fleet: unknown SLO class %q (batch, latency)", s)
-	}
-}
-
 // ParseSLOMode maps the CLI's -slo mode spellings to a dispatch
 // configuration: "off" is class-blind, "priority" queues latency jobs
 // first, "preempt" additionally evicts running batch groups to save
@@ -74,46 +62,23 @@ type SLOConfig struct {
 	// the solo-progress model). Evicted jobs re-enter the queue with
 	// their completed fraction checkpointed.
 	Preempt bool
-	// RestartFrac is the restart cost of a checkpointed job, as a
-	// fraction of its solo duration on the device that re-runs it, paid
-	// once per re-dispatch (0 selects DefaultRestartFrac). It models
-	// state re-materialization: reloading inputs and replaying the
-	// un-checkpointed tail.
-	RestartFrac float64
-	// MaxCheckpoint caps the preserved completed fraction (0 selects
-	// DefaultMaxCheckpoint): a job evicted arbitrarily late still has to
-	// re-run at least 1-MaxCheckpoint of itself, because checkpoints are
-	// taken from the solo-profile progress model, not from simulator
-	// state.
-	MaxCheckpoint float64
 }
 
-// Default SLO model parameters: a restart costs a tenth of the job's
-// solo duration, and at most 90% of a job survives an eviction.
+// The checkpoint model of an eviction. restartFrac is the restart cost
+// of a checkpointed job, as a fraction of its solo duration on the
+// device that re-runs it, paid once per re-dispatch: it models state
+// re-materialization, reloading inputs and replaying the
+// un-checkpointed tail. maxCheckpoint caps the preserved completed
+// fraction: a job evicted arbitrarily late still has to re-run at
+// least 1-maxCheckpoint of itself, because checkpoints are taken from
+// the solo-profile progress model, not from simulator state.
 const (
-	DefaultRestartFrac   = 0.1
-	DefaultMaxCheckpoint = 0.9
+	restartFrac   = 0.1
+	maxCheckpoint = 0.9
 )
 
-// withDefaults resolves zero fields.
-func (s SLOConfig) withDefaults() SLOConfig {
-	if s.RestartFrac == 0 {
-		s.RestartFrac = DefaultRestartFrac
-	}
-	if s.MaxCheckpoint == 0 {
-		s.MaxCheckpoint = DefaultMaxCheckpoint
-	}
-	return s
-}
-
-// validate rejects impossible SLO models.
+// validate rejects impossible SLO configurations.
 func (s SLOConfig) validate() error {
-	if s.RestartFrac < 0 || s.RestartFrac >= 1 {
-		return fmt.Errorf("fleet: restart fraction %g outside [0,1)", s.RestartFrac)
-	}
-	if s.MaxCheckpoint < 0 || s.MaxCheckpoint >= 1 {
-		return fmt.Errorf("fleet: checkpoint cap %g outside [0,1)", s.MaxCheckpoint)
-	}
 	if s.Preempt && !s.Enabled {
 		return fmt.Errorf("fleet: preemption requires SLO-aware dispatch (SLO.Enabled)")
 	}

@@ -54,15 +54,16 @@ func TestPreemptionLowersMissRate(t *testing.T) {
 	pre := runSLO(t, arr, Config{Devices: homo(p, 2), NC: 2, Policy: sched.ILP,
 		SLO: SLOConfig{Enabled: true, Preempt: true}})
 
-	if base.DeadlineMisses() == 0 {
+	baseStats, preStats := base.Stats(), pre.Stats()
+	if baseStats.Misses == 0 {
 		t.Fatal("ablation is vacuous: no deadline misses without preemption")
 	}
 	if len(pre.Evictions) == 0 {
 		t.Fatal("preemption enabled but nothing was ever evicted")
 	}
-	if pre.MissRate() >= base.MissRate() {
+	if preStats.MissRate >= baseStats.MissRate {
 		t.Fatalf("preemption did not lower the miss rate: %.3f -> %.3f",
-			base.MissRate(), pre.MissRate())
+			baseStats.MissRate, preStats.MissRate)
 	}
 	// Both runs account every job, including the evicted-and-rerun ones.
 	if len(base.Jobs) != len(arr) || len(pre.Jobs) != len(arr) {
@@ -313,9 +314,6 @@ func TestSLOValidation(t *testing.T) {
 	p := testPipeline(t)
 	bad := []Config{
 		{Devices: homo(p, 1), NC: 2, Policy: sched.FCFS, SLO: SLOConfig{Preempt: true}},
-		{Devices: homo(p, 1), NC: 2, Policy: sched.FCFS, SLO: SLOConfig{Enabled: true, RestartFrac: -0.1}},
-		{Devices: homo(p, 1), NC: 2, Policy: sched.FCFS, SLO: SLOConfig{Enabled: true, RestartFrac: 1}},
-		{Devices: homo(p, 1), NC: 2, Policy: sched.FCFS, SLO: SLOConfig{Enabled: true, MaxCheckpoint: 1.5}},
 		{Devices: homo(p, 1), NC: 2, Policy: sched.ILP, Aging: -1},
 	}
 	for i, cfg := range bad {
@@ -383,9 +381,11 @@ func TestSLOTaggingKeepsTraffic(t *testing.T) {
 // TestFirstToFreeCache makes each write the preemption scan reads —
 // flights placed, a Cycle flight resolving, a device draining and
 // restoring, a retire, an eviction and a device failure — and checks
-// after each that the epoch-cached answer equals a fresh scan. Each
-// write is chosen to change that answer, so a write that skipped its
-// epoch bump would leave the cache stale and fail here.
+// after each that the epoch-cached answer equals a fresh scan, and that
+// admission's predicted wait, which reads the cached answer, equals the
+// wait priced from the fresh scan. Each write is chosen to change that
+// answer, so a write that skipped its epoch bump would leave the cache
+// stale and fail here.
 func TestFirstToFreeCache(t *testing.T) {
 	for _, engine := range []EngineMode{Modeled, Cycle} {
 		t.Run(engine.String(), func(t *testing.T) {
@@ -411,10 +411,24 @@ func TestFirstToFreeCache(t *testing.T) {
 			// it has to, or the step would test nothing.
 			step := func(name string, must bool) bool {
 				t.Helper()
+				// The wait is read before anything refreshes the cache.
+				gotWait := l.ctl.predictedWait(l.now)
 				got, gotFree := l.firstToFree()
 				want, wantFree := l.scanFirstToFree()
 				if got != want || gotFree != wantFree {
 					t.Fatalf("after %s: cached first-to-free %p at %d, fresh scan %p at %d", name, got, gotFree, want, wantFree)
+				}
+				var wantWait uint64
+				if len(l.idleDevs.v) == 0 {
+					if wantFree != inf && wantFree > l.now {
+						wantWait = wantFree - l.now
+					}
+					if up := l.ctl.upActive(); up > 0 {
+						wantWait += l.queue.work / uint64(up)
+					}
+				}
+				if gotWait != wantWait {
+					t.Fatalf("after %s: predicted wait %d, from a fresh scan %d", name, gotWait, wantWait)
 				}
 				moved := want != prev || wantFree != prevFree
 				if must && !moved {

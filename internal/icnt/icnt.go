@@ -172,9 +172,6 @@ func (n *Network) PopForPartition(p int, now uint64) (memreq.Request, bool) {
 	return n.toMem[p].Pop().req, true
 }
 
-// PartitionQueueLen returns the occupancy of partition p's input queue.
-func (n *Network) PartitionQueueLen(p int) int { return n.toMem[p].Len() }
-
 // ArrivedForPartition reports whether partition p's oldest queued
 // request has completed traversal and is poppable at now.
 func (n *Network) ArrivedForPartition(p int, now uint64) bool {

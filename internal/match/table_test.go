@@ -10,6 +10,24 @@ import (
 	"repro/internal/interference"
 )
 
+// randomMatrix draws a full interference matrix with slowdowns in
+// [1.5, 7.5) from a seeded linear congruential sequence.
+func randomMatrix(seed uint64) *interference.Matrix {
+	m := &interference.Matrix{}
+	s := seed
+	next := func() float64 {
+		s = s*6364136223846793005 + 1442695040888963407
+		return float64(s>>40) / float64(1<<24)
+	}
+	for a := range m.Slowdown {
+		for b := range m.Slowdown[a] {
+			m.Slowdown[a][b] = 1.5 + 6*next()
+			m.Samples[a][b] = 1
+		}
+	}
+	return m
+}
+
 // tableFor builds a pick table over matrix m's size-nc patterns.
 func tableFor(m *interference.Matrix, nc int) (*PickTable, []Pattern, []float64) {
 	patterns := Patterns(nc)

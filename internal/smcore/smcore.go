@@ -127,7 +127,7 @@ type SM struct {
 	OnCTADone func(app int16)
 
 	// OnOwnerChange is invoked whenever the SM's owning application
-	// switches (Assign, drain-then-transfer completion, Release), with
+	// switches (Assign or a drain-then-transfer completion), with
 	// the outgoing and incoming owners. The device uses it to maintain
 	// per-application ownership counts without scanning every SM each
 	// cycle.
@@ -267,11 +267,6 @@ func (sm *SM) Assign(app int16, k *kernel.Kernel, st *stats.App) error {
 	sm.l1.InvalidateAll()
 	sm.clearSchedState()
 	return nil
-}
-
-// Release detaches the owner once the SM is idle, leaving it unowned.
-func (sm *SM) Release() error {
-	return sm.Assign(NoApp, nil, nil)
 }
 
 // RequestReassign schedules a drain-then-transfer to app. New CTAs stop

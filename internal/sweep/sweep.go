@@ -311,16 +311,16 @@ var MetricColumns = []string{
 // a control surface — the submission ledger only runs when closed-loop
 // traffic, admission control or the autoscaler is configured.
 func Metrics(res fleet.Result) []float64 {
-	wait := res.WaitSummary()
-	turn := res.TurnaroundSummary()
+	st := res.Stats()
+	wait, turn := st.Wait, st.Turnaround
 	return []float64{
 		res.Throughput(), float64(res.Makespan) / 1000, res.MeanUtilization(),
 		wait.P50, wait.P95, wait.P99,
 		turn.P50, turn.P95, turn.P99,
-		float64(res.LatencyJobs()), float64(res.DeadlineMisses()), res.MissRate(),
+		float64(st.Latency), float64(st.Misses), st.MissRate,
 		float64(len(res.Evictions)), float64(res.WastedCycles()) / 1000,
 		float64(res.Groups), float64(res.ILPGroups), float64(res.CycleGroups), float64(res.ModeledGroups),
-		float64(res.Submitted), float64(res.CompletedJobs()), float64(res.Rejected),
+		float64(res.Submitted), float64(st.Completed), float64(res.Rejected),
 		float64(res.Degraded), float64(res.Abandoned), float64(res.Retried),
 		float64(res.Provisions), float64(res.Decommissions),
 		float64(res.Failures), float64(res.Drains), float64(res.Restores),

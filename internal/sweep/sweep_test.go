@@ -175,37 +175,40 @@ func TestSweepSmokeDeterministic(t *testing.T) {
 	}
 }
 
+// closedGrid is the control-surface grid: closed-loop traffic crossed
+// with admission off/reject and an elastic roster.
+func closedGrid() Grid {
+	return Grid{
+		Policies:    []string{"ilp-smra"},
+		Engines:     []string{"modeled"},
+		Rosters:     []string{"4"},
+		Arrivals:    []string{"closed"},
+		Admissions:  []string{"off", "reject:25000"},
+		Autoscales:  []string{"off", "1:4"},
+		Clients:     12,
+		Requests:    4,
+		Think:       5_000,
+		LatencyFrac: 0.25,
+		Deadline:    60_000,
+		Seed:        0xC10,
+	}
+}
+
 // TestSweepClosedLoopAxes runs a control-surface grid: closed-loop
 // traffic crossed with admission off/reject and an elastic roster.
 // Determinism must hold (repeat sweeps byte-identical), every closed
 // cell must carry the submission ledger, and the admission ablation
 // must be visible in the rejected column.
 func TestSweepClosedLoopAxes(t *testing.T) {
-	grid := func() Grid {
-		return Grid{
-			Policies:    []string{"ilp-smra"},
-			Engines:     []string{"modeled"},
-			Rosters:     []string{"4"},
-			Arrivals:    []string{"closed"},
-			Admissions:  []string{"off", "reject:25000"},
-			Autoscales:  []string{"off", "1:4"},
-			Clients:     12,
-			Requests:    4,
-			Think:       5_000,
-			LatencyFrac: 0.25,
-			Deadline:    60_000,
-			Seed:        0xC10,
-		}
-	}
 	r := testRunner(t, 4)
-	a, err := r.Run(grid())
+	a, err := r.Run(closedGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Cells) != 4 {
 		t.Fatalf("cells = %d, want 4", len(a.Cells))
 	}
-	b, err := r.Run(grid())
+	b, err := r.Run(closedGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
