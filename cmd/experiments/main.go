@@ -89,7 +89,7 @@ func run(only string, seed uint64, setup bool, csvDir string) error {
 		return err
 	}
 	suite.Seed = seed
-	log.Printf("pipeline ready in %v", time.Since(start).Round(time.Second))
+	log.Printf("pipeline ready in %v", time.Since(start).Round(time.Millisecond))
 
 	var arts []experiments.Artifact
 	if only != "" {
@@ -112,7 +112,7 @@ func run(only string, seed uint64, setup bool, csvDir string) error {
 			}
 		}
 	}
-	log.Printf("done in %v", time.Since(start).Round(time.Second))
+	log.Printf("done in %v", time.Since(start).Round(time.Millisecond))
 	_ = os.Stdout.Sync()
 	return nil
 }

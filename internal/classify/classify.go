@@ -28,8 +28,11 @@ import (
 	"repro/internal/stats"
 )
 
-// Class is one of the paper's four application classes.
-type Class int
+// Class is one of the paper's four application classes. It is one
+// byte, and signed: encoding/json writes a slice of an unsigned byte
+// kind as a base64 string, so a uint8 Class would change every
+// persisted []Class (the group memo's GroupReport.Classes).
+type Class int8
 
 const (
 	// ClassM is memory intensive.

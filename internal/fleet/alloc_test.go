@@ -3,6 +3,7 @@ package fleet
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sched"
 )
@@ -119,21 +120,31 @@ func BenchmarkFleetDispatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
 }
 
+// TestJobRecordSize pins the per-job record at 96 bytes: its one-byte
+// and 32-bit fields pack into two words. A field that widens the record
+// costs every job of every run.
+func TestJobRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(JobRecord{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(JobRecord{}) = %d, want 96", got)
+	}
+}
+
 // TestModeledRunMemoryBounded runs a million-job overloaded Modeled
 // fleet — 16 test devices, Poisson arrivals at one per kilocycle, a
 // tenth of them latency jobs under preemptive SLO dispatch — and bounds
-// what Run and Summary allocate per job. Per-job state is one JobRecord,
-// which the event loop runs on and Result.Jobs returns; per-application
-// state is shared, and Summary sorts each class once. The bound leaves
-// no room for a second per-job record. The backlog grows to hundreds of
-// thousands of batch jobs, so the test also pins latency arrivals to an
-// O(1) insert instead of a shift of the whole backlog.
+// what Run and Summary allocate per job. Per-job state is one 96-byte
+// JobRecord, which the event loop runs on and Result.Jobs returns;
+// per-application state is shared, and Summary sorts each class once,
+// in 32-bit samples (12 B/job for waits, turnarounds and scratch). The
+// bound leaves no room for a second per-job record. The backlog grows
+// to hundreds of thousands of batch jobs, so the test also pins latency
+// arrivals to an O(1) insert instead of a shift of the whole backlog.
 func TestModeledRunMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-job run")
 	}
 	const jobs = 1 << 20
-	const maxBytesPerJob = 240
+	const maxBytesPerJob = 160
 	p := testPipeline(t)
 	f, err := New(Config{
 		Devices: homo(p, 16), NC: 2, Policy: sched.ILP, Engine: Modeled,

@@ -476,7 +476,7 @@ func (c *loopCtl) submit(j *JobRecord, now uint64, retry bool) {
 	}
 	c.l.queue.insert(j)
 	if cc.Timeout > 0 {
-		c.push(now+cc.Timeout, ctlEvent{kind: evAbandon, j: j, aux: j.Attempts})
+		c.push(now+cc.Timeout, ctlEvent{kind: evAbandon, j: j, aux: int(j.Attempts)})
 	}
 }
 
@@ -550,7 +550,7 @@ func (c *loopCtl) predictedWait(now uint64) uint64 {
 // while it is still waiting (running or finished requests keep their
 // outcome).
 func (c *loopCtl) abandon(j *JobRecord, attempt int, now uint64) {
-	if j.state != jsWaiting || j.Attempts != attempt {
+	if j.state != jsWaiting || int(j.Attempts) != attempt {
 		return
 	}
 	c.rmBuf[0] = j
@@ -564,7 +564,7 @@ func (c *loopCtl) abandon(j *JobRecord, attempt int, now uint64) {
 // let its client move on.
 func (c *loopCtl) fail(j *JobRecord, now uint64, terminal uint8) {
 	cc := &c.f.cfg.Closed
-	if j.client >= 0 && j.Attempts <= cc.Retries {
+	if j.client >= 0 && int(j.Attempts) <= cc.Retries {
 		j.state = jsPending
 		shift := uint(j.Attempts - 1)
 		if shift > 20 {

@@ -74,7 +74,7 @@ func checkConservation(t *testing.T, label string, res Result, jobs int) {
 	}
 	attempts, done, rejected, abandoned := 0, 0, 0, 0
 	for _, j := range res.Jobs {
-		attempts += j.Attempts
+		attempts += int(j.Attempts)
 		switch j.Outcome {
 		case Done:
 			done++

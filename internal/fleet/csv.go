@@ -44,9 +44,9 @@ func (r Result) WriteJobsCSV(w io.Writer) error {
 			strconv.FormatUint(j.Deadline, 10),
 			slack,
 			strconv.FormatBool(j.Missed()),
-			strconv.Itoa(j.Evictions),
+			strconv.Itoa(int(j.Evictions)),
 			j.Outcome.String(),
-			strconv.Itoa(j.Attempts),
+			strconv.Itoa(int(j.Attempts)),
 		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("fleet: write csv row %d: %w", j.ID, err)

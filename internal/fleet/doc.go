@@ -26,9 +26,9 @@
 //     utilization are accounted, and Result.Stats aggregates the job
 //     records in one pass into a RunStats that Summary, the sweep
 //     metrics and the experiment tables all read, summarized from
-//     radix-sorted integer cycles with stats.SortUint64 and
-//     stats.SummarizeSorted (report.go); the records persist as per-job
-//     CSV artifacts (csv.go).
+//     radix-sorted integer cycles, 32-bit whenever every sample fits,
+//     with stats.SortUnsigned and stats.SummarizeSorted (report.go); the
+//     records persist as per-job CSV artifacts (csv.go).
 //
 // # The event core and engine modes
 //
@@ -41,9 +41,10 @@
 // O(log n) whatever the fleet size, which is what lets the same loop
 // serve 4 devices × 60 jobs and 64 devices × 100k jobs. Every run is
 // one event loop (loop.go) over the whole roster, under every engine.
-// Each job is one JobRecord: resolve allocates the records as one arena
-// (sim.go), the loop keeps its per-job state in their unexported fields,
-// and Run finalizes them in place and returns the arena as Result.Jobs.
+// Each job is one 96-byte JobRecord: resolve allocates the records as
+// one arena (sim.go), the loop keeps its per-job state in their
+// unexported fields, and Run finalizes them in place and returns the
+// arena as Result.Jobs.
 //
 // Config.Engine selects how a dispatched group's completion is learned
 // (engine.go). Cycle simulates every group cycle-accurately — the

@@ -18,12 +18,10 @@ import (
 type JobRecord struct {
 	// ID is the arrival index.
 	ID int
-	// Name and Class identify the application.
-	Name  string
-	Class classify.Class
-	// SLO is the job's service-level class; Deadline is the latency
-	// job's relative deadline in cycles from arrival (0 for batch).
-	SLO      SLOClass
+	// Name identifies the application; Class, below, is its class.
+	Name string
+	// Deadline is the latency job's relative deadline in cycles from
+	// arrival (0 for batch).
 	Deadline uint64
 	// Arrival, Dispatch and Complete are absolute fleet cycles.
 	// Dispatch is the job's final (completing) dispatch; preempted
@@ -34,22 +32,28 @@ type JobRecord struct {
 	Complete uint64
 	// Device is which GPU ran the job (to completion).
 	Device int
-	// Evictions counts how many times the job was preempted before it
-	// completed.
-	Evictions int
+	// Class is the application's class. It and the next three fields
+	// take one byte each and share a word with client; Evictions and
+	// Attempts fill the word after, which keeps the record at 96 bytes
+	// (TestJobRecordSize).
+	Class classify.Class
+	// SLO is the job's service-level class.
+	SLO SLOClass
 	// Outcome is how the job left the system: Done (the only outcome in
 	// open-loop runs without admission control), Rejected by admission,
 	// or Abandoned by its client's timeout.
 	Outcome JobOutcome
 	// state is the lifecycle the conservation accounting reads
 	// (jsPending .. jsRejected, control.go); client is the closed-loop
-	// client pool that owns the job, -1 for open-loop arrivals. Both
-	// fit the padding after Outcome.
+	// client pool that owns the job, -1 for open-loop arrivals.
 	state  uint8
 	client int32
+	// Evictions counts how many times the job was preempted before it
+	// completed.
+	Evictions int32
 	// Attempts counts submissions, retries included (always 1 outside
 	// closed-loop runs).
-	Attempts int
+	Attempts int32
 	// app is the state the job shares with every job of its
 	// application (sim.go). progress is the checkpointed completed
 	// fraction preserved across evictions, in [0, maxCheckpoint].
@@ -323,16 +327,31 @@ type RunStats struct {
 // allocation holds both arrays and the scratch the radix sorts use.
 // Each class is sorted once; the fleet-wide summaries merge the two
 // sorted classes into the scratch, the same samples in the same
-// ascending order one sort of all of them would give.
+// ascending order one sort of all of them would give. The samples are
+// gathered at 32 bits, half the memory and sort traffic, and the pass
+// is redone at 64 bits only when some wait or turnaround does not fit.
+// The records decide the width, so no Result, however built, can
+// truncate a sample.
 func (r Result) Stats() RunStats {
+	if s, ok := runStats[uint32](r.Jobs); ok {
+		return s
+	}
+	s, _ := runStats[uint64](r.Jobs)
+	return s
+}
+
+// runStats is Stats with samples gathered as T. It reports false when
+// some sample exceeds T's range, and its RunStats is then incomplete.
+func runStats[T uint32 | uint64](jobs []JobRecord) (RunStats, bool) {
 	var s RunStats
-	n := len(r.Jobs)
-	buf := make([]uint64, 3*n)
+	n := len(jobs)
+	buf := make([]T, 3*n)
 	waits, turns, scratch := buf[:n], buf[n:2*n], buf[2*n:]
 	var slack []int64
+	var or uint64
 	lat, batch := 0, n
-	for i := range r.Jobs {
-		j := &r.Jobs[i]
+	for i := range jobs {
+		j := &jobs[i]
 		if j.SLO == Latency {
 			s.Latency++
 		}
@@ -344,24 +363,28 @@ func (r Result) Stats() RunStats {
 		}
 		s.Completed++
 		w, t := j.Wait(), j.Turnaround()
+		or |= w | t
 		if j.SLO == Latency {
-			waits[lat], turns[lat] = w, t
+			waits[lat], turns[lat] = T(w), T(t)
 			lat++
 			slack = append(slack, j.Slack())
 		} else {
 			batch--
-			waits[batch], turns[batch] = w, t
+			waits[batch], turns[batch] = T(w), T(t)
 		}
+	}
+	if or > uint64(^T(0)) {
+		return s, false
 	}
 	s.CompletedLatency = lat
 	if lat > 0 {
 		s.MissRate = float64(s.Misses) / float64(lat)
 	}
-	wait := [2][]uint64{Latency: waits[:lat], Batch: waits[batch:]}
-	turn := [2][]uint64{Latency: turns[:lat], Batch: turns[batch:]}
+	wait := [2][]T{Latency: waits[:lat], Batch: waits[batch:]}
+	turn := [2][]T{Latency: turns[:lat], Batch: turns[batch:]}
 	for c := range wait {
-		stats.SortUint64(wait[c], scratch)
-		stats.SortUint64(turn[c], scratch)
+		stats.SortUnsigned(wait[c], scratch)
+		stats.SortUnsigned(turn[c], scratch)
 		s.ClassWait[c] = kcycles(wait[c])
 		s.ClassTurnaround[c] = kcycles(turn[c])
 	}
@@ -369,11 +392,11 @@ func (r Result) Stats() RunStats {
 	s.Turnaround = kcycles(mergeSorted(scratch, turn[Latency], turn[Batch]))
 	slices.Sort(slack)
 	s.Slack = kcycles(slack)
-	return s
+	return s, true
 }
 
 // kcycles summarizes ascending cycle counts in kilocycles.
-func kcycles[T uint64 | int64](sorted []T) stats.Summary {
+func kcycles[T uint32 | uint64 | int64](sorted []T) stats.Summary {
 	return stats.SummarizeSorted(sorted, 1000)
 }
 
@@ -382,7 +405,7 @@ func kcycles[T uint64 | int64](sorted []T) stats.Summary {
 // empty it returns the other as it stands.
 //
 //simlint:hotpath
-func mergeSorted(dst, a, b []uint64) []uint64 {
+func mergeSorted[T uint32 | uint64](dst, a, b []T) []T {
 	if len(a) == 0 {
 		return b
 	}

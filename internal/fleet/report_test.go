@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -178,21 +179,32 @@ func TestSummaryMatchesPerMetricMethods(t *testing.T) {
 
 // TestSummaryMatchesFloatSummaries checks the integer summary path
 // against the float reference aggregation on Results large enough for
-// the radix sort, with times wide enough for three passes, and with
-// both classes, ties and negative slacks.
+// the radix sort, with both classes, ties and negative slacks: once with
+// times wide enough for three radix passes, and once with waits past
+// 2^32 cycles, which Stats must redo at 64 bits instead of truncating.
 func TestSummaryMatchesFloatSummaries(t *testing.T) {
-	for seed := uint64(1); seed <= 25; seed++ {
-		s := rng.NewStream(seed)
-		r := randomResult(s, 3000, 0.3, false, 1)
-		for i := range r.Jobs {
-			if j := &r.Jobs[i]; j.Outcome == Done {
-				j.Arrival = uint64(s.Intn(1 << 30))
-				j.Dispatch = j.Arrival + uint64(s.Intn(1<<28))
-				j.Complete = j.Dispatch + uint64(s.Intn(4))*100_000
-				j.Deadline = uint64(s.Intn(3)) * (1 << 27)
+	for _, span := range []struct {
+		name string
+		wait int
+	}{{"wide", 1 << 28}, {"past 32 bits", 1 << 34}} {
+		for seed := uint64(1); seed <= 25; seed++ {
+			s := rng.NewStream(seed)
+			r := randomResult(s, 3000, 0.3, false, 1)
+			longest := uint64(0)
+			for i := range r.Jobs {
+				if j := &r.Jobs[i]; j.Outcome == Done {
+					j.Arrival = uint64(s.Intn(1 << 30))
+					j.Dispatch = j.Arrival + uint64(s.Intn(span.wait))
+					j.Complete = j.Dispatch + uint64(s.Intn(4))*100_000
+					j.Deadline = uint64(s.Intn(3)) * (1 << 27)
+					longest = max(longest, j.Turnaround())
+				}
 			}
+			if fits := longest <= math.MaxUint32; fits != (span.wait < 1<<32) {
+				t.Fatalf("%s, seed %d: longest turnaround %d cycles", span.name, seed, longest)
+			}
+			checkSummary(t, span.name, seed, r)
 		}
-		checkSummary(t, "wide", seed, r)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // SLOClass is a job's service-level class. The dispatcher only ever
 // distinguishes two: work that must meet a deadline and work that only
 // cares about throughput.
-type SLOClass int
+type SLOClass uint8
 
 const (
 	// Batch jobs optimize throughput; they have no deadline and may be

@@ -71,7 +71,7 @@ func TestPreemptionLowersMissRate(t *testing.T) {
 	}
 	evicted := 0
 	for _, j := range pre.Jobs {
-		evicted += j.Evictions
+		evicted += int(j.Evictions)
 		if j.Complete <= j.Dispatch {
 			t.Errorf("job %d complete %d not after dispatch %d", j.ID, j.Complete, j.Dispatch)
 		}

@@ -3,8 +3,10 @@ package sched
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/profile"
 	"repro/internal/testkit"
 )
@@ -63,6 +65,21 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if total != rep.TotalCycles {
 		t.Fatalf("restored total %d, original %d", total, rep.TotalCycles)
+	}
+}
+
+// TestGroupReportClassesJSON locks the group-memo format: a report's
+// classes persist as an array of numbers. A Class of an unsigned byte
+// kind would marshal as a base64 string, which still round-trips (so
+// TestSnapshotRestoreRoundTrip cannot see it) but changes every memo
+// file on disk.
+func TestGroupReportClassesJSON(t *testing.T) {
+	data, err := json.Marshal(GroupReport{Classes: classify.All()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"Classes":[0,1,2,3]`; !strings.Contains(string(data), want) {
+		t.Fatalf("GroupReport JSON %s, want it to contain %s", data, want)
 	}
 }
 

@@ -12,33 +12,34 @@ const (
 	radixMask = 1<<radixBits - 1
 )
 
-// radixCutoff is the length below which SortUint64 hands its input to
-// slices.Sort: clearing and prefix-summing 2048 buckets per pass costs
-// more than a comparison sort of fewer values. On three-pass (30-bit)
-// values the two break even near 1024: 4.0 µs against 8.2 µs at 256
-// values, 22.5 µs against 21.1 µs at 1024 (2-vCPU Xeon, Go 1.24).
+// radixCutoff is the length below which SortUnsigned hands its input
+// to slices.Sort: clearing and prefix-summing 2048 buckets per pass
+// costs more than a comparison sort of fewer values. On three-pass
+// (30-bit) values the two break even near 1024: 4.0 µs against 8.2 µs
+// at 256 values, 22.5 µs against 21.1 µs at 1024 (2-vCPU Xeon, Go 1.24).
 const radixCutoff = 1024
 
-// SortUint64 sorts v ascending. Inputs of radixCutoff values or more
+// SortUnsigned sorts v ascending. Inputs of radixCutoff values or more
 // take an LSD radix sort over 11-bit digits, with only as many passes as
 // the largest value needs: three for values below 2^33 (cycle counts
-// up to about 8.6 billion). scratch must hold at least len(v) values;
-// the sort uses it as the other half of each pass and leaves it
-// overwritten. Shorter inputs leave scratch untouched.
+// up to about 8.6 billion), so at most three for uint32. scratch must
+// hold at least len(v) values; the sort uses it as the other half of
+// each pass and leaves it overwritten. Shorter inputs leave scratch
+// untouched.
 //
 //simlint:hotpath
-func SortUint64(v, scratch []uint64) {
+func SortUnsigned[T uint32 | uint64](v, scratch []T) {
 	n := len(v)
 	if n < radixCutoff {
 		slices.Sort(v)
 		return
 	}
 	// The OR of the values has the largest value's highest set bit.
-	var or uint64
+	var or T
 	for _, x := range v {
 		or |= x
 	}
-	passes := (bits.Len64(or) + radixBits - 1) / radixBits
+	passes := (bits.Len64(uint64(or)) + radixBits - 1) / radixBits
 	src, dst := v, scratch[:n]
 	var count [1 << radixBits]int
 	for p := 0; p < passes; p++ {

@@ -9,9 +9,11 @@ import (
 	"repro/internal/rng"
 )
 
-// TestSortUint64MatchesSlicesSort checks the radix sort against
+// TestSortUint64MatchesSlicesSort checks SortUnsigned against
 // slices.Sort on random, all-equal, sorted, reversed and full-range
-// inputs, at lengths around the small-input cutoff and at 100k.
+// inputs, at lengths around the small-input cutoff and at 100k, at both
+// widths: the uint32 subtests sort each input truncated to its low 32
+// bits, so the full 64-bit range becomes the full 32-bit range.
 func TestSortUint64MatchesSlicesSort(t *testing.T) {
 	inputs := map[string]func(s *rng.Stream, n int) []uint64{
 		"random": func(s *rng.Stream, n int) []uint64 {
@@ -68,18 +70,31 @@ func TestSortUint64MatchesSlicesSort(t *testing.T) {
 	slices.Sort(names)
 	for _, name := range names {
 		for _, n := range []int{0, 1, radixCutoff - 1, radixCutoff, radixCutoff + 1, 100_000} {
+			input := func() []uint64 { return inputs[name](rng.NewStream(uint64(n)+1), n) }
 			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) {
-				s := rng.NewStream(uint64(n) + 1)
-				got := inputs[name](s, n)
-				want := slices.Clone(got)
-				slices.Sort(want)
-				scratch := make([]uint64, n)
-				SortUint64(got, scratch)
-				if !slices.Equal(got, want) {
-					t.Fatalf("SortUint64 disagrees with slices.Sort")
+				checkSort(t, input())
+			})
+			t.Run(fmt.Sprintf("uint32/%s/%d", name, n), func(t *testing.T) {
+				v := input()
+				narrow := make([]uint32, len(v))
+				for i, x := range v {
+					narrow[i] = uint32(x)
 				}
+				checkSort(t, narrow)
 			})
 		}
+	}
+}
+
+// checkSort sorts v with SortUnsigned and fails unless the result
+// equals slices.Sort's.
+func checkSort[T uint32 | uint64](t *testing.T, v []T) {
+	t.Helper()
+	want := slices.Clone(v)
+	slices.Sort(want)
+	SortUnsigned(v, make([]T, len(v)))
+	if !slices.Equal(v, want) {
+		t.Fatalf("SortUnsigned disagrees with slices.Sort")
 	}
 }
 
@@ -126,7 +141,8 @@ func floatSummary(samples []float64) Summary {
 // TestSummarizeSortedIntegers checks the integer summary
 // against Summarize and against the float reference over the converted
 // samples, float64(v)/1000, on unsigned and signed samples with ties,
-// zeros, negatives and values up to 2^53.
+// zeros, negatives and values up to 2^53; the unsigned samples that fit
+// are also summarized as uint32.
 func TestSummarizeSortedIntegers(t *testing.T) {
 	s := rng.NewStream(0x5EED)
 	draw := func(kind int) int64 {
@@ -153,16 +169,25 @@ func TestSummarizeSortedIntegers(t *testing.T) {
 				}
 				sg[i], sf[i] = v, float64(v)/1000
 			}
-			SortUint64(u, make([]uint64, n))
+			SortUnsigned(u, make([]uint64, n))
 			slices.Sort(sg)
-			for _, c := range []struct {
+			type check struct {
 				name string
 				got  Summary
 				in   []float64
-			}{
+			}
+			checks := []check{
 				{"uint64", SummarizeSorted(u, 1000), uf},
 				{"int64", SummarizeSorted(sg, 1000), sf},
-			} {
+			}
+			if kind < 2 {
+				u32 := make([]uint32, n)
+				for i, v := range u {
+					u32[i] = uint32(v)
+				}
+				checks = append(checks, check{"uint32", SummarizeSorted(u32, 1000), uf})
+			}
+			for _, c := range checks {
 				if want := floatSummary(c.in); !sameBits(c.got, want) || !sameBits(Summarize(c.in), want) {
 					t.Errorf("%s n=%d kind=%d: %+v, Summarize %+v, want %+v", c.name, n, kind, c.got, Summarize(c.in), want)
 				}

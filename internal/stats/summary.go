@@ -20,7 +20,7 @@ func Percentile(samples []float64, p float64) float64 {
 
 // percentileSorted is Percentile over an already-sorted slice, each
 // sample read as float64(v)/unit.
-func percentileSorted[T float64 | uint64 | int64](sorted []T, unit, p float64) float64 {
+func percentileSorted[T float64 | uint32 | uint64 | int64](sorted []T, unit, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -76,7 +76,7 @@ func Summarize(samples []float64) Summary {
 // floats, with no converted copy.
 //
 //simlint:hotpath
-func SummarizeSorted[T float64 | uint64 | int64](sorted []T, unit float64) Summary {
+func SummarizeSorted[T float64 | uint32 | uint64 | int64](sorted []T, unit float64) Summary {
 	if len(sorted) == 0 {
 		return Summary{}
 	}
