@@ -68,7 +68,7 @@ func main() {
 	if err := p.Init(workloads.All()); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("ready in %v", time.Since(start).Round(time.Second))
+	log.Printf("ready in %v", time.Since(start).Round(time.Millisecond))
 
 	queue, err := p.Queue(names)
 	if err != nil {

@@ -337,7 +337,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	log.Printf("roster ready in %v", time.Since(start).Round(time.Second))
+	log.Printf("roster ready in %v", time.Since(start).Round(time.Millisecond))
 
 	cfg := fleet.Config{
 		Devices:     roster,

@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	m := p.Matrix()
-	log.Printf("solo profiles and all-pairs campaign (%d co-runs) finished in %v", len(m.Pairs), time.Since(start).Round(time.Second))
+	log.Printf("solo profiles and all-pairs campaign (%d co-runs) finished in %v", len(m.Pairs), time.Since(start).Round(time.Millisecond))
 	fmt.Println(m)
 	if *pairs {
 		for _, pr := range m.Pairs {

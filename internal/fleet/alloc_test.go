@@ -179,3 +179,42 @@ func TestModeledRunMemoryBounded(t *testing.T) {
 		t.Fatalf("Run + Summary allocated %.0f B/job, want at most %d", perJob, maxBytesPerJob)
 	}
 }
+
+// TestClosedRunMemoryBounded is TestModeledRunMemoryBounded for the
+// closed loop: a controlLoad run of 64 clients issuing 2048 requests
+// each to 16 test devices, and Run plus Summary may allocate at most
+// maxBytesPerRequest per request. Per-request state is the one 96-byte
+// JobRecord, written straight into the arena, plus Summary's 32-bit
+// samples; control events are bounded by the client count and the
+// chaos schedule, not by the request count. The bound leaves no room
+// for a staged 40-byte Arrival per request.
+func TestClosedRunMemoryBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("131k-request closed loop")
+	}
+	const clients, requests = 64, 2048
+	const maxBytesPerRequest = 150
+	// The horizon covers the run's ~230M cycles.
+	f, err := New(controlLoad(t, 16, clients, requests, 3e8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := f.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary := res.Summary()
+	runtime.ReadMemStats(&after)
+	if summary == "" {
+		t.Fatal("empty summary")
+	}
+	checkConservation(t, "closed", res, clients*requests)
+	checkControlsAct(t, res)
+	perRequest := float64(after.TotalAlloc-before.TotalAlloc) / (clients * requests)
+	t.Logf("Run + Summary allocated %.0f B/request", perRequest)
+	if perRequest > maxBytesPerRequest {
+		t.Fatalf("Run + Summary allocated %.0f B/request, want at most %d", perRequest, maxBytesPerRequest)
+	}
+}

@@ -12,8 +12,11 @@ import (
 // The chaos layer: deterministic device failure, drain and restore
 // mid-run. A fleet serving real traffic does not get a permanently
 // healthy roster, so the event loop accepts an injected failure
-// schedule and executes it on the same control-event heap that drives
-// clients, admission and the autoscaler:
+// schedule and executes it through the same control block that drives
+// clients, admission and the autoscaler. The schedule is known and
+// sorted before the run starts, so it waits in the block's chaos FIFO
+// rather than its heap, stamped with the first sequence numbers so a
+// failure fires ahead of a same-cycle submission (control.go):
 //
 //   - fail kills a device outright. A group in flight is evicted
 //     through the same EvictionRecord checkpoint machinery preemption

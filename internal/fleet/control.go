@@ -24,13 +24,19 @@ import (
 //     decommissioned on queue-pressure watermarks, reconciled on a
 //     fixed epoch grid.
 //
-// All of it is driven through one deterministic control-event heap
-// (loopCtl) owned by the event loop, ordered by (cycle, push sequence).
-// Every random draw comes from per-client internal/rng streams derived
-// only from the configured seed and the client id, so reruns are
-// byte-identical. With every feature disabled the loop carries a nil
-// *loopCtl and the hot path pays one pointer check per event — the
-// steady-state zero-allocation dispatch contract is untouched.
+// All of it is driven by the event loop's control block (loopCtl).
+// Its events fire in one deterministic order, (cycle, push sequence),
+// from three sources: abandon timers, armed one fixed Timeout after
+// their submission and so pushed in firing order, wait in a FIFO; the
+// pre-sorted chaos schedule (chaos.go) waits in a second FIFO; and
+// submissions, retries, scale ticks and provisions, which can land at
+// any cycle, share a keyed heap that holds at most one submission per
+// client. Each step pops the least of the three heads. Every random
+// draw comes from per-client internal/rng streams derived only from the
+// configured seed and the client id, so reruns are byte-identical.
+// With every feature disabled the loop carries a nil *loopCtl and the
+// hot path pays one pointer check per event — the steady-state
+// zero-allocation dispatch contract is untouched.
 
 // ClosedConfig parameterizes the closed-loop arrival source
 // (Config.Closed). Enabled runs replace the open arrival stream: Run
@@ -52,7 +58,8 @@ type ClosedConfig struct {
 	// Timeout is the per-request patience in cycles: a submission still
 	// waiting in the queue Timeout cycles after it was submitted is
 	// abandoned (running requests are never abandoned). 0 disables
-	// abandonment.
+	// abandonment, and a patience reaching past the largest cycle
+	// count never expires.
 	Timeout uint64
 	// Retries bounds how many times a rejected or abandoned request is
 	// resubmitted; Backoff is the base delay before the first retry,
@@ -216,9 +223,9 @@ const (
 	evRestore
 )
 
-// ctlEvent is one scheduled control action. Its heap key is (cycle,
-// push sequence), so same-cycle events process in schedule order — a
-// pure function of the deterministic event history.
+// ctlEvent is one scheduled control action. Its key is (cycle, push
+// sequence), so same-cycle events process in schedule order — a pure
+// function of the deterministic event history.
 type ctlEvent struct {
 	kind ctlKind
 	j    *JobRecord
@@ -240,7 +247,13 @@ type loopCtl struct {
 	f *Fleet
 	l *loop
 
+	// The pending control events. Every entry is stamped from seq, so
+	// the three sources share one (cycle, seq) order: timers and chaos
+	// are pushed in that order, events (submissions, retries, scale
+	// ticks, provisions) at any cycle.
 	events keyHeap[ctlEvent]
+	timers monoQueue[ctlEvent]
+	chaos  monoQueue[ctlEvent]
 	seq    int
 
 	// clients is indexed by client id.
@@ -255,7 +268,7 @@ type loopCtl struct {
 	epoch       uint64
 	// scaleArmed tracks whether an evScale tick is scheduled; the tick
 	// disarms itself once the loop has no outstanding work, so a drained
-	// loop's event heap empties instead of ticking forever.
+	// loop's control events run out instead of ticking forever.
 	scaleArmed bool
 	// rmBuf is the single-job scratch abandon passes to removeJobs.
 	rmBuf [1]*JobRecord
@@ -317,28 +330,68 @@ func (c *loopCtl) initClients(perClient [][]JobRecord) {
 	}
 }
 
-// push schedules ev at cycle, stamping the deterministic tie-break
-// sequence.
-func (c *loopCtl) push(cycle uint64, ev ctlEvent) {
-	c.events.push(cycle, c.seq, ev)
+// stamp returns the next deterministic tie-break sequence number.
+func (c *loopCtl) stamp() int {
 	c.seq++
+	return c.seq - 1
+}
+
+// push schedules ev on the heap at cycle.
+func (c *loopCtl) push(cycle uint64, ev ctlEvent) {
+	c.events.push(cycle, c.stamp(), ev)
+}
+
+// head is the earliest pending control event by (cycle, seq) among
+// the heap's root and the two queues' heads, or nil when none is
+// pending.
+func (c *loopCtl) head() *keyed[ctlEvent] {
+	e := c.timers.peek()
+	if h := c.chaos.peek(); h != nil && (e == nil || h.at < e.at || h.at == e.at && h.tie < e.tie) {
+		e = h
+	}
+	if len(c.events.v) > 0 {
+		if h := &c.events.v[0]; e == nil || h.at < e.at || h.at == e.at && h.tie < e.tie {
+			e = h
+		}
+	}
+	return e
+}
+
+// scheduled counts the pending control events.
+func (c *loopCtl) scheduled() int {
+	return len(c.events.v) + c.timers.len() + c.chaos.len()
 }
 
 // next is the cycle of the earliest scheduled control event
 // (MaxUint64 when none), the loop's third event source.
 func (c *loopCtl) next() uint64 {
-	if len(c.events.v) == 0 {
-		return math.MaxUint64
+	if e := c.head(); e != nil {
+		return e.at
 	}
-	return c.events.v[0].at
+	return math.MaxUint64
+}
+
+// pop removes and returns the earliest scheduled control event; there
+// must be one.
+func (c *loopCtl) pop() ctlEvent {
+	e := c.head()
+	ev := e.val
+	switch e {
+	case c.timers.peek():
+		c.timers.pop()
+	case c.chaos.peek():
+		c.chaos.pop()
+	default:
+		c.events.removeAt(0)
+	}
+	return ev
 }
 
 // step processes exactly one control event at its cycle. The owning
 // loop runs its admit/dispatch passes between steps, so a submission is
 // dispatchable before the next control action fires.
 func (c *loopCtl) step(now uint64) {
-	ev := c.events.v[0].val
-	c.events.removeAt(0)
+	ev := c.pop()
 	switch ev.kind {
 	case evSubmit, evRetry:
 		c.submit(ev.j, now, ev.kind == evRetry)
@@ -357,10 +410,12 @@ func (c *loopCtl) step(now uint64) {
 	}
 }
 
-// initChaos schedules the chaos events. Called before initClients so
-// the heap's tie-break sequence is a pure function of the
-// configuration.
+// initChaos queues the chaos schedule, which resolveChaos returns in
+// execution order. Called before initClients, so the chaos events take
+// the first sequence numbers and a failure fires ahead of a submission
+// at the same cycle.
 func (c *loopCtl) initChaos(events []ChaosEvent) {
+	c.chaos.v = make([]keyed[ctlEvent], 0, len(events))
 	for _, ev := range events {
 		var k ctlKind
 		switch ev.Kind {
@@ -371,7 +426,7 @@ func (c *loopCtl) initChaos(events []ChaosEvent) {
 		default:
 			k = evRestore
 		}
-		c.push(ev.Cycle, ctlEvent{kind: k, aux: ev.Device})
+		c.chaos.push(ev.Cycle, c.stamp(), ctlEvent{kind: k, aux: ev.Device})
 	}
 }
 
@@ -475,8 +530,11 @@ func (c *loopCtl) submit(j *JobRecord, now uint64, retry bool) {
 		return
 	}
 	c.l.queue.insert(j)
-	if cc.Timeout > 0 {
-		c.push(now+cc.Timeout, ctlEvent{kind: evAbandon, j: j, aux: int(j.Attempts)})
+	// Submissions run in cycle order, so with one Timeout the timers
+	// queue in firing order. A timeout past the end of the cycle range
+	// could never fire and is not armed.
+	if at := now + cc.Timeout; cc.Timeout > 0 && at > now {
+		c.timers.push(at, c.stamp(), ctlEvent{kind: evAbandon, j: j, aux: int(j.Attempts)})
 	}
 }
 
@@ -630,7 +688,7 @@ func (c *loopCtl) armScale(now uint64) {
 
 // scaleTick evaluates the pressure watermarks and reschedules itself.
 // With no outstanding work it disarms instead, so a finished run's
-// event heap drains (armScale re-arms on the next submission).
+// control events drain (armScale re-arms on the next submission).
 func (c *loopCtl) scaleTick(now uint64) {
 	if c.l.remaining <= 0 {
 		c.scaleArmed = false
@@ -679,7 +737,7 @@ func (c *loopCtl) scaleTick(now uint64) {
 	// and none to provision, and no later tick can change that. Disarm,
 	// so the loop reports its stall instead of ticking forever.
 	l := c.l
-	if len(c.events.v) == 0 && l.nextArr == len(l.arr) && l.resolved.peek() == nil && l.unresolved.peek() == nil {
+	if c.scheduled() == 0 && l.nextArr == len(l.arr) && l.resolved.peek() == nil && l.unresolved.peek() == nil {
 		c.scaleArmed = false
 		return
 	}
@@ -701,36 +759,33 @@ func (c *loopCtl) provision(d int) {
 	c.l.idleDevs.push(d)
 }
 
-// resolveClosed materializes the closed-loop request universe: every
-// client's full request sequence, client-major (job id = client *
-// Requests + request). Names and SLO tags come from per-client streams
-// derived only from the seed and the client id. Submission cycles are
-// stamped at submit time; resolve only needs the names in a fixed
-// order. Each client's sequence is a sub-slice of the one record arena.
+// resolveClosed materializes the closed-loop request universe straight
+// into the one record arena: every client's full request sequence,
+// client-major (job id = client * Requests + request), each client's
+// sequence a sub-slice of the arena. Names and SLO tags come from
+// per-client streams derived only from the seed and the client id, and
+// each distinct name resolves once into the appInfo its jobs share, as
+// in resolve. Submission cycles are stamped at submit time.
 func (f *Fleet) resolveClosed() ([]JobRecord, [][]JobRecord, error) {
 	cc := f.cfg.Closed
-	arrivals := make([]Arrival, 0, cc.Clients*cc.Requests)
-	for c := 0; c < cc.Clients; c++ {
+	infos := make(map[string]*appInfo)
+	jobs := make([]JobRecord, cc.Clients*cc.Requests)
+	perClient := make([][]JobRecord, cc.Clients)
+	for c := range perClient {
 		names := rng.NewStream(rng.Hash3(cc.Seed, uint64(c), 1))
 		slo := rng.NewStream(rng.Hash3(cc.Seed, uint64(c), 2))
-		for r := 0; r < cc.Requests; r++ {
-			a := Arrival{Name: cc.Universe[names.Intn(len(cc.Universe))]}
-			if cc.LatencyFrac > 0 && slo.Float64() < cc.LatencyFrac {
-				a.SLO = Latency
-				a.Deadline = cc.Deadline
-			}
-			arrivals = append(arrivals, a)
-		}
-	}
-	jobs, err := f.resolve(arrivals)
-	if err != nil {
-		return nil, nil, err
-	}
-	perClient := make([][]JobRecord, cc.Clients)
-	for c := 0; c < cc.Clients; c++ {
 		reqs := jobs[c*cc.Requests : (c+1)*cc.Requests]
-		for i := range reqs {
-			reqs[i].client = int32(c)
+		for r := range reqs {
+			name := cc.Universe[names.Intn(len(cc.Universe))]
+			info, err := f.appInfoFor(infos, name)
+			if err != nil {
+				return nil, nil, err
+			}
+			j := &reqs[r]
+			j.ID, j.Name, j.app, j.client = c*cc.Requests+r, name, info, int32(c)
+			if cc.LatencyFrac > 0 && slo.Float64() < cc.LatencyFrac {
+				j.SLO, j.Deadline = Latency, cc.Deadline
+			}
 		}
 		perClient[c] = reqs
 	}

@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
@@ -325,4 +328,214 @@ func TestControlValidation(t *testing.T) {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		}
 	}
+}
+
+// TestTimeoutPastCycleRange pins what a patience past the end of the
+// cycle range means: the request never times out. now+Timeout would
+// wrap for any submission after cycle 10, and a wrapped timer would
+// fire in the past; such a timeout is not armed, so the run matches the
+// same run without timeouts record for record.
+func TestTimeoutPastCycleRange(t *testing.T) {
+	run := func(timeout uint64) Result {
+		cfg := closedCase(t)
+		cfg.Closed.Timeout = timeout
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	never, huge := run(0), run(math.MaxUint64-10)
+	if huge.Abandoned != 0 {
+		t.Errorf("%d requests abandoned under a timeout past the cycle range", huge.Abandoned)
+	}
+	if !slices.Equal(huge.Jobs, never.Jobs) {
+		t.Error("job records differ from the run without timeouts")
+	}
+}
+
+// TestControlSourcesOrder checks the control block's three event
+// sources against one keyHeap holding the same entries. Random
+// interleavings push into the heap at any cycle and into the timer and
+// chaos queues at cycles that never decrease, all stamped from the one
+// sequence, with many same-cycle ties across the sources, and pop
+// through next and pop (step's half that picks the event): every pop
+// must return exactly the single heap's minimum.
+func TestControlSourcesOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.NewStream(seed)
+		c := &loopCtl{}
+		var ref keyHeap[ctlEvent]
+		var timerAt, chaosAt uint64
+		for op := 0; op < 4000; op++ {
+			var at uint64
+			var q *monoQueue[ctlEvent]
+			switch k := r.Intn(8); {
+			case k < 2:
+				at = uint64(r.Intn(int(max(timerAt, chaosAt)) + 4))
+			case k < 4:
+				timerAt += uint64(r.Intn(2))
+				at, q = timerAt, &c.timers
+			case k < 5:
+				chaosAt += uint64(r.Intn(3))
+				at, q = chaosAt, &c.chaos
+			default:
+				if len(ref.v) == 0 {
+					if c.next() != math.MaxUint64 || c.scheduled() != 0 {
+						t.Fatalf("seed %d op %d: empty sources report next %d, %d scheduled", seed, op, c.next(), c.scheduled())
+					}
+					continue
+				}
+				want := ref.v[0]
+				ref.removeAt(0)
+				if got := c.next(); got != want.at {
+					t.Fatalf("seed %d op %d: next = %d, want %d", seed, op, got, want.at)
+				}
+				if got := c.pop(); got != want.val {
+					t.Fatalf("seed %d op %d: popped entry %d, want %d (cycle %d, seq %d)", seed, op, got.aux, want.val.aux, want.at, want.tie)
+				}
+				continue
+			}
+			tie := c.stamp()
+			ev := ctlEvent{aux: tie}
+			if q == nil {
+				c.events.push(at, tie, ev)
+			} else {
+				q.push(at, tie, ev)
+			}
+			ref.push(at, tie, ev)
+			if c.scheduled() != len(ref.v) {
+				t.Fatalf("seed %d op %d: %d scheduled, reference holds %d", seed, op, c.scheduled(), len(ref.v))
+			}
+		}
+		for len(ref.v) > 0 {
+			want := ref.v[0]
+			ref.removeAt(0)
+			if got := c.pop(); got != want.val {
+				t.Fatalf("seed %d drain: popped entry %d, want %d", seed, got.aux, want.val.aux)
+			}
+		}
+		if c.scheduled() != 0 {
+			t.Fatalf("seed %d: %d events left after the drain", seed, c.scheduled())
+		}
+	}
+}
+
+// TestScaleTickCountsQueuedEvents pins the autoscaler's disarm check
+// to all three control sources. The roster is down with every job
+// queued, so a tick finds nothing to provision or release, and no
+// arrival, flight or heap event is pending: a pending chaos restore or
+// abandon timer alone must keep the tick armed (either can still move
+// the queue), and with neither the tick must disarm so the loop
+// reports its stall.
+func TestScaleTickCountsQueuedEvents(t *testing.T) {
+	p := testPipeline(t)
+	for _, tc := range []struct {
+		name  string
+		queue func(c *loopCtl)
+		armed bool
+	}{
+		{"nothing pending", func(*loopCtl) {}, false},
+		{"chaos restore", func(c *loopCtl) {
+			c.chaos.push(50_000, c.stamp(), ctlEvent{kind: evRestore, aux: 0})
+		}, true},
+		{"abandon timer", func(c *loopCtl) {
+			j := &c.l.arr[0]
+			c.timers.push(50_000, c.stamp(), ctlEvent{kind: evAbandon, j: j, aux: int(j.Attempts)})
+		}, true},
+	} {
+		f, err := New(Config{
+			Devices: homo(p, 2), NC: 2, Policy: sched.ILPSMRA, Engine: Modeled,
+			Chaos:     ChaosConfig{Enabled: true, Trace: []ChaosEvent{{Cycle: 0, Device: 0, Kind: ChaosFail}}},
+			Autoscale: AutoscaleConfig{Enabled: true, Min: 2, Epoch: 10_000},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := f.resolve(testArrivals(t, 4, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := f.newLoop(jobs, nil)
+		c := l.ctl
+		c.pop() // the configured failure, which the test applies below
+		for i := range l.arr {
+			l.arr[i].state = jsWaiting
+			l.queue.insert(&l.arr[i])
+		}
+		l.nextArr = len(l.arr)
+		c.chaosFail(0)
+		c.chaosFail(1)
+		c.scaleArmed = true
+		tc.queue(c)
+		c.scaleTick(10_000)
+		if c.scaleArmed != tc.armed {
+			t.Errorf("%s: tick armed = %v, want %v", tc.name, c.scaleArmed, tc.armed)
+		}
+		ticks := 0
+		if tc.armed {
+			ticks = 1
+		}
+		if len(c.events.v) != ticks {
+			t.Errorf("%s: %d heap events after the tick, want %d", tc.name, len(c.events.v), ticks)
+		}
+	}
+}
+
+// controlLoad is a Modeled closed loop on n test devices with every
+// control surface live: timeouts, retries, admission, the autoscaler
+// from half the roster, and generated chaos up to horizon.
+func controlLoad(tb testing.TB, n, clients, requests int, horizon uint64) Config {
+	return Config{
+		Devices: homo(testPipeline(tb), n), NC: 2, Policy: sched.ILPSMRA, Engine: Modeled,
+		SLO: SLOConfig{Enabled: true},
+		Closed: ClosedConfig{
+			Enabled: true, Clients: clients, Requests: requests,
+			Think: 20_000, Timeout: 40_000, Retries: 2, LatencyFrac: 0.2,
+			Seed: 1, Universe: testNames(),
+		},
+		Admission: AdmissionConfig{Enabled: true, MaxWait: 60_000},
+		Autoscale: AutoscaleConfig{Enabled: true, Min: n / 2, High: 1},
+		Chaos:     ChaosConfig{Enabled: true, MTBF: 2e6, MTTR: 2e5, Horizon: horizon, Seed: 1},
+	}
+}
+
+// checkControlsAct fails unless the run abandoned, retried, provisioned
+// and failed something, so a controlLoad measurement covers every
+// control path.
+func checkControlsAct(tb testing.TB, res Result) {
+	tb.Helper()
+	if res.Abandoned == 0 || res.Retried == 0 || res.Provisions == 0 || res.Failures == 0 {
+		tb.Fatalf("abandoned/retried/provisions/failures = %d/%d/%d/%d; every control surface must act",
+			res.Abandoned, res.Retried, res.Provisions, res.Failures)
+	}
+}
+
+// BenchmarkClosedLoop is the control path's event-loop rung: one
+// controlLoad run per op on 8 test devices, 32 clients of 64 requests
+// each, so abandon timers, backoff retries, scale ticks, provisions and
+// outages all pass through the control block. It reports
+// ns/submission beside B/op.
+func BenchmarkClosedLoop(b *testing.B) {
+	f, err := New(controlLoad(b, 8, 32, 64, 2e7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	submissions := 0
+	for i := 0; i < b.N; i++ {
+		res, err := f.Run(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		checkControlsAct(b, res)
+		submissions += res.Submitted
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(submissions), "ns/submission")
 }

@@ -34,13 +34,18 @@
 //
 // The event loop's sources — arrivals, control events, resolved
 // completions, and in-flight groups bounded from below — are indexed:
-// one keyed min-heap type orders completions, completion bounds and
-// control events and yields the fastest free device in placement
-// order, and the live queue is a head-indexed priority queue with
-// binary-search insertion (heap.go, queue.go). One event costs
-// O(log n) whatever the fleet size, which is what lets the same loop
-// serve 4 devices × 60 jobs and 64 devices × 100k jobs. Every run is
-// one event loop (loop.go) over the whole roster, under every engine.
+// one keyed min-heap type orders completions, completion bounds and the
+// control events that can land at any cycle (submissions, retries,
+// scale ticks, provisions) and yields the fastest free device in
+// placement order; control events pushed in firing order (abandon
+// timers under the one Timeout, the pre-sorted chaos schedule) wait in
+// two FIFOs beside that heap, all three merged by one (cycle,
+// sequence) key; and the live queue is a head-indexed priority queue
+// with binary-search insertion (heap.go, control.go, queue.go). One
+// event costs O(log n) whatever the fleet size, which is what lets the
+// same loop serve 4 devices × 60 jobs and 64 devices × 100k jobs. Every
+// run is one event loop (loop.go) over the whole roster, under every
+// engine.
 // Each job is one 96-byte JobRecord: resolve allocates the records as
 // one arena (sim.go), the loop keeps its per-job state in their
 // unexported fields, and Run finalizes them in place and returns the

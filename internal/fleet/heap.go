@@ -13,7 +13,15 @@ package fleet
 //     tie-break reproduces the old scan's first-dispatched-wins order;
 //   - idle devices, keyed (placement position, device), so the dispatch
 //     pass pops the fastest idle device instead of scanning for one;
-//   - control events, keyed (cycle, push sequence) (control.go).
+//   - control events that can land at any cycle — submissions,
+//     retries, scale ticks and provisions — keyed (cycle, push
+//     sequence) (control.go).
+//
+// Control events pushed in key order skip the heap: abandon timers
+// (armed a fixed timeout after their submission) and the pre-sorted
+// chaos schedule each wait in a monoQueue, a FIFO whose head is its
+// minimum, and the control block pops whichever of its three heads
+// has the least key.
 //
 // Keys are unique among a heap's live entries (a stale flight entry may
 // tie a live one, but peek discards it whichever surfaces first), so
@@ -60,33 +68,37 @@ func (h *keyHeap[T]) push(at uint64, tie int, val T) {
 	h.up(len(h.v) - 1)
 }
 
-// removeAt deletes entry i. The last entry fills the hole and sifts
-// down, or up if it did not move down (it can break the order either
-// way).
+// removeAt deletes entry i. The last entry fills the hole: the hole
+// moves down past every child that sorts before that entry, which is
+// written once where the hole stops, and sifts up if the hole did not
+// move (it can break the order either way).
 //
 //simlint:hotpath
 func (h *keyHeap[T]) removeAt(i int) {
 	n := len(h.v) - 1
-	h.v[i] = h.v[n]
+	last := h.v[n]
 	h.v[n] = keyed[T]{}
 	h.v = h.v[:n]
+	if i == n {
+		return
+	}
 	j := i
 	for {
-		l, r := 2*j+1, 2*j+2
-		m := j
-		if l < n && (h.v[l].at < h.v[m].at || h.v[l].at == h.v[m].at && h.v[l].tie < h.v[m].tie) {
-			m = l
-		}
-		if r < n && (h.v[r].at < h.v[m].at || h.v[r].at == h.v[m].at && h.v[r].tie < h.v[m].tie) {
-			m = r
-		}
-		if m == j {
+		c := 2*j + 1
+		if c >= n {
 			break
 		}
-		h.v[j], h.v[m] = h.v[m], h.v[j]
-		j = m
+		if r := c + 1; r < n && (h.v[r].at < h.v[c].at || h.v[r].at == h.v[c].at && h.v[r].tie < h.v[c].tie) {
+			c = r
+		}
+		if h.v[c].at > last.at || h.v[c].at == last.at && h.v[c].tie >= last.tie {
+			break
+		}
+		h.v[j] = h.v[c]
+		j = c
 	}
-	if j == i && i < n {
+	h.v[j] = last
+	if j == i {
 		h.up(i)
 	}
 }
@@ -101,6 +113,43 @@ func (h *keyHeap[T]) up(i int) {
 		i = p
 	}
 }
+
+// monoQueue is a FIFO of keyed entries pushed in non-decreasing key
+// order, so its head is its minimum and push and pop are O(1). Popped
+// slots are reclaimed by sliding the live entries to the front when
+// the backing array is full and at least half popped, so the array
+// stays proportional to the most entries ever pending at once.
+type monoQueue[T any] struct {
+	v    []keyed[T]
+	head int
+}
+
+//simlint:hotpath
+func (q *monoQueue[T]) push(at uint64, tie int, val T) {
+	if len(q.v) == cap(q.v) && 2*q.head >= len(q.v) {
+		n := copy(q.v, q.v[q.head:])
+		clear(q.v[n:])
+		q.v, q.head = q.v[:n], 0
+	}
+	q.v = append(q.v, keyed[T]{at, tie, val})
+}
+
+// peek returns the head entry, or nil when the queue is empty.
+func (q *monoQueue[T]) peek() *keyed[T] {
+	if q.head == len(q.v) {
+		return nil
+	}
+	return &q.v[q.head]
+}
+
+// pop drops the head entry.
+func (q *monoQueue[T]) pop() {
+	q.v[q.head] = keyed[T]{}
+	q.head++
+}
+
+// len is the number of pending entries.
+func (q *monoQueue[T]) len() int { return len(q.v) - q.head }
 
 // flightHeap is a keyHeap of in-flight groups with lazy deletion driven
 // by the live state.

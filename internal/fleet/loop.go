@@ -17,11 +17,11 @@ import (
 // bounded from below — that always processes the provably-earliest
 // event, so the outcome is independent of worker timing. Every source
 // is indexed (completion and bound min-heaps, an idle-device heap in
-// placement order, a head-indexed priority queue, the control heap), so
-// one event costs O(log n) instead of a scan over every flight and
-// device. One loop runs every engine over the whole roster, and it
-// stops as soon as its last job settles, so events after it (trailing
-// scale ticks, timers, chaos) never run.
+// placement order, a head-indexed priority queue, and the control
+// block's heap and two FIFOs), so one event costs O(log n) instead of a
+// scan over every flight and device. One loop runs every engine over
+// the whole roster, and it stops as soon as its last job settles, so
+// events after it (trailing scale ticks, timers, chaos) never run.
 
 // inf is the "no event" time of an empty event source.
 const inf = math.MaxUint64
@@ -56,8 +56,7 @@ type loop struct {
 	now uint64
 	seq int
 	// arr is the open-loop arrival stream in arrival order, walked by
-	// index. Closed-loop submissions arrive through the control heap
-	// instead.
+	// index. Closed-loop submissions arrive as control events instead.
 	arr     []JobRecord
 	nextArr int
 	// remaining counts the unsettled jobs: submissions not yet
@@ -134,9 +133,9 @@ func (f *Fleet) newLoop(jobs []JobRecord, perClient [][]JobRecord) *loop {
 		l.arr = jobs
 	}
 	if f.ctlEnabled() {
-		// Chaos events enter the heap before any client submission, so at
-		// equal cycles a failure fires first — a submission never races
-		// onto a device the same cycle kills.
+		// Chaos events take their sequence numbers before any client
+		// submission, so at equal cycles a failure fires first — a
+		// submission never races onto a device the same cycle kills.
 		l.ctl = f.newLoopCtl(l)
 		l.ctl.initChaos(f.resolveChaos())
 		l.ctl.initClients(perClient)

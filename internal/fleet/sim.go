@@ -388,13 +388,9 @@ func (f *Fleet) resolve(arrivals []Arrival) ([]JobRecord, error) {
 			return nil, fmt.Errorf("fleet: arrivals not in cycle order (job %d at %d after %d)",
 				i, a.Cycle, arrivals[i-1].Cycle)
 		}
-		info := infos[a.Name]
-		if info == nil {
-			var err error
-			if info, err = f.newAppInfo(a.Name); err != nil {
-				return nil, err
-			}
-			infos[a.Name] = info
+		info, err := f.appInfoFor(infos, a.Name)
+		if err != nil {
+			return nil, err
 		}
 		// Field by field: the arena is already zeroed, and a composite
 		// literal would be built aside and copied in.
@@ -403,6 +399,20 @@ func (f *Fleet) resolve(arrivals []Arrival) ([]JobRecord, error) {
 		j.Arrival, j.SLO, j.Deadline = a.Cycle, a.SLO, a.Deadline
 	}
 	return jobs, nil
+}
+
+// appInfoFor returns name's shared state from infos, building it on
+// the name's first use.
+func (f *Fleet) appInfoFor(infos map[string]*appInfo, name string) (*appInfo, error) {
+	if info := infos[name]; info != nil {
+		return info, nil
+	}
+	info, err := f.newAppInfo(name)
+	if err != nil {
+		return nil, err
+	}
+	infos[name] = info
+	return info, nil
 }
 
 // newAppInfo builds one application's shared state: its QueuedApp and
