@@ -148,7 +148,8 @@ func (s *Suite) AppendixA() (Artifact, error) {
 		}
 		counts[cls]++
 	}
-	res, err := match.Solve(s.P.Matrix(), counts, 2)
+	patterns := match.Patterns(2)
+	res, err := match.Solve(patterns, match.Efficiencies(s.P.Matrix(), patterns), counts, 2, nil)
 	if err != nil {
 		return Artifact{}, err
 	}

@@ -14,7 +14,7 @@ import (
 //
 //   - queue depth: half the backlog, clamped to [MinWindow, MaxWindow] —
 //     a shallow queue cannot fill a big window, and past MaxWindow the
-//     extra choice stops paying for the larger ILP;
+//     extra choice stops paying for the larger matching;
 //   - class mix: the depth-sized window is scaled by the exponential of
 //     the class entropy over the candidate prefix (the "effective number
 //     of classes", 1..NumClasses). A one-class queue offers the matcher
@@ -74,8 +74,10 @@ type dispatcher struct {
 	// (see formILPGroup); nil outside the ILP policies and at NC 1.
 	picks []*match.PickTable
 	// agingW is the window-aligned aging-weight scratch agingWeights
-	// fills (index i weights window[i]).
-	agingW []float64
+	// fills (index i weights window[i]), and lattice the matcher's
+	// buffers for the aged dispatches it solves.
+	agingW  []float64
+	lattice match.Lattice
 	// patBuf is the reused class-pattern scratch for modelReport.
 	patBuf match.Pattern
 	// free pools retired modeled flights for reuse: their member slice
@@ -261,8 +263,8 @@ func (d *dispatcher) formGreedyGroup(dst []*JobRecord, queue *jobQueue, t int, n
 // counts), read from the type's pick table. With aging active the
 // pattern efficiencies are age-weighted per class
 // (match.AgedEfficiencies), so a pattern containing a starved class
-// outbids a marginally better-packing one, and the ILP solves each
-// dispatch afresh.
+// outbids a marginally better-packing one, and match.Solve matches each
+// dispatch afresh, reusing the dispatcher's lattice buffers.
 //
 //simlint:hotpath
 func (d *dispatcher) formILPGroup(dst []*JobRecord, queue *jobQueue, t int, now uint64) []*JobRecord {
@@ -285,7 +287,7 @@ func (d *dispatcher) formILPGroup(dst []*JobRecord, queue *jobQueue, t int, now 
 			}
 		}
 		eff := match.AgedEfficiencies(f.ncPatterns, f.ncEff[t], classWait, f.cfg.Aging)
-		res, err := match.SolveWithEff(f.ncPatterns, eff, counts, f.cfg.NC)
+		res, err := match.Solve(f.ncPatterns, eff, counts, f.cfg.NC, &d.lattice)
 		if err != nil {
 			return nil
 		}
@@ -332,7 +334,8 @@ func (d *dispatcher) formILPGroup(dst []*JobRecord, queue *jobQueue, t int, now 
 // per device type over the size-NC table: with aging off, group
 // formation is a pure function of (type, window counts), and the pick
 // table answers it by lookup, growing only as far as the windows it
-// sees.
+// sees. With aging on, match.Solve matches the same size-NC patterns
+// under the window's aged efficiencies.
 
 // classKey is class c's unit in a pattern key: a pattern's key sums its
 // members' units, so it counts each class in its own 16 bits and does
@@ -367,11 +370,7 @@ func (f *Fleet) buildMatchTables() {
 			eff[i] = match.Efficiency(m, p)
 		}
 		f.effAll[t] = eff
-		nc := make([]float64, len(f.ncPatterns))
-		for i, p := range f.ncPatterns {
-			nc[i] = match.Efficiency(m, p)
-		}
-		f.ncEff[t] = nc
+		f.ncEff[t] = match.Efficiencies(m, f.ncPatterns)
 	}
 }
 

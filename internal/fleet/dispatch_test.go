@@ -56,18 +56,17 @@ func TestPatternEffMatchesEfficiency(t *testing.T) {
 }
 
 // TestPickTableMatchesSolve is the differential check of the
-// dispatcher's pick tables against the ILP they replace: on both test
-// device configs, the table's pick equals match.HeadPattern of
-// match.SolveWithEff's solution for every head class the window holds.
-// At NC 2 and 3 it covers every window composition of size NC through
-// MaxWindow (NC 3 samples under -short); at NC 4 to 10 it samples.
+// dispatcher's pick tables against match.Solve, which the aging path
+// calls: on both test device configs, the table's pick equals
+// match.HeadPattern of Solve's cover for every head class the window
+// holds. At NC 2 and 3 it covers every window composition of size NC
+// through MaxWindow (NC 3 samples under -short); at NC 4 to 10 it
+// samples.
 func TestPickTableMatchesSolve(t *testing.T) {
-	// Random compositions checked per NC when not exhaustive. An ILP
-	// solve over a window of up to 32 jobs costs about 0.2 ms at NC 4 and
-	// from milliseconds to seconds at NC 9 and 10 on the test matrices,
-	// so the sample thins as NC grows.
-	samples := []int{3: 24, 4: 24, 5: 24, 6: 24, 7: 6, 8: 4, 9: 2, 10: 2}
+	// Random compositions checked per NC when not exhaustive.
+	samples := []int{3: 200, 4: 400, 5: 400, 6: 400, 7: 400, 8: 400, 9: 400, 10: 400}
 	r := rng.NewStream(0x50175)
+	var lat match.Lattice
 	for _, pipe := range []*core.Pipeline{testPipeline(t), pipelineFor(t, tinyConfig())} {
 		for nc := 2; nc <= 10; nc++ {
 			f, err := New(Config{Devices: homo(pipe, 1), NC: nc, Policy: sched.ILP})
@@ -77,16 +76,16 @@ func TestPickTableMatchesSolve(t *testing.T) {
 			d := f.newDispatcher()
 			checked := 0
 			check := func(counts [classify.NumClasses]int) {
-				res, err := match.SolveWithEff(f.ncPatterns, f.ncEff[0], counts, nc)
+				res, err := match.Solve(f.ncPatterns, f.ncEff[0], counts, nc, &lat)
 				if err != nil {
-					t.Fatalf("%s NC %d counts %v: SolveWithEff: %v", pipe.Config().Name, nc, counts, err)
+					t.Fatalf("%s NC %d counts %v: Solve: %v", pipe.Config().Name, nc, counts, err)
 				}
 				for h := classify.Class(0); h < classify.NumClasses; h++ {
 					if counts[h] == 0 {
 						continue
 					}
 					if got, want := d.picks[0].Pick(counts, h), match.HeadPattern(res, h); got != want {
-						t.Fatalf("%s NC %d counts %v head %v: table picks %d, ILP %d (%v)",
+						t.Fatalf("%s NC %d counts %v head %v: table picks %d, Solve %d (%v)",
 							pipe.Config().Name, nc, counts, h, got, want, res)
 					}
 				}

@@ -226,7 +226,8 @@ func FuzzParseControls(f *testing.F) {
 //   - nc: group size 1 + nc%3; policy: one of the five policies;
 //   - slo: off, priority or preempt;
 //   - controls: bit 0 admission (bit 3 degrades instead of rejecting),
-//     bit 1 autoscale, bit 2 chaos, bit 4 a closed-loop timeout;
+//     bit 1 autoscale, bit 2 chaos, bit 4 a closed-loop timeout, bit 7
+//     aging weight 1;
 //   - chaos: up to four trace events, one per byte — kind b&3 (0 = no
 //     event, then fail, drain, restore), device (b>>2)&7 modulo the
 //     roster, cycle (b>>5)*20000.
@@ -285,6 +286,9 @@ func fuzzConfig(t *testing.T, seed uint64, roster, traffic, nc, policy, slo, con
 	}
 	if controls&2 != 0 {
 		cfg.Autoscale = AutoscaleConfig{Enabled: true, Min: 1, High: 1.2, Low: 0.5, Epoch: 10_000}
+	}
+	if controls&0x80 != 0 {
+		cfg.Aging = 1
 	}
 	if controls&4 != 0 {
 		cfg.Chaos.Enabled = true

@@ -7,30 +7,25 @@ import (
 	"repro/internal/classify"
 )
 
-// PickTable answers the fleet dispatcher's matcher question without an
-// ILP solve: for a window's class composition and the class of its head
-// job, which pattern does the optimal matching (Equations 3.3–3.7) use
-// to dispatch the head? It is a dynamic program over the class-count
-// lattice. Layer k holds every count vector of size k·NC together with
-// g, the best objective over exact covers of that vector by k patterns,
-// and the head pick of that best cover; a composition whose size is not
-// a multiple of NC drops the remainder that leaves the best cover.
+// PickTable answers the fleet dispatcher's matcher question without a
+// solve per dispatch: for a window's class composition and the class of
+// its head job, which pattern does the optimal matching (Equations
+// 3.3–3.7) use to dispatch the head? It is Solve's dynamic program laid
+// out over the whole class-count lattice. Layer k holds every count
+// vector of size k·NC together with g, the best objective over exact
+// covers of that vector by k patterns, and the head pick of that best
+// cover; a composition whose size is not a multiple of NC drops the
+// remainder that leaves the best cover.
 //
 // Layers grow lazily: a table only ever holds the layers the
 // compositions it was asked about reach, so small fleets pay for small
 // tables. A table is not safe for concurrent use.
 //
-// Ties are broken deterministically: a state's cover takes the first
-// pattern in index order that reaches the maximum, remainders are tried
-// in lexicographic order with the first maximum kept, and the head pick
-// follows HeadPattern's rule along the cover. The picks equal
-// SolveWithEff's on every window of the calibrated matrices (the
-// fleet's tests check this exhaustively). Two kinds of matrix can still
-// part them. Where distinct matchings tie exactly, as when every
-// slowdown is equal, both return an optimal matching, but the ILP's
-// choice follows its simplex pivoting. And the ILP's branch-and-bound
-// stops within 1e-6 of the optimum, so where the best matchings differ
-// by less than that, the exact table may find the better one.
+// Ties are broken by Solve's rule. A state's cover tries every pattern
+// that fits, not only those holding its lowest class, but the first
+// pattern in index order at the maximum is one of those, so Pick is
+// HeadPattern of Solve's cover (the tests check both against a
+// brute-force oracle).
 type PickTable struct {
 	nc  int
 	eff []float64

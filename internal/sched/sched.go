@@ -279,7 +279,8 @@ func (s *Scheduler) formILPGroups(queue []QueuedApp, nc int) ([]Group, error) {
 	for _, a := range queue {
 		counts[a.Class]++
 	}
-	res, err := match.Solve(s.matrix, counts, nc)
+	patterns := match.Patterns(nc)
+	res, err := match.Solve(patterns, match.Efficiencies(s.matrix, patterns), counts, nc, nil)
 	if err != nil {
 		return nil, err
 	}
