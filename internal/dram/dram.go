@@ -124,10 +124,6 @@ func MustNew(cfg config.DRAMConfig, lineBytes int) *Controller {
 // Stats returns a snapshot of the event counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Progress returns a monotone counter of scheduled commands, for cheap
-// per-cycle activity detection.
-func (c *Controller) Progress() uint64 { return c.stats.Reads + c.stats.Writes }
-
 // AppBytes returns data-bus bytes transferred on behalf of app.
 func (c *Controller) AppBytes(app int16) uint64 {
 	if app < 0 || int(app) >= len(c.perApp) {
@@ -355,8 +351,9 @@ const NoEvent = ^uint64(0)
 // queued request's bank frees up and the request becomes serviceable. A
 // request whose bank is already free is serviceable on the very next
 // tick. The result is a sound lower bound: ticking the controller
-// strictly before it is a no-op (modulo the bus-busy counter, which
-// FastForward accrues arithmetically).
+// strictly before it is a no-op, apart from the bus-busy counter, which
+// the next Tick catches up arithmetically. The memory partition skips
+// its ticks up to this cycle.
 //
 //simlint:hotpath
 func (c *Controller) NextEvent(now uint64) uint64 {

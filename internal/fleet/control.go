@@ -210,7 +210,7 @@ const (
 	// evRetry resubmits a rejected or abandoned request after backoff.
 	evRetry
 	// evAbandon fires a queued request's timeout (aux = the attempt it
-	// guards; stale timers no-op).
+	// guards; head drops stale timers).
 	evAbandon
 	// evProvision activates a provisioning device (aux = device index).
 	evProvision
@@ -230,6 +230,13 @@ type ctlEvent struct {
 	kind ctlKind
 	j    *JobRecord
 	aux  int
+}
+
+// canAbandon reports whether abandon timer ev can still abandon its
+// request: the request waits or runs under the attempt the timer guards.
+func (ev *ctlEvent) canAbandon() bool {
+	j := ev.j
+	return (j.state == jsWaiting || j.state == jsRunning) && int(j.Attempts) == ev.aux
 }
 
 // clientState is one closed-loop client pool: its think/backoff stream,
@@ -343,9 +350,17 @@ func (c *loopCtl) push(cycle uint64, ev ctlEvent) {
 
 // head is the earliest pending control event by (cycle, seq) among
 // the heap's root and the two queues' heads, or nil when none is
-// pending.
+// pending. It first drops the stale abandon timers at the timer queue's
+// head: a timer whose request has settled, waits out a retry backoff,
+// or moved to a later attempt can never abandon it, so firing it would
+// cost a loop iteration that changes nothing. A running request keeps
+// its timer, because an eviction can requeue it under the same attempt.
 func (c *loopCtl) head() *keyed[ctlEvent] {
 	e := c.timers.peek()
+	for e != nil && !e.val.canAbandon() {
+		c.timers.pop()
+		e = c.timers.peek()
+	}
 	if h := c.chaos.peek(); h != nil && (e == nil || h.at < e.at || h.at == e.at && h.tie < e.tie) {
 		e = h
 	}
@@ -355,11 +370,6 @@ func (c *loopCtl) head() *keyed[ctlEvent] {
 		}
 	}
 	return e
-}
-
-// scheduled counts the pending control events.
-func (c *loopCtl) scheduled() int {
-	return len(c.events.v) + c.timers.len() + c.chaos.len()
 }
 
 // next is the cycle of the earliest scheduled control event
@@ -682,13 +692,31 @@ func (c *loopCtl) armScale(now uint64) {
 	if c.epoch == 0 || c.scaleArmed {
 		return
 	}
-	c.scaleArmed = true
-	c.push(now-now%c.epoch+c.epoch, ctlEvent{kind: evScale})
+	c.scheduleScale(now + 1)
+}
+
+// scheduleScale arms the autoscale tick at the first epoch boundary at
+// or after t. A boundary past the end of the cycle range could never
+// fire and is not armed.
+func (c *loopCtl) scheduleScale(t uint64) {
+	at := t + (c.epoch-t%c.epoch)%c.epoch
+	c.scaleArmed = at >= t && at < inf
+	if c.scaleArmed {
+		c.push(at, ctlEvent{kind: evScale})
+	}
 }
 
 // scaleTick evaluates the pressure watermarks and reschedules itself.
 // With no outstanding work it disarms instead, so a finished run's
 // control events drain (armScale re-arms on the next submission).
+//
+// A tick that provisions or releases nothing re-arms at the first epoch
+// boundary at or after the loop's next other pending event (arrival,
+// control event, resolved completion or unresolved bound). Nothing the
+// tick reads changes before that event, so every tick in between would
+// change nothing either; a whole-roster outage thus costs one tick, not
+// one per epoch. With no event pending the tick disarms, so the loop
+// reports its stall instead of ticking forever.
 func (c *loopCtl) scaleTick(now uint64) {
 	if c.l.remaining <= 0 {
 		c.scaleArmed = false
@@ -702,6 +730,7 @@ func (c *loopCtl) scaleTick(now uint64) {
 	// down the division yields +Inf, which always trips the high
 	// watermark.) Without chaos, upActive == activeCount exactly.
 	pressure := float64(c.l.queue.Len()) / float64(c.upActive())
+	acted := false
 	if pressure > as.High && c.upActive()+c.pendingProv < as.Max {
 		// Scale up: the first inactive, non-provisioning, serving
 		// device in placement order starts provisioning and joins
@@ -712,6 +741,7 @@ func (c *loopCtl) scaleTick(now uint64) {
 				c.pending[d] = true
 				c.pendingProv++
 				c.push(now+as.Delay, ctlEvent{kind: evProvision, aux: d})
+				acted = true
 				break
 			}
 		}
@@ -728,20 +758,30 @@ func (c *loopCtl) scaleTick(now uint64) {
 				c.activeCount--
 				c.l.idleDevs.remove(d)
 				c.l.res.Decommissions++
+				acted = true
 				break
 			}
 		}
 	}
-	// A tick that leaves no other event behind — no control event or
-	// arrival pending, nothing in flight — found every active device down
-	// and none to provision, and no later tick can change that. Disarm,
-	// so the loop reports its stall instead of ticking forever.
 	l := c.l
-	if c.scheduled() == 0 && l.nextArr == len(l.arr) && l.resolved.peek() == nil && l.unresolved.peek() == nil {
-		c.scaleArmed = false
-		return
+	next := c.next()
+	if l.nextArr < len(l.arr) {
+		next = min(next, l.arr[l.nextArr].Arrival)
 	}
-	c.push(now+c.epoch, ctlEvent{kind: evScale})
+	if fl := l.resolved.peek(); fl != nil {
+		next = min(next, fl.complete)
+	}
+	if fl := l.unresolved.peek(); fl != nil {
+		next = min(next, fl.earliest)
+	}
+	switch {
+	case next == inf:
+		c.scaleArmed = false
+	case acted:
+		c.scheduleScale(now + 1)
+	default:
+		c.scheduleScale(max(next, now+1))
+	}
 }
 
 // provision completes a scale-up: device d is active, and idle unless

@@ -364,17 +364,33 @@ func TestTimeoutPastCycleRange(t *testing.T) {
 // chaos queues at cycles that never decrease, all stamped from the one
 // sequence, with many same-cycle ties across the sources, and pop
 // through next and pop (step's half that picks the event): every pop
-// must return exactly the single heap's minimum.
+// must return exactly the single heap's least entry that is not a stale
+// abandon timer. Each timer guards a live job; some are armed stale,
+// and others go stale while they wait, as their job settles.
 func TestControlSourcesOrder(t *testing.T) {
+	stale := func(e keyed[ctlEvent]) bool { return e.val.kind == evAbandon && !e.val.canAbandon() }
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.NewStream(seed)
 		c := &loopCtl{}
 		var ref keyHeap[ctlEvent]
 		var timerAt, chaosAt uint64
+		var timed []*JobRecord
+		// least pops the reference's least entry that is not a stale
+		// timer.
+		least := func() (keyed[ctlEvent], bool) {
+			for len(ref.v) > 0 {
+				e := ref.v[0]
+				ref.removeAt(0)
+				if !stale(e) {
+					return e, true
+				}
+			}
+			return keyed[ctlEvent]{}, false
+		}
 		for op := 0; op < 4000; op++ {
 			var at uint64
 			var q *monoQueue[ctlEvent]
-			switch k := r.Intn(8); {
+			switch k := r.Intn(9); {
 			case k < 2:
 				at = uint64(r.Intn(int(max(timerAt, chaosAt)) + 4))
 			case k < 4:
@@ -383,15 +399,19 @@ func TestControlSourcesOrder(t *testing.T) {
 			case k < 5:
 				chaosAt += uint64(r.Intn(3))
 				at, q = chaosAt, &c.chaos
+			case k < 6:
+				if len(timed) > 0 {
+					timed[r.Intn(len(timed))].state = jsDone
+				}
+				continue
 			default:
-				if len(ref.v) == 0 {
-					if c.next() != math.MaxUint64 || c.scheduled() != 0 {
-						t.Fatalf("seed %d op %d: empty sources report next %d, %d scheduled", seed, op, c.next(), c.scheduled())
+				want, ok := least()
+				if !ok {
+					if c.next() != math.MaxUint64 {
+						t.Fatalf("seed %d op %d: empty sources report next %d", seed, op, c.next())
 					}
 					continue
 				}
-				want := ref.v[0]
-				ref.removeAt(0)
 				if got := c.next(); got != want.at {
 					t.Fatalf("seed %d op %d: next = %d, want %d", seed, op, got, want.at)
 				}
@@ -402,25 +422,34 @@ func TestControlSourcesOrder(t *testing.T) {
 			}
 			tie := c.stamp()
 			ev := ctlEvent{aux: tie}
-			if q == nil {
+			switch q {
+			case nil:
 				c.events.push(at, tie, ev)
-			} else {
+			case &c.timers:
+				// A timer guards a waiting or running job under its
+				// attempt; one in four is armed for an earlier attempt.
+				j := &JobRecord{state: []uint8{jsWaiting, jsRunning}[r.Intn(2)], Attempts: int32(tie)}
+				if r.Intn(4) == 0 {
+					j.Attempts++
+				}
+				ev = ctlEvent{kind: evAbandon, j: j, aux: tie}
+				timed = append(timed, j)
+				q.push(at, tie, ev)
+			default:
 				q.push(at, tie, ev)
 			}
 			ref.push(at, tie, ev)
-			if c.scheduled() != len(ref.v) {
-				t.Fatalf("seed %d op %d: %d scheduled, reference holds %d", seed, op, c.scheduled(), len(ref.v))
-			}
 		}
-		for len(ref.v) > 0 {
-			want := ref.v[0]
-			ref.removeAt(0)
+		for want, ok := least(); ok; want, ok = least() {
 			if got := c.pop(); got != want.val {
 				t.Fatalf("seed %d drain: popped entry %d, want %d", seed, got.aux, want.val.aux)
 			}
 		}
-		if c.scheduled() != 0 {
-			t.Fatalf("seed %d: %d events left after the drain", seed, c.scheduled())
+		if c.next() != math.MaxUint64 {
+			t.Fatalf("seed %d: next = %d after the drain", seed, c.next())
+		}
+		if n := len(c.events.v) + c.timers.len() + c.chaos.len(); n != 0 {
+			t.Fatalf("seed %d: %d events left after the drain", seed, n)
 		}
 	}
 }
@@ -483,6 +512,48 @@ func TestScaleTickCountsQueuedEvents(t *testing.T) {
 		if len(c.events.v) != ticks {
 			t.Errorf("%s: %d heap events after the tick, want %d", tc.name, len(c.events.v), ticks)
 		}
+	}
+}
+
+// TestOutageScaleTicks runs a whole-roster outage under the
+// autoscaler: two devices, sixteen arrivals, both devices failed at the
+// fifth arrival and restored at cycle R. While the roster is down a
+// scale tick has nothing to provision, so it re-arms at the restore,
+// and the run stamps a handful of control events however long the
+// outage lasts. The bound fails for a tick per 65,536-cycle epoch,
+// which stamps about 15,000 events at R = 1e9 and would tick for a
+// quarter of an hour at R = 1e15.
+func TestOutageScaleTicks(t *testing.T) {
+	p := testPipeline(t)
+	arr := testArrivals(t, 16, 1)
+	for _, restore := range []uint64{1e9, 1e15} {
+		f, err := New(Config{
+			Devices: homo(p, 2), NC: 2, Policy: sched.ILP, Engine: Modeled,
+			Autoscale: AutoscaleConfig{Enabled: true, Min: 2, Max: 2},
+			Chaos: ChaosConfig{Enabled: true, Trace: []ChaosEvent{
+				{Cycle: arr[4].Cycle, Device: 0, Kind: ChaosFail},
+				{Cycle: arr[4].Cycle, Device: 1, Kind: ChaosFail},
+				{Cycle: restore, Device: 0, Kind: ChaosRestore},
+				{Cycle: restore, Device: 1, Kind: ChaosRestore},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, res, err := runLoop(t, f, arr, nil)
+		if err != nil {
+			t.Fatalf("R = %d: %v", restore, err)
+		}
+		if done := res.CompletedJobs(); done != len(arr) {
+			t.Errorf("R = %d: %d of %d jobs completed", restore, done, len(arr))
+		}
+		if res.Makespan < restore {
+			t.Errorf("R = %d: makespan %d ends before the restore", restore, res.Makespan)
+		}
+		if l.ctl.seq > 32 {
+			t.Fatalf("R = %d: %d control events stamped, want at most 32", restore, l.ctl.seq)
+		}
+		t.Logf("R = %d: %d control events stamped", restore, l.ctl.seq)
 	}
 }
 

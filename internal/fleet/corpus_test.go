@@ -90,3 +90,87 @@ func TestDifferentialCorpus(t *testing.T) {
 	}
 	compareGolden(t, "corpus.golden", b.String())
 }
+
+// TestNoOpControlEvents pins the argument that lets the control block
+// drop events which cannot act (stale abandon timers, scale ticks
+// before the next event): a loop iteration that changes no state
+// cannot change the run. With no state change the preemption pass's
+// would-miss test does not read the clock, and its can-save tests only
+// get stricter as the clock advances; an idle device with work waiting
+// is never left for a later iteration. Over seeded fuzzConfig runs with
+// a control block, aging on in half of them (aging reads the clock at
+// dispatch), each run is repeated with no-op control events injected at
+// random cycles, abandon timers for an attempt no request makes, and
+// must report byte for byte what it reported without them.
+func TestNoOpControlEvents(t *testing.T) {
+	r := rng.NewStream(0x5EED0C)
+	runs, fired := 0, 0
+	for runs < 150 {
+		seed, roster, traffic, nc, policy, slo, controls, chaos := corpusInputs(r)
+		controls = controls&^0x80 | uint8(runs%2)<<7
+		cfg, arr, _ := fuzzConfig(t, seed, roster, traffic, nc, policy, slo, controls, chaos)
+		f, err := New(cfg)
+		if err != nil || !f.ctlEnabled() {
+			continue
+		}
+		runs++
+		res, err := f.Run(arr)
+		var want strings.Builder
+		writeRun(t, &want, res, err)
+		horizon := uint64(400_000)
+		if err == nil {
+			horizon = res.Makespan + 1
+		}
+		at := make([]uint64, 1+r.Intn(24))
+		for i := range at {
+			at[i] = r.Next() % horizon
+		}
+		l, res, err := runLoop(t, f, arr, at)
+		fired += len(at)
+		for _, e := range l.ctl.events.v {
+			if e.val.aux == -1 {
+				fired--
+			}
+		}
+		var got strings.Builder
+		writeRun(t, &got, res, err)
+		if got.String() != want.String() {
+			t.Fatalf("run %d (seed %#x, controls %#x): no-op control events at %v changed the output:\n--- without ---\n%s--- with ---\n%s",
+				runs, seed, controls, at, want.String(), got.String())
+		}
+	}
+	if fired == 0 {
+		t.Fatal("no injected event fired before its run ended")
+	}
+	t.Logf("%d runs, %d injected events fired", runs, fired)
+}
+
+// runLoop is Fleet.Run with one no-op control event, an abandon timer
+// for an attempt no request makes, pushed at each cycle of at before
+// the loop starts. It also returns the drained loop for white-box
+// checks.
+func runLoop(t *testing.T, f *Fleet, arr []Arrival, at []uint64) (*loop, Result, error) {
+	var (
+		jobs      []JobRecord
+		perClient [][]JobRecord
+		err       error
+	)
+	if f.cfg.Closed.Enabled {
+		jobs, perClient, err = f.resolveClosed()
+	} else {
+		jobs, err = f.resolve(arr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := f.newLoop(jobs, perClient)
+	for _, c := range at {
+		l.ctl.push(c, ctlEvent{kind: evAbandon, j: &jobs[0], aux: -1})
+	}
+	err = l.run()
+	l.wait()
+	if err != nil {
+		return l, Result{}, err
+	}
+	return l, l.result(jobs), nil
+}

@@ -42,19 +42,6 @@ type Device struct {
 	// pendingDispatch counts applications that still have thread blocks
 	// to hand out; when zero, Step skips the per-SM dispatch calls.
 	pendingDispatch int
-	// skipped counts cycles the fast-forward engine jumped over instead
-	// of stepping (introspection: SkippedCycles).
-	skipped uint64
-	// lastSig is the activity signature FastForward last observed; an
-	// unchanged signature marks the preceding Step as dead and worth
-	// computing a horizon for. ffWait/ffBackoff implement deterministic
-	// exponential backoff: every futile probe (no cycles skipped)
-	// doubles the number of Steps before the next probe, and any
-	// successful skip resets it, so saturated phases stop paying the
-	// probe cost while idle phases keep skipping at full resolution.
-	lastSig   uint64
-	ffWait    uint64
-	ffBackoff uint64
 }
 
 // New builds an idle device from a validated configuration.
@@ -308,166 +295,18 @@ func (d *Device) dispatch(sm *smcore.SM, now uint64) {
 	}
 }
 
-// NoEvent is the NextEvent result of a device that can make no further
-// progress on its own (every application retired, or a livelock).
-const NoEvent = ^uint64(0)
-
-// NextEvent returns the earliest future cycle (> Cycle) at which any
-// component of the device could make progress: an SM issues or a warp's
-// fixed latency expires, a thread block becomes dispatchable, a DRAM
-// transfer completes or a queued request becomes serviceable, a
-// response becomes eligible, or a flit finishes traversing the
-// interconnect. Every cycle strictly before the returned horizon is
-// provably identical to not stepping at all (modulo arithmetic
-// accounting, which FastForward performs), which is what makes the
-// fast-forward engine's results bit-identical to the naive Step loop.
-//
-// The scan exits as soon as any source reports the next cycle, so in
-// saturated phases (ready warps everywhere) its cost is a handful of
-// queue-length checks.
-func (d *Device) NextEvent() uint64 {
-	now := d.cycle
-	next := uint64(NoEvent)
-	for _, sm := range d.sms {
-		// Pending thread-block dispatch is progress the SM cannot see:
-		// the device's work distributor launches one block per SM per
-		// cycle whenever the owner has blocks left and the SM has room.
-		if d.pendingDispatch > 0 {
-			if owner := sm.App(); owner >= 0 && int(owner) < len(d.apps) {
-				a := d.apps[owner]
-				if a.nextCTA < a.kern.CTAs && sm.CanLaunch() {
-					return now + 1
-				}
-			}
-		}
-		h := sm.NextEvent(now)
-		if h <= now+1 {
-			return now + 1
-		}
-		if h < next {
-			next = h
-		}
-	}
-	for _, p := range d.parts {
-		h := p.nextEvent(now)
-		if h <= now+1 {
-			return now + 1
-		}
-		if h < next {
-			next = h
-		}
-	}
-	h := d.net.NextEvent(now)
-	if h <= now+1 {
-		return now + 1
-	}
-	if h < next {
-		next = h
-	}
-	return next
-}
-
-// FastForward jumps the device over provably-idle cycles: if no
-// component can make progress before cycle H = NextEvent(), the device
-// state after stepping naively to H-1 differs from the current state
-// only by per-cycle arithmetic (utilization slots, bandwidth-budget
-// refills, round-robin rotation — DRAM bus-busy accounting catches up
-// on the controller's next tick), which is accrued here in O(1) per
-// component. The jump lands at H-1 so the next
-// Step executes the event cycle itself, and it never advances beyond
-// limit, so callers interleaving external per-cycle control (run
-// bounds, the SMRA controller's evaluation period) cap the skip at the
-// last cycle they are willing to treat as idle. It returns the new
-// current cycle.
-func (d *Device) FastForward(limit uint64) uint64 {
-	if limit <= d.cycle {
-		return d.cycle
-	}
-	// Backoff and activity gates: probing costs a signature read and,
-	// on a quiet Step, a horizon scan; both are pure cost dodges —
-	// NextEvent remains the sole source of truth for how far a jump may
-	// go, and an unprobed cycle simply steps naively.
-	if d.ffWait > 0 {
-		d.ffWait--
-		return d.cycle
-	}
-	// A Step that advanced any monotone progress counter (instructions
-	// issued, packets injected, DRAM commands scheduled) almost always
-	// has its next event one cycle out.
-	if sig := d.activitySignature(); sig != d.lastSig {
-		d.lastSig = sig
-		d.futileProbe()
-		return d.cycle
-	}
-	to := limit
-	if h := d.NextEvent(); h != NoEvent && h-1 < to {
-		to = h - 1
-	}
-	if to <= d.cycle {
-		d.futileProbe()
-		return d.cycle
-	}
-	d.ffBackoff = 0
-	span := to - d.cycle
-	d.net.FastForward(span)
-	for _, a := range d.apps {
-		if !a.done && int(a.handle) < len(d.owned) {
-			a.st.SMCycleSlots += span * uint64(d.owned[a.handle])
-		}
-	}
-	// Keep the round-robin phase exactly where naive stepping would have
-	// left it (rrStart is only ever read modulo the SM count).
-	d.rrStart = int((uint64(d.rrStart) + span) % uint64(len(d.sms)))
-	d.skipped += span
-	d.cycle = to
-	return d.cycle
-}
-
-// SkippedCycles returns the number of cycles the fast-forward engine
-// jumped over instead of stepping.
-func (d *Device) SkippedCycles() uint64 { return d.skipped }
-
-// futileProbe doubles the probe backoff after a FastForward call that
-// skipped nothing, capped so a phase change is noticed within tens of
-// cycles.
-func (d *Device) futileProbe() {
-	if d.ffBackoff == 0 {
-		d.ffBackoff = 1
-	} else if d.ffBackoff < 64 {
-		d.ffBackoff *= 2
-	}
-	d.ffWait = d.ffBackoff - 1
-}
-
-// activitySignature sums the device's monotone progress counters. All
-// summands are non-decreasing, so an unchanged sum means no instruction
-// issued, no packet entered the interconnect, and no DRAM command was
-// scheduled since the last reading.
-func (d *Device) activitySignature() uint64 {
-	var s uint64
-	for _, sm := range d.sms {
-		s += sm.Issued()
-	}
-	s += d.net.Progress()
-	for _, p := range d.parts {
-		s += p.mc.Progress()
-	}
-	return s
-}
-
 // Run advances the device until every application retires or maxCycles
 // elapse; it returns an error on timeout (a livelock symptom in tests).
-// Idle spans are fast-forwarded; the result is bit-identical to calling
-// Step in a loop.
 func (d *Device) Run(maxCycles uint64) error {
 	return d.RunUntil(d.cycle + maxCycles)
 }
 
-// RunUntil advances the device until every application retires,
-// fast-forwarding provably-idle spans; it errors when the device
-// reaches absolute cycle limit with applications unfinished, leaving
-// the device at exactly the cycle the naive Step loop would have
-// stopped at.
+// RunUntil steps the device until every application retires; it errors
+// when the device reaches absolute cycle limit with applications
+// unfinished. A device that can never progress again steps all the way
+// to limit: an idle GTX480 step takes 0.56–0.62 µs on a 2-vCPU Xeon
+// guest, so running out sched.MaxGroupCycles (80M cycles) takes 45–50 s
+// before the error.
 func (d *Device) RunUntil(limit uint64) error {
 	start := d.cycle
 	for !d.AllDone() {
@@ -476,13 +315,6 @@ func (d *Device) RunUntil(limit uint64) error {
 				limit-start, d.unfinished())
 		}
 		d.Step()
-		// Exit before fast-forwarding: once the last application retires
-		// the naive loop stops at exactly this cycle, and post-completion
-		// residue (draining write-backs) must not advance the clock.
-		if d.AllDone() {
-			break
-		}
-		d.FastForward(limit)
 	}
 	return nil
 }

@@ -6,21 +6,17 @@
 // distributor" of Figure 2.2), and run-time SM reallocation using the
 // drain-then-transfer protocol of Section 3.2.4.
 //
-// # Stepping and the event-horizon engine
+// # Stepping
 //
-// Device.Step advances every component by one cycle; Device.Run steps
-// until all launched applications complete. On top of the per-cycle
-// loop sits the event-horizon fast-forward engine: each component
-// reports the earliest future cycle at which it could make progress
-// (smcore.SM.NextEvent from warp wake cycles, dram.Controller.NextEvent
-// from in-flight transfers and bank busy windows, the partition from
-// its response/stash queues, icnt.Network.NextEvent from flit arrival
-// times). Device.NextEvent folds these into one horizon, and
-// Device.FastForward / Device.RunUntil jump provably-dead spans in a
-// single step, accruing the per-cycle arithmetic (utilization slots,
-// bandwidth-budget refills, bus-busy accounting, round-robin rotation)
-// in O(1). Results are bit-identical to naive stepping — a cycle is
-// skipped exactly when no component can make progress in it.
+// Device.Step advances every component by one cycle, and Device.Run
+// steps until all launched applications complete; no cycle is skipped.
+// Components that cannot act keep their own steps cheap. An SM whose
+// warps all wait on later cycles returns from Tick at once, through its
+// schedulers' scan watermarks. A memory partition returns from its tick
+// at once until the next event of its response and stash queues or of
+// its DRAM controller (dram.Controller.NextEvent), unless the
+// interconnect delivers new work; the controller catches up its
+// bus-busy accounting on its next real tick.
 //
 // # Multi-application execution
 //

@@ -85,10 +85,6 @@ func MustNew(cfg config.IcntConfig, partitions, lineBytes int) *Network {
 // Stats returns a snapshot of the counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// Progress returns a monotone counter of accepted packets in both
-// directions, for cheap per-cycle activity detection.
-func (n *Network) Progress() uint64 { return n.stats.ToMemPackets + n.stats.ToSMPackets }
-
 // AppToSMBytes returns response bytes delivered toward SMs for app.
 func (n *Network) AppToSMBytes(app int16) uint64 {
 	if app < 0 || int(app) >= len(n.perAppToSM) {
@@ -202,61 +198,4 @@ func (n *Network) Pending() int {
 		total += n.toMem[p].Len()
 	}
 	return total
-}
-
-// NoEvent is the NextEvent result of a network with nothing in flight.
-const NoEvent = ^uint64(0)
-
-// NextEvent returns the earliest future cycle (> now) at which a flit
-// completes traversal and becomes poppable. Flits within one queue are
-// in non-decreasing readyAt order (each is stamped now+latency at
-// injection), so only queue heads matter. A head that has already
-// arrived but was not drained this cycle (receiver port limit or
-// backpressure) is retried next cycle.
-func (n *Network) NextEvent(now uint64) uint64 {
-	next := uint64(NoEvent)
-	for p := range n.toMem {
-		if head := n.toMem[p].Peek(); head != nil {
-			if head.readyAt <= now {
-				return now + 1
-			}
-			if head.readyAt < next {
-				next = head.readyAt
-			}
-		}
-	}
-	if head := n.toSM.Peek(); head != nil {
-		if head.readyAt <= now {
-			return now + 1
-		}
-		if head.readyAt < next {
-			next = head.readyAt
-		}
-	}
-	return next
-}
-
-// FastForward refills the bandwidth budgets for span skipped idle
-// cycles, as span calls to Begin would have: debt (a negative budget
-// left by an oversized packet) pays off at BytesPerCycle per cycle and
-// the balance saturates at one cycle's refill. Nothing else in the
-// network changes during a cycle with no sends or pops.
-func (n *Network) FastForward(span uint64) {
-	n.budget.toMem = refill(n.budget.toMem, n.cfg.BytesPerCycle, span)
-	n.budget.toSM = refill(n.budget.toSM, n.cfg.BytesPerCycle, span)
-}
-
-// refill advances a leaky-bucket balance by span per-cycle refills,
-// saturating at one refill, without risking overflow on huge spans.
-func refill(balance, perCycle int, span uint64) int {
-	if balance >= perCycle {
-		return perCycle
-	}
-	// Cycles needed to clear the deficit, rounded up.
-	deficit := uint64(perCycle - balance)
-	need := (deficit + uint64(perCycle) - 1) / uint64(perCycle)
-	if span >= need {
-		return perCycle
-	}
-	return balance + int(span)*perCycle
 }

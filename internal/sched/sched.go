@@ -432,19 +432,6 @@ func (s *Scheduler) simulateGroup(g Group, smSets [][]int, policy Policy) (Group
 			}
 			d.Step()
 			ctrl.Tick()
-			if d.AllDone() {
-				break // stop the clock at the finishing cycle
-			}
-			// Fast-forward idle spans, but never past the controller's
-			// next evaluation boundary: the windowed scores require the
-			// evaluation Step to execute at exactly lastEval+TC. The jump
-			// lands one cycle short so the next Step processes the
-			// boundary (or the next event) itself.
-			limit := ctrl.NextEval() - 1
-			if mg := uint64(MaxGroupCycles); mg < limit {
-				limit = mg
-			}
-			d.FastForward(limit)
 		}
 		gr.SMMoves = ctrl.Moves()
 	} else {

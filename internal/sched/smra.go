@@ -70,12 +70,6 @@ func newSMRAController(d *gpu.Device, handles []gpu.AppHandle, cfg SMRAConfig) *
 // Moves returns the number of SM transfers performed.
 func (c *smraController) Moves() int { return c.moves }
 
-// NextEval returns the next cycle at which Tick will run an Algorithm 1
-// evaluation. The group loop must not fast-forward past it: the windowed
-// IPC and bandwidth scores depend on the evaluation happening exactly
-// every TCCycles.
-func (c *smraController) NextEval() uint64 { return c.lastEval + c.cfg.TCCycles }
-
 // Tick must be called after every device step.
 //
 //simlint:hotpath

@@ -166,7 +166,6 @@ func (sm *SM) issue(slot int32, now uint64) bool {
 }
 
 func (sm *SM) recordIssue(st *stats.App, op isa.Op) {
-	sm.issued++
 	if st == nil {
 		return
 	}

@@ -25,8 +25,9 @@ import (
 // NoApp marks an unowned SM.
 const NoApp int16 = -1
 
-// NoEvent is the NextEvent result of a component that cannot make
-// progress on its own at any future cycle.
+// NoEvent is the wake cycle of a warp that only an event (a load fill
+// or a barrier release) can wake, and the scan watermark of a scheduler
+// with no warp to wake.
 const NoEvent = ^uint64(0)
 
 type warp struct {
@@ -132,9 +133,6 @@ type SM struct {
 	// per-application ownership counts without scanning every SM each
 	// cycle.
 	OnOwnerChange func(old, new int16)
-
-	// issued counts warp instructions issued by this SM (all owners).
-	issued uint64
 }
 
 // New builds an idle SM.
@@ -232,9 +230,6 @@ func (sm *SM) App() int16 { return sm.app }
 
 // L1 exposes the data cache (read-only use: stats, tests).
 func (sm *SM) L1() *cache.Cache { return sm.l1 }
-
-// Issued returns warp instructions issued over the SM's lifetime.
-func (sm *SM) Issued() uint64 { return sm.issued }
 
 // ResidentCTAs returns the number of active thread blocks.
 func (sm *SM) ResidentCTAs() int { return sm.residentCTAs }
@@ -369,34 +364,4 @@ func (sm *SM) PopOut() {
 	if sm.out.Len() > 0 {
 		sm.out.Pop()
 	}
-}
-
-// NextEvent returns the earliest future cycle (> now) at which this SM
-// could make progress on its own: issue from a ready warp, reach the
-// wake cycle of a warp waiting out a fixed latency, or retry injection
-// of a queued memory request.
-// Progress driven from outside — response fills and CTA dispatch — is
-// the device's concern. NoEvent means the SM is fully passive (idle, or
-// every resident warp is waiting on loads or a barrier release that only
-// an external fill can trigger).
-func (sm *SM) NextEvent(now uint64) uint64 {
-	if sm.out.Len() > 0 {
-		return now + 1 // retries interconnect injection every cycle
-	}
-	if sm.app == NoApp || sm.residentCTAs == 0 {
-		return NoEvent
-	}
-	// scanAt[s] is exact while armed (> now): no scan, and hence no
-	// issue, has happened since it was computed, and event wake-ups
-	// reset it. An unarmed scheduler may hold a ready warp.
-	next := uint64(NoEvent)
-	for _, t := range sm.scanAt {
-		if t <= now {
-			return now + 1
-		}
-		if t < next {
-			next = t
-		}
-	}
-	return next
 }
