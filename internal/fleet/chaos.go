@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -13,10 +12,10 @@ import (
 // mid-run. A fleet serving real traffic does not get a permanently
 // healthy roster, so the event loop accepts an injected failure
 // schedule and executes it through the same control block that drives
-// clients, admission and the autoscaler. The schedule is known and
-// sorted before the run starts, so it waits in the block's chaos FIFO
-// rather than its heap, stamped with the first sequence numbers so a
-// failure fires ahead of a same-cycle submission (control.go):
+// clients, admission and the autoscaler. The schedule comes in cycle
+// order, so it waits in the block's chaos FIFO rather than its heap,
+// keyed below every stamped sequence number so a failure fires ahead
+// of a same-cycle submission (control.go):
 //
 //   - fail kills a device outright. A group in flight is evicted
 //     through the same EvictionRecord checkpoint machinery preemption
@@ -29,10 +28,10 @@ import (
 // The schedule comes either from an explicit trace (ChaosConfig.Trace,
 // the CLI's "fail@CYCLE:DEV,..." spelling) or from a generator that
 // draws per-device exponential time-between-failure and time-to-repair
-// variates from dedicated internal/rng streams. Either way the
-// schedule is a pure function of the configuration — never of
-// goroutine timing or host — so chaos runs keep the byte-identical
-// determinism contract.
+// variates from dedicated internal/rng streams, one pending outage per
+// device (chaosGen). Either way the schedule is a pure function of the
+// configuration — never of goroutine timing or host — so chaos runs
+// keep the byte-identical determinism contract.
 //
 // Failure is deliberately not decommissioning: a failed device stays
 // "active" in the autoscaler's books but is subtracted from the
@@ -166,49 +165,82 @@ func (c ChaosConfig) validate(devices int) error {
 	return nil
 }
 
-// resolveChaos materializes the run's chaos schedule in execution
-// order: the sorted trace, or the generator's per-device draws. Each
-// device's generator stream depends only on the seed and the device
-// index.
-func (f *Fleet) resolveChaos() []ChaosEvent {
-	ch := &f.cfg.Chaos
-	if !ch.Enabled {
-		return nil
+// chaosGen draws the MTBF schedule lazily, in execution order. Each
+// device holds its next outage window, drawn from the device's own
+// stream (rng.Hash3(seed, device, chaosSalt)) with the same draws the
+// whole schedule would take, so the schedule costs O(devices) however
+// far the horizon lies. The earliest pending action by (cycle, device)
+// fires next (next scans the roster for it), and a window's fail fires
+// before its restore.
+type chaosGen struct {
+	mtbf, mttr float64
+	horizon    uint64
+	devs       []chaosWindow
+}
+
+// chaosWindow is one device's generator state and pending outage.
+type chaosWindow struct {
+	stream *rng.Stream
+	// t is the generator clock: where the last drawn restore landed.
+	t             float64
+	fail, restore uint64
+	// failed: the window's fail has fired and its restore is pending.
+	// done: the next window crosses the horizon, so the device is
+	// never failed again.
+	failed, done bool
+}
+
+func newChaosGen(ch ChaosConfig, devices int) *chaosGen {
+	g := &chaosGen{mtbf: ch.MTBF, mttr: ch.MTTR, horizon: ch.Horizon, devs: make([]chaosWindow, devices)}
+	for d := range g.devs {
+		w := &g.devs[d]
+		w.stream = rng.NewStream(rng.Hash3(ch.Seed, uint64(d), chaosSalt))
+		g.draw(w)
 	}
-	var out []ChaosEvent
-	if len(ch.Trace) > 0 {
-		out = append(out, ch.Trace...)
-	} else {
-		for d := range f.devType {
-			stream := rng.NewStream(rng.Hash3(ch.Seed, uint64(d), chaosSalt))
-			t := 0.0
-			for {
-				t += expo(stream) * ch.MTBF
-				failAt := uint64(t)
-				t += expo(stream) * ch.MTTR
-				restoreAt := uint64(t)
-				// Only whole outage windows inside the horizon are
-				// scheduled: a fail whose repair lands past it would
-				// strand the device (and possibly queued work) forever.
-				if failAt >= ch.Horizon || restoreAt >= ch.Horizon {
-					break
-				}
-				out = append(out,
-					ChaosEvent{Cycle: failAt, Device: d, Kind: ChaosFail},
-					ChaosEvent{Cycle: restoreAt, Device: d, Kind: ChaosRestore})
-			}
+	return g
+}
+
+// draw draws w's next outage window: an exponential up-time ending in
+// the fail, then an exponential outage ending in the restore. Only
+// whole windows inside the horizon are scheduled: a fail whose repair
+// lands past it would strand the device (and possibly queued work)
+// forever.
+func (g *chaosGen) draw(w *chaosWindow) {
+	w.t += expo(w.stream) * g.mtbf
+	w.fail = uint64(w.t)
+	w.t += expo(w.stream) * g.mttr
+	w.restore = uint64(w.t)
+	w.failed = false
+	w.done = w.fail >= g.horizon || w.restore >= g.horizon
+}
+
+// next returns the earliest pending action and advances its device;
+// ok is false once every device's next window crosses the horizon.
+func (g *chaosGen) next() (ev ChaosEvent, ok bool) {
+	best, at := -1, uint64(0)
+	for d := range g.devs {
+		w := &g.devs[d]
+		if w.done {
+			continue
+		}
+		cycle := w.fail
+		if w.failed {
+			cycle = w.restore
+		}
+		if best < 0 || cycle < at {
+			best, at = d, cycle
 		}
 	}
-	// One device sees at most one fail and one restore per cycle pair,
-	// and the stable sort keeps a same-cycle same-device fail ahead of
-	// its restore (list order), so execution order is a total order.
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Cycle != out[j].Cycle {
-			return out[i].Cycle < out[j].Cycle
-		}
-		return out[i].Device < out[j].Device
-	})
-	return out
+	if best < 0 {
+		return ChaosEvent{}, false
+	}
+	w := &g.devs[best]
+	if !w.failed {
+		w.failed = true
+		return ChaosEvent{Cycle: at, Device: best, Kind: ChaosFail}, true
+	}
+	g.draw(w)
+	return ChaosEvent{Cycle: at, Device: best, Kind: ChaosRestore}, true
 }
 
 // ParseChaos parses the CLI chaos trace spelling

@@ -2,10 +2,14 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
@@ -275,5 +279,77 @@ func TestParseChaosSpec(t *testing.T) {
 	}
 	if got := FormatChaos(cfg.Trace); got != spec {
 		t.Errorf("FormatChaos round-trip = %q, want %q", got, spec)
+	}
+}
+
+// referenceChaos materializes a generated chaos schedule whole, the
+// way the event loop used to before it drew outages lazily: every
+// device's whole windows inside the horizon, stably sorted by (cycle,
+// device). It is the oracle for chaosGen.
+func referenceChaos(ch ChaosConfig, devices int) []ChaosEvent {
+	var out []ChaosEvent
+	for d := 0; d < devices; d++ {
+		stream := rng.NewStream(rng.Hash3(ch.Seed, uint64(d), chaosSalt))
+		t := 0.0
+		for {
+			t += expo(stream) * ch.MTBF
+			failAt := uint64(t)
+			t += expo(stream) * ch.MTTR
+			restoreAt := uint64(t)
+			if failAt >= ch.Horizon || restoreAt >= ch.Horizon {
+				break
+			}
+			out = append(out,
+				ChaosEvent{Cycle: failAt, Device: d, Kind: ChaosFail},
+				ChaosEvent{Cycle: restoreAt, Device: d, Kind: ChaosRestore})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Cycle != out[j].Cycle {
+			return out[i].Cycle < out[j].Cycle
+		}
+		return out[i].Device < out[j].Device
+	})
+	return out
+}
+
+// TestChaosGenMatchesReference drains the lazy generator through the
+// control block's chaos queue and requires exactly the materialized
+// schedule, on several seeds and rosters. The sub-cycle cases put many
+// fails, restores and devices on one cycle, so the (cycle, device)
+// merge and a device's fail-before-restore order are both exercised.
+func TestChaosGenMatchesReference(t *testing.T) {
+	kinds := map[ctlKind]ChaosKind{evFail: ChaosFail, evDrain: ChaosDrain, evRestore: ChaosRestore}
+	for _, tc := range []struct {
+		name       string
+		mtbf, mttr float64
+		horizon    uint64
+	}{
+		{"loop", 2e6, 2e5, 3e8},
+		{"short outages", 5e4, 0.7, 5e6},
+		{"sub-cycle", 2.5, 0.6, 4000},
+		{"empty", 1e9, 1e9, 10},
+	} {
+		for _, devices := range []int{1, 3, 16} {
+			for _, seed := range []uint64{1, 7, 0xC0FFEE} {
+				ch := ChaosConfig{Enabled: true, MTBF: tc.mtbf, MTTR: tc.mttr, Horizon: tc.horizon, Seed: seed}
+				want := referenceChaos(ch, devices)
+				c := &loopCtl{f: &Fleet{cfg: Config{Chaos: ch}, devType: make([]int, devices)}}
+				c.initChaos()
+				var got []ChaosEvent
+				for at := c.next(); at != math.MaxUint64; at = c.next() {
+					ev := c.pop()
+					got = append(got, ChaosEvent{Cycle: at, Device: ev.aux, Kind: kinds[ev.kind]})
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, %d devices, seed %d: lazy schedule of %d events differs from the reference's %d",
+						tc.name, devices, seed, len(got), len(want))
+				}
+				if cap(c.chaos.v) > 1 {
+					t.Errorf("%s, %d devices, seed %d: chaos queue grew to %d slots, want at most 1",
+						tc.name, devices, seed, cap(c.chaos.v))
+				}
+			}
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,12 +30,13 @@ import (
 // Its events fire in one deterministic order, (cycle, push sequence),
 // from three sources: abandon timers, armed one fixed Timeout after
 // their submission and so pushed in firing order, wait in a FIFO; the
-// pre-sorted chaos schedule (chaos.go) waits in a second FIFO; and
-// submissions, retries, scale ticks and provisions, which can land at
-// any cycle, share a keyed heap that holds at most one submission per
-// client. Each step pops the least of the three heads. Every random
-// draw comes from per-client internal/rng streams derived only from the
-// configured seed and the client id, so reruns are byte-identical.
+// chaos schedule (chaos.go), queued in cycle order and ahead of every
+// same-cycle event, waits in a second FIFO; and submissions, retries,
+// scale ticks and provisions, which can land at any cycle, share a
+// keyed heap that holds at most one submission per client. Each step
+// pops the least of the three heads. Every random draw comes from
+// per-client internal/rng streams derived only from the configured
+// seed and the client id, so reruns are byte-identical.
 // With every feature disabled the loop carries a nil *loopCtl and the
 // hot path pays one pointer check per event — the steady-state
 // zero-allocation dispatch contract is untouched.
@@ -254,14 +257,18 @@ type loopCtl struct {
 	f *Fleet
 	l *loop
 
-	// The pending control events. Every entry is stamped from seq, so
-	// the three sources share one (cycle, seq) order: timers and chaos
-	// are pushed in that order, events (submissions, retries, scale
-	// ticks, provisions) at any cycle.
+	// The pending control events. Timers and events (submissions,
+	// retries, scale ticks, provisions) are stamped from seq, chaos
+	// entries take chaosTie, so the three sources share one (cycle,
+	// seq) order in which chaos wins every same-cycle tie. Timers and
+	// chaos are pushed in that order, events at any cycle.
 	events keyHeap[ctlEvent]
 	timers monoQueue[ctlEvent]
 	chaos  monoQueue[ctlEvent]
 	seq    int
+	// gen feeds the chaos queue one action at a time from the MTBF
+	// generator; nil for an explicit trace, which is queued whole.
+	gen *chaosGen
 
 	// clients is indexed by client id.
 	clients []clientState
@@ -391,6 +398,9 @@ func (c *loopCtl) pop() ctlEvent {
 		c.timers.pop()
 	case c.chaos.peek():
 		c.chaos.pop()
+		if c.gen != nil {
+			c.queueChaos()
+		}
 	default:
 		c.events.removeAt(0)
 	}
@@ -420,24 +430,52 @@ func (c *loopCtl) step(now uint64) {
 	}
 }
 
-// initChaos queues the chaos schedule, which resolveChaos returns in
-// execution order. Called before initClients, so the chaos events take
-// the first sequence numbers and a failure fires ahead of a submission
-// at the same cycle.
-func (c *loopCtl) initChaos(events []ChaosEvent) {
-	c.chaos.v = make([]keyed[ctlEvent], 0, len(events))
-	for _, ev := range events {
-		var k ctlKind
-		switch ev.Kind {
-		case ChaosFail:
-			k = evFail
-		case ChaosDrain:
-			k = evDrain
-		default:
-			k = evRestore
-		}
-		c.chaos.push(ev.Cycle, c.stamp(), ctlEvent{kind: k, aux: ev.Device})
+// chaosTie keys every chaos entry below every stamped sequence number,
+// so at equal cycles a failure fires first: a submission never races
+// onto a device the same cycle kills. The chaos queue keeps its own
+// entries in execution order.
+const chaosTie = -1
+
+// initChaos queues the chaos schedule: an explicit trace whole, in
+// execution order ((cycle, device), same-cycle same-device events in
+// list order), or the MTBF generator's first action, after which pop
+// queues each next one.
+func (c *loopCtl) initChaos() {
+	ch := &c.f.cfg.Chaos
+	if !ch.Enabled {
+		return
 	}
+	if len(ch.Trace) == 0 {
+		c.gen = newChaosGen(*ch, len(c.f.devType))
+		c.queueChaos()
+		return
+	}
+	c.chaos.v = make([]keyed[ctlEvent], 0, len(ch.Trace))
+	for _, ev := range ch.Trace {
+		c.pushChaos(ev)
+	}
+	slices.SortStableFunc(c.chaos.v, func(a, b keyed[ctlEvent]) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.val.aux, b.val.aux))
+	})
+}
+
+// queueChaos queues the generator's next action, if any.
+func (c *loopCtl) queueChaos() {
+	if ev, ok := c.gen.next(); ok {
+		c.pushChaos(ev)
+	}
+}
+
+// pushChaos appends chaos action ev to the chaos queue.
+func (c *loopCtl) pushChaos(ev ChaosEvent) {
+	k := evRestore
+	switch ev.Kind {
+	case ChaosFail:
+		k = evFail
+	case ChaosDrain:
+		k = evDrain
+	}
+	c.chaos.push(ev.Cycle, chaosTie, ctlEvent{kind: k, aux: ev.Device})
 }
 
 // deviceUp reports whether device d may accept dispatches: neither

@@ -361,12 +361,15 @@ func TestTimeoutPastCycleRange(t *testing.T) {
 // TestControlSourcesOrder checks the control block's three event
 // sources against one keyHeap holding the same entries. Random
 // interleavings push into the heap at any cycle and into the timer and
-// chaos queues at cycles that never decrease, all stamped from the one
-// sequence, with many same-cycle ties across the sources, and pop
-// through next and pop (step's half that picks the event): every pop
-// must return exactly the single heap's least entry that is not a stale
-// abandon timer. Each timer guards a live job; some are armed stale,
-// and others go stale while they wait, as their job settles.
+// chaos queues at cycles that never decrease, with many same-cycle
+// ties across the sources, and pop through next and pop (step's half
+// that picks the event): every pop must return exactly the single
+// heap's least entry that is not a stale abandon timer. Heap events and
+// timers are stamped from the one sequence; chaos entries carry
+// chaosTie, as the event loop queues them, and the reference keys them
+// below every stamp in push order, so chaos must win every same-cycle
+// tie. Each timer guards a live job; some are armed stale, and others
+// go stale while they wait, as their job settles.
 func TestControlSourcesOrder(t *testing.T) {
 	stale := func(e keyed[ctlEvent]) bool { return e.val.kind == evAbandon && !e.val.canAbandon() }
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -436,7 +439,9 @@ func TestControlSourcesOrder(t *testing.T) {
 				timed = append(timed, j)
 				q.push(at, tie, ev)
 			default:
-				q.push(at, tie, ev)
+				q.push(at, chaosTie, ev)
+				ref.push(at, math.MinInt+tie, ev)
+				continue
 			}
 			ref.push(at, tie, ev)
 		}

@@ -38,9 +38,8 @@
 // control events that can land at any cycle (submissions, retries,
 // scale ticks, provisions) and yields the fastest free device in
 // placement order; control events pushed in firing order (abandon
-// timers under the one Timeout, the pre-sorted chaos schedule) wait in
-// two FIFOs beside that heap, all three merged by one (cycle,
-// sequence) key; and the live queue is a head-indexed priority queue
+// timers under the one Timeout, the chaos schedule) wait in two FIFOs
+// beside that heap, all three merged by one (cycle, sequence) key; and the live queue is a head-indexed priority queue
 // with binary-search insertion (heap.go, control.go, queue.go). One
 // event costs O(log n) whatever the fleet size, which is what lets the
 // same loop serve 4 devices × 60 jobs and 64 devices × 100k jobs. Every

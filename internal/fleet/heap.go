@@ -18,10 +18,10 @@ package fleet
 //     sequence) (control.go).
 //
 // Control events pushed in key order skip the heap: abandon timers
-// (armed a fixed timeout after their submission) and the pre-sorted
-// chaos schedule each wait in a monoQueue, a FIFO whose head is its
-// minimum, and the control block pops whichever of its three heads
-// has the least key.
+// (armed a fixed timeout after their submission) and the chaos
+// schedule (a sorted trace, or generated outages queued one at a time)
+// each wait in a monoQueue, a FIFO whose head is its minimum, and the
+// control block pops whichever of its three heads has the least key.
 //
 // Keys are unique among a heap's live entries (a stale flight entry may
 // tie a live one, but peek discards it whichever surfaces first), so

@@ -133,11 +133,8 @@ func (f *Fleet) newLoop(jobs []JobRecord, perClient [][]JobRecord) *loop {
 		l.arr = jobs
 	}
 	if f.ctlEnabled() {
-		// Chaos events take their sequence numbers before any client
-		// submission, so at equal cycles a failure fires first — a
-		// submission never races onto a device the same cycle kills.
 		l.ctl = f.newLoopCtl(l)
-		l.ctl.initChaos(f.resolveChaos())
+		l.ctl.initChaos()
 		l.ctl.initClients(perClient)
 	}
 	// Seed the idle heap with the initially-active devices (all of them,

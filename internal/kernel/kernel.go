@@ -218,35 +218,75 @@ type Kernel struct {
 	storeThresh  uint64
 	hotThresh    uint64
 	// plainOps short-circuits Fetch when every non-memory instruction is
-	// a plain ALU op (no SFU/shared mix to draw).
+	// a plain ALU op (no SFU/shared mix to draw). Such a kernel's unit
+	// codes depend on the pc alone, so its op table is one row.
 	plainOps bool
 	// pcKind caches, per program counter, whether the slot is a plain
 	// compute op, a memory access or a barrier — the two runtime modulos
 	// this replaces sit on the hottest line of the simulator.
 	pcKind []uint8
-	// ops caches the fully resolved opcode of every (warp, pc) for
-	// small grids: the op stream is a pure function of the seed and the
-	// mix knobs, and the same kernel parameters are simulated many
-	// times across the pipeline (per-SM-count profiles, all-pairs
-	// co-runs, fleet groups), so the table is shared process-wide and
-	// the hot-loop fetch of a compute op collapses to one byte load.
-	// Memory addresses are not cached — they are drawn per access. Nil
-	// for grids above the size cap.
-	ops []uint8
+	// ops holds the functional unit (a 2-bit Unit code, four per byte)
+	// of every (warp, pc) for grids within the table cap: one row of
+	// rowBytes per warp, or a single row every warp shares when the
+	// kernel has no SFU or shared mix. The op stream is a pure function
+	// of the seed and the mix knobs, and the same kernel parameters are
+	// simulated many times across the pipeline (per-SM-count profiles,
+	// all-pairs co-runs, fleet groups), so the table is shared
+	// process-wide and the SM retires a compute op off one code without
+	// hashing. Loads, stores, barriers and exits all read UnitOther:
+	// Fetch derives them, and memory addresses are drawn per access.
+	// Nil for grids above the cap.
+	ops      []uint8
+	rowBytes int
 }
 
-// maxOpsEntries caps the per-kernel op table (one byte per dynamic
-// instruction of the grid); larger grids fall back to hashing per fetch.
-const maxOpsEntries = 4 << 20
+// Unit is the op table's 2-bit code for an instruction: the functional
+// unit that retires a compute op, or UnitOther for everything Fetch
+// must resolve.
+type Unit uint8
 
-// opsKey identifies an op stream: every parameter that influences the
-// per-(warp, pc) opcode draw, and nothing else, so distinct footprints
-// or access patterns still share one table.
+const (
+	// UnitALU retires on the SP units (OpALU; OpNop too).
+	UnitALU Unit = iota
+	// UnitSFU retires on the special-function units.
+	UnitSFU
+	// UnitShared is a scratchpad access.
+	UnitShared
+	// UnitOther is a load, store, barrier or exit.
+	UnitOther
+)
+
+// UnitOf returns the op table's code for op.
+func UnitOf(op isa.Op) Unit {
+	switch op {
+	case isa.OpNop, isa.OpALU:
+		return UnitALU
+	case isa.OpSFU:
+		return UnitSFU
+	case isa.OpShared:
+		return UnitShared
+	}
+	return UnitOther
+}
+
+// RowUnit returns the code at pc of a row that OpsRow returned.
+func RowUnit(row []uint8, pc int) Unit {
+	return Unit(row[pc>>2]>>(uint(pc&3)*2)) & 3
+}
+
+// maxOpsBytes caps the per-kernel op table at 4 MiB (grids of up to
+// 16M dynamic instructions); larger grids fall back to hashing per
+// fetch.
+const maxOpsBytes = 4 << 20
+
+// opsKey identifies an op table: every parameter that influences the
+// per-(warp, pc) unit code, and nothing else, so distinct footprints,
+// access patterns or store mixes still share one table.
 type opsKey struct {
 	seed                   uint64
 	instrs, warps          int
 	memEvery, barrierEvery int
-	sfu, shared, storeFrac float64
+	sfu, shared            float64
 }
 
 // opsCache shares op tables across kernel instances; concurrent misses
@@ -270,12 +310,13 @@ func fracThreshold(frac float64) uint64 {
 	return uint64(math.Ceil(frac * (1 << 53)))
 }
 
-// sharedOps returns the grid's opcode table, building it on first use
-// and sharing it process-wide across kernel instances with the same
-// op-relevant parameters. Entries hold isa.Op values and are drawn with
-// exactly the arithmetic Fetch would use, so cached and uncached
-// kernels execute bit-identical programs.
-func (k *Kernel) sharedOps() []uint8 {
+// sharedOps returns the grid's unit-code table, building it on first
+// use and sharing it process-wide across kernel instances with the same
+// op-relevant parameters. rows is 1 for a kernel with no SFU or shared
+// mix and the grid's warp count otherwise. Codes are UnitOf the hash
+// derivation (OpAt), so a kernel with a table executes the same program
+// as one without.
+func (k *Kernel) sharedOps(rows int) []uint8 {
 	key := opsKey{
 		seed:         k.Seed,
 		instrs:       k.InstrsPerWarp,
@@ -284,20 +325,15 @@ func (k *Kernel) sharedOps() []uint8 {
 		barrierEvery: k.BarrierEvery,
 		sfu:          k.SFUFraction,
 		shared:       k.SharedFraction,
-		storeFrac:    k.StoreFraction,
 	}
 	if cached, ok := opsCache.Load(key); ok {
 		return cached.([]uint8)
 	}
-	warps, instrs := k.TotalWarps(), k.InstrsPerWarp
-	ops := make([]uint8, warps*instrs)
-	for warp := 0; warp < warps; warp++ {
-		row := ops[warp*instrs:]
-		for pc := 0; pc < instrs; pc++ {
-			// opAtSlow is the single source of truth for the opcode
-			// draw (k.ops is still nil here), so cached and uncached
-			// kernels execute bit-identical programs by construction.
-			row[pc] = uint8(k.opAtSlow(warp, pc))
+	ops := make([]uint8, rows*k.rowBytes)
+	for warp := 0; warp < rows; warp++ {
+		row := ops[warp*k.rowBytes:]
+		for pc := 0; pc < k.InstrsPerWarp; pc++ {
+			row[pc>>2] |= uint8(UnitOf(k.OpAt(warp, pc))) << (uint(pc&3) * 2)
 		}
 	}
 	opsCache.Store(key, ops)
@@ -348,8 +384,13 @@ func New(p Params, lineBytes int) (*Kernel, error) {
 			k.pcKind[pc] = pcCompute
 		}
 	}
-	if p.TotalWarps() <= maxOpsEntries/p.InstrsPerWarp {
-		k.ops = k.sharedOps()
+	k.rowBytes = (p.InstrsPerWarp + 3) / 4
+	rows := p.TotalWarps()
+	if k.plainOps {
+		rows = 1
+	}
+	if rows <= maxOpsBytes/k.rowBytes {
+		k.ops = k.sharedOps(rows)
 	}
 	if p.MemEvery > 0 {
 		footLines := pow2Floor(p.FootprintBytes / k.lineBytes)
@@ -390,36 +431,23 @@ func (k *Kernel) Fetch(warp, pc int, buf []uint64) isa.Instr {
 	return isa.Instr{Op: op}
 }
 
-// OpsRow returns the warp's cached opcode row (indexed by pc, covering
-// every pc including the exit), or nil when the grid exceeds the op
-// table cap. SMs hold the row per resident warp so the compute fast
-// path is a single byte index.
+// OpsRow returns the warp's row of unit codes (indexed by pc through
+// RowUnit, covering every pc including the exit), or nil when the grid
+// exceeds the op table cap. SMs hold the row per resident warp, so the
+// compute fast path is one 2-bit lookup.
 func (k *Kernel) OpsRow(warp int) []uint8 {
-	if k.ops == nil {
-		return nil
+	if k.ops == nil || k.plainOps {
+		return k.ops
 	}
-	return k.ops[warp*k.InstrsPerWarp : (warp+1)*k.InstrsPerWarp]
+	return k.ops[warp*k.rowBytes : (warp+1)*k.rowBytes]
 }
 
-// OpAt returns just the opcode at (warp, pc) — the simulator's compute
-// fast path, which needs no address generation. Bit-identical to
-// Fetch(warp, pc, ...).Op. The table branch is small enough to inline
-// into the SM's issue loop.
+// OpAt derives the opcode at (warp, pc) from the seed and the mix
+// knobs, with no address generation. Bit-identical to Fetch(warp, pc,
+// ...).Op.
 func (k *Kernel) OpAt(warp, pc int) isa.Op {
-	if k.ops != nil && pc < k.InstrsPerWarp-1 {
-		return isa.Op(k.ops[warp*k.InstrsPerWarp+pc])
-	}
-	return k.opAtSlow(warp, pc)
-}
-
-// opAtSlow derives the opcode for kernels whose grid exceeds the op
-// table cap (and handles the exit pc).
-func (k *Kernel) opAtSlow(warp, pc int) isa.Op {
 	if pc >= k.InstrsPerWarp-1 {
 		return isa.OpExit
-	}
-	if k.ops != nil {
-		return isa.Op(k.ops[warp*k.InstrsPerWarp+pc])
 	}
 	switch k.pcKind[pc] {
 	case pcBarrier:

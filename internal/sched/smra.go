@@ -57,12 +57,13 @@ type smraController struct {
 	lastMoveSMs  []int
 	moved        bool
 
-	recycled map[gpu.AppHandle]bool
+	// recycled[i] records that handles[i] finished and gave up its SMs.
+	recycled []bool
 	moves    int
 }
 
 func newSMRAController(d *gpu.Device, handles []gpu.AppHandle, cfg SMRAConfig) *smraController {
-	c := &smraController{d: d, handles: handles, cfg: cfg, recycled: make(map[gpu.AppHandle]bool)}
+	c := &smraController{d: d, handles: handles, cfg: cfg, recycled: make([]bool, len(handles))}
 	c.prevWindow = make([]stats.App, len(handles))
 	return c
 }
@@ -86,11 +87,11 @@ func (c *smraController) Tick() {
 // recycleFinished hands the SMs of completed applications to the live
 // application with the fewest cores.
 func (c *smraController) recycleFinished() {
-	for _, h := range c.handles {
-		if !c.d.Done(h) || c.recycled[h] {
+	for i, h := range c.handles {
+		if c.recycled[i] || !c.d.Done(h) {
 			continue
 		}
-		c.recycled[h] = true
+		c.recycled[i] = true
 		target, ok := c.smallestLive()
 		if !ok {
 			continue

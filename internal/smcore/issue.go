@@ -3,6 +3,7 @@ package smcore
 import (
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/kernel"
 	"repro/internal/memreq"
 	"repro/internal/stats"
 )
@@ -51,26 +52,18 @@ func (sm *SM) Tick(now uint64) {
 		slot := sm.ageSlot[base+idx]
 		w := &sm.warps[slot]
 		// ALU/SFU/shared ops mutate nothing outside the warp, so they
-		// retire here off one opcode load — no instruction struct, no
-		// full issue machinery. A stashed replay is always a load or a
-		// store, so its cached op goes to issue.
-		op := w.cachedOp
+		// retire here off one 2-bit unit code — no instruction struct,
+		// no full issue machinery. Everything else (and a stashed
+		// replay, which is always a load or a store) goes to issue.
+		u := kernel.UnitOther
 		if !w.cachedValid {
 			if w.opRow != nil {
-				op = isa.Op(w.opRow[w.pc])
+				u = kernel.RowUnit(w.opRow, int(w.pc))
 			} else {
-				op = sm.kern.OpAt(int(w.globalID), int(w.pc))
+				u = kernel.UnitOf(sm.kern.OpAt(int(w.globalID), int(w.pc)))
 			}
 		}
-		var lat uint64
-		switch op {
-		case isa.OpALU, isa.OpNop:
-			lat = sm.aluLat
-		case isa.OpSFU:
-			lat = sm.sfuLat
-		case isa.OpShared:
-			lat = sm.sharedLat
-		default:
+		if u == kernel.UnitOther {
 			if sm.issue(slot, now) {
 				// Refresh the issued warp's age entry with its new wait
 				// (NoEvent while an event — fill or barrier release —
@@ -95,9 +88,9 @@ func (sm *SM) Tick(now uint64) {
 			}
 			continue
 		}
-		w.blockedUntil = now + lat
+		w.blockedUntil = now + sm.unitLat[u&3]
 		w.pc++
-		sm.recordIssue(sm.appStats, op)
+		sm.recordIssue(sm.appStats, false)
 		sm.ageWake[base+idx] = w.blockedUntil
 	}
 	// The loop left scanAt[s] exact for every scheduler that did not
@@ -161,17 +154,17 @@ func (sm *SM) issue(slot int32, now uint64) bool {
 		sm.retireWarp(slot)
 	}
 	w.cachedValid = false
-	sm.recordIssue(issuedFor, in.Op)
+	sm.recordIssue(issuedFor, in.Op.IsMemory())
 	return true
 }
 
-func (sm *SM) recordIssue(st *stats.App, op isa.Op) {
+func (sm *SM) recordIssue(st *stats.App, mem bool) {
 	if st == nil {
 		return
 	}
 	st.WarpInstructions++
 	st.ThreadInstructions += uint64(sm.cfg.WarpSize)
-	if op.IsMemory() {
+	if mem {
 		st.MemWarpInstructions++
 	}
 }

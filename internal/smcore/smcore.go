@@ -48,9 +48,9 @@ type warp struct {
 	stallRoom   int32
 	stallEpoch  uint64
 	cachedLines []uint64
-	// opRow is the warp's row of the kernel's opcode table (nil for
-	// grids above the table cap); it makes the compute fast path a
-	// single byte index.
+	// opRow is the warp's row of the kernel's unit-code table (nil for
+	// grids above the table cap); it makes the compute fast path one
+	// 2-bit lookup (kernel.RowUnit).
 	opRow []uint8
 }
 
@@ -105,12 +105,11 @@ type SM struct {
 	scanAt    []uint64
 	idleUntil uint64
 	// slotSched caches slot % SchedulersPerSM (a non-constant modulo on
-	// the hottest paths otherwise); aluLat/sfuLat/sharedLat cache the
-	// functional-unit latencies pre-widened for Tick's compute path.
+	// the hottest paths otherwise); unitLat holds the functional-unit
+	// latencies, indexed by kernel.Unit and pre-widened for Tick's
+	// compute path (the UnitOther entry is unused).
 	slotSched []int32
-	aluLat    uint64
-	sfuLat    uint64
-	sharedLat uint64
+	unitLat   [4]uint64
 
 	activeWarps int
 
@@ -152,10 +151,10 @@ func New(id int, cfg config.GPUConfig) (*SM, error) {
 		maxSlots:   cfg.MaxWarpsPerSM,
 		outLimit:   cfg.MaxWarpsPerSM, // one outstanding miss per warp on average
 		lineBuf:    make([]uint64, cfg.WarpSize),
-		aluLat:     uint64(cfg.ALULatency),
-		sfuLat:     uint64(cfg.SFULatency),
-		sharedLat:  uint64(cfg.SharedLatency),
 	}
+	sm.unitLat[kernel.UnitALU] = uint64(cfg.ALULatency)
+	sm.unitLat[kernel.UnitSFU] = uint64(cfg.SFULatency)
+	sm.unitLat[kernel.UnitShared] = uint64(cfg.SharedLatency)
 	nslots := cfg.SchedulersPerSM * cfg.MaxWarpsPerSM
 	sm.ageSlot = make([]int32, nslots)
 	sm.ageWake = make([]uint64, nslots)
