@@ -3,7 +3,7 @@
 // pool and collects every cell's summary metrics into one tidy CSV or
 // JSON artifact, the Go-native analogue of hand-driving cmd/fleet once
 // per configuration. The same binary diffs two such artifacts cell by
-// cell (-delta), mirroring scripts/benchdelta for benchmark snapshots.
+// cell (-delta).
 //
 // Usage:
 //

@@ -5,10 +5,11 @@
 // paper's classification / interference / ILP-matching / SM-reallocation
 // methodology.
 //
-// The root package holds only documentation and the benchmark harness
-// (bench_test.go), which regenerates every table and figure of the
-// paper's evaluation; the implementation lives under internal/ and the
-// public entry point is internal/core. See README.md ("Quickstart",
+// The root package holds only documentation, three benchmark rungs
+// (bench_test.go) and the shape tests (shapes_test.go) that assert the
+// paper evaluation's shapes; cmd/experiments regenerates every table
+// and figure. The implementation lives under internal/ and the public
+// entry point is internal/core. See README.md ("Quickstart",
 // "Package map", "Performance") and ARCHITECTURE.md ("Layer map", "The
 // dataflow").
 package repro

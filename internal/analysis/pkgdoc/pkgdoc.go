@@ -1,9 +1,8 @@
-// Package pkgdoc is the docs-health gate, absorbed from the former
-// scripts/docscheck command: every package must carry a package-level
-// doc comment on at least one of its files so `go doc` output stays
-// useful. Running it as a simlint analyzer instead of a standalone
-// script gives findings real positions and folds the docs gate into the
-// same CI step as the determinism and hot-path checks.
+// Package pkgdoc is the docs-health gate: every package must carry a
+// package-level doc comment on at least one of its files so `go doc`
+// output stays useful. Running it as a simlint analyzer gives findings
+// real positions and folds the docs gate into the same CI step as the
+// determinism and hot-path checks.
 package pkgdoc
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/classify"
+	"repro/internal/kernel"
 	"repro/internal/match"
 	"repro/internal/workloads"
 )
@@ -90,23 +91,17 @@ func (s *Suite) Fig3_5() (Artifact, error) {
 	for _, n := range fig35SMCounts {
 		ideal.Values = append(ideal.Values, float64(n)/float64(fig35SMCounts[0]))
 	}
-	a.Rows = append(a.Rows, ideal)
-	for _, name := range subjects {
-		params := workloads.MustParams(name)
-		var base float64
-		row := Row{Label: name}
-		for i, n := range fig35SMCounts {
-			r, err := s.P.Profiler().Run(params, n)
-			if err != nil {
-				return Artifact{}, err
-			}
-			if i == 0 {
-				base = r.IPC
-			}
-			row.Values = append(row.Values, r.IPC/base)
-		}
-		a.Rows = append(a.Rows, row)
+	rows, err := s.ipcRows(subjects, fig35SMCounts)
+	if err != nil {
+		return Artifact{}, err
 	}
+	for _, row := range rows {
+		base := row.Values[0]
+		for i := range row.Values {
+			row.Values[i] /= base
+		}
+	}
+	a.Rows = append([]Row{ideal}, rows...)
 	return a, nil
 }
 
@@ -121,19 +116,33 @@ func (s *Suite) Fig3_6() (Artifact, error) {
 	for _, n := range counts {
 		a.Columns = append(a.Columns, fmt.Sprintf("%d Cores", n))
 	}
-	for _, name := range workloads.Names {
-		params := workloads.MustParams(name)
-		row := Row{Label: name}
-		for _, n := range counts {
-			r, err := s.P.Profiler().Run(params, n)
-			if err != nil {
-				return Artifact{}, err
-			}
-			row.Values = append(row.Values, r.IPC)
-		}
-		a.Rows = append(a.Rows, row)
+	rows, err := s.ipcRows(workloads.Names, counts)
+	if err != nil {
+		return Artifact{}, err
 	}
+	a.Rows = rows
 	return a, nil
+}
+
+// ipcRows profiles each named benchmark at every core count, one
+// Profiler.RunAll per count, and returns one row of IPCs per benchmark.
+func (s *Suite) ipcRows(names []string, counts []int) ([]Row, error) {
+	params := make([]kernel.Params, len(names))
+	rows := make([]Row, len(names))
+	for i, name := range names {
+		params[i] = workloads.MustParams(name)
+		rows[i].Label = name
+	}
+	for _, n := range counts {
+		rs, err := s.P.Profiler().RunAll(params, n)
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range rs {
+			rows[i].Values = append(rows[i].Values, r.IPC)
+		}
+	}
+	return rows, nil
 }
 
 // AppendixA reproduces the Appendix A worked example with this

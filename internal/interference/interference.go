@@ -11,13 +11,12 @@ package interference
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/classify"
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/kernel"
+	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/stats"
 )
@@ -151,42 +150,22 @@ func RunCampaign(cfg config.GPUConfig, prof *profile.Profiler, apps []kernel.Par
 		}
 	}
 	c := &Campaign{Solo: make([]profile.Result, len(apps)), Pairs: make([]PairResult, len(pairs))}
-	n := len(apps) + len(pairs)
-	errs := make([]error, n)
-	run := func(idx int) {
+	if err := par.Do(len(apps)+len(pairs), 0, func(idx int) error {
 		if idx < len(apps) {
-			c.Solo[idx], errs[idx] = prof.Run(apps[idx], 0)
-			return
+			var err error
+			c.Solo[idx], err = prof.Run(apps[idx], 0)
+			return err
 		}
 		k := idx - len(apps)
 		a, b := apps[pairs[k].i], apps[pairs[k].j]
 		sts, err := CoRun(cfg, []kernel.Params{a, b}, EvenSplit(cfg.NumSMs, 2))
 		if err != nil {
-			errs[idx] = fmt.Errorf("pair %s+%s: %w", a.Name, b.Name, err)
-			return
+			return fmt.Errorf("pair %s+%s: %w", a.Name, b.Name, err)
 		}
 		c.Pairs[k] = PairResult{A: a.Name, B: b.Name, CyclesA: sts[0].Cycles(), CyclesB: sts[1].Cycles()}
-	}
-	jobs := make(chan int, n)
-	for idx := 0; idx < n; idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for w := min(runtime.NumCPU(), n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				run(idx)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kernel"
 	"repro/internal/memo"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -113,15 +114,16 @@ func (p *Profiler) simulate(params kernel.Params, numSMs int) (Result, error) {
 	}, nil
 }
 
-// RunAll profiles a list of kernels at one core count.
+// RunAll profiles a list of kernels at one core count on a pool of
+// runtime.NumCPU() workers, returning the results in list order.
 func (p *Profiler) RunAll(all []kernel.Params, numSMs int) ([]Result, error) {
-	out := make([]Result, 0, len(all))
-	for _, params := range all {
-		r, err := p.Run(params, numSMs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+	out := make([]Result, len(all))
+	if err := par.Do(len(all), 0, func(i int) error {
+		var err error
+		out[i], err = p.Run(all[i], numSMs)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -47,19 +47,32 @@ func TestRunAtReducedSMCount(t *testing.T) {
 	}
 }
 
+// TestRunAllOrderPreserved checks that the pooled RunAll returns, in
+// list order, exactly what sequential Run calls on a fresh profiler
+// return, at the full and at a reduced core count.
 func TestRunAllOrderPreserved(t *testing.T) {
 	p := New(testkit.Config())
 	apps := testkit.Universe()
-	rs, err := p.RunAll(apps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != len(apps) {
-		t.Fatalf("results = %d", len(rs))
-	}
-	for i := range rs {
-		if rs[i].Name != apps[i].Name {
-			t.Fatalf("order broken at %d: %s vs %s", i, rs[i].Name, apps[i].Name)
+	for _, numSMs := range []int{0, testkit.Config().NumSMs / 2} {
+		rs, err := p.RunAll(apps, numSMs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs) != len(apps) {
+			t.Fatalf("%d SMs: results = %d", numSMs, len(rs))
+		}
+		seq := New(testkit.Config())
+		for i := range rs {
+			if rs[i].Name != apps[i].Name {
+				t.Fatalf("%d SMs: order broken at %d: %s vs %s", numSMs, i, rs[i].Name, apps[i].Name)
+			}
+			want, err := seq.Run(apps[i], numSMs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs[i] != want {
+				t.Fatalf("%d SMs: RunAll[%d] = %+v, sequential Run = %+v", numSMs, i, rs[i], want)
+			}
 		}
 	}
 }

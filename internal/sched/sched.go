@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/match"
 	"repro/internal/memo"
+	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/stats"
 )
@@ -215,24 +215,15 @@ func (s *Scheduler) Run(queue []QueuedApp, nc int, policy Policy) (Report, error
 	// concurrent requests for the same solo profile, so no sequential
 	// warming pass is needed.
 	reports := make([]GroupReport, len(groups))
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for i, g := range groups {
-		wg.Add(1)
-		go func(i int, g Group) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			reports[i], errs[i] = s.RunGroup(g, policy)
-		}(i, g)
+	if err := par.Do(len(groups), 0, func(i int) error {
+		var err error
+		reports[i], err = s.RunGroup(groups[i], policy)
+		return err
+	}); err != nil {
+		return Report{}, err
 	}
-	wg.Wait()
 	rep := Report{Policy: policy, NC: nc}
 	for i := range reports {
-		if errs[i] != nil {
-			return Report{}, errs[i]
-		}
 		rep.Groups = append(rep.Groups, reports[i])
 		rep.TotalCycles += reports[i].Cycles
 		for _, st := range reports[i].Stats {

@@ -141,10 +141,10 @@ func (a *Artifact) metric(c CellResult, name string) (float64, bool) {
 }
 
 // Delta prints a cell-by-cell, metric-by-metric comparison of two sweep
-// artifacts, mirroring scripts/benchdelta's snapshot diff: cells in the
-// new artifact's order first (baseline-only cells appended), each
-// metric as baseline -> new with the relative change, and one-sided
-// cells or metrics reported as new/gone rather than misreported.
+// artifacts: cells in the new artifact's order first (baseline-only
+// cells appended), each metric as baseline -> new with the relative
+// change, and one-sided cells or metrics reported as new/gone rather
+// than misreported.
 func Delta(base, cur *Artifact, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	baseBy := make(map[string]CellResult, len(base.Cells))

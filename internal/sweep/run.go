@@ -2,10 +2,10 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/fleet"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -81,45 +81,26 @@ func (r Runner) Run(g Grid) (*Artifact, error) {
 		streams[c.Arrival] = arr
 	}
 
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
 	// Results land at their cell's index, so the artifact's order is the
 	// grid's regardless of worker scheduling.
 	values := make([][]float64, len(cells))
-	errs := make([]error, len(cells))
-	idx := make(chan int)
-	var wg sync.WaitGroup
 	var done int
 	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				values[i], errs[i] = r.runCell(g, cells[i], rosters[cells[i].Roster], streams[cells[i].Arrival])
-				if r.Progress != nil {
-					mu.Lock()
-					done++
-					r.Progress(done, len(cells))
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range cells {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sweep: cell %v: %w", cells[i].Params(), err)
+	if err := par.Do(len(cells), r.Workers, func(i int) error {
+		var err error
+		values[i], err = r.runCell(g, cells[i], rosters[cells[i].Roster], streams[cells[i].Arrival])
+		if r.Progress != nil {
+			mu.Lock()
+			done++
+			r.Progress(done, len(cells))
+			mu.Unlock()
 		}
+		if err != nil {
+			return fmt.Errorf("sweep: cell %v: %w", cells[i].Params(), err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	art := &Artifact{Params: append([]string(nil), ParamColumns...), Metrics: append([]string(nil), MetricColumns...)}
 	for i, c := range cells {

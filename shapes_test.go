@@ -16,6 +16,15 @@ import (
 	"repro/internal/workloads"
 )
 
+// The shape tests share one lazily initialized experiment suite (solo
+// profiles and all-pairs interference on the 60-SM device): the first
+// test pays that cost and later ones reuse the memoized state.
+var (
+	suiteOnce sync.Once
+	suite     *experiments.Suite
+	suiteErr  error
+)
+
 func sharedSuiteT(t *testing.T) *experiments.Suite {
 	t.Helper()
 	if testing.Short() {
@@ -175,6 +184,3 @@ func TestShapeFig4_9(t *testing.T) {
 		t.Errorf("3-app ILP (%.1f) collapsed against FCFS (%.1f)", ilp, fcfs)
 	}
 }
-
-// guard against accidental reuse of the bench suite variables elsewhere.
-var _ = sync.Once{}
