@@ -670,7 +670,8 @@ func (c *loopCtl) abandon(j *JobRecord, attempt int, now uint64) {
 // let its client move on.
 func (c *loopCtl) fail(j *JobRecord, now uint64, terminal uint8) {
 	cc := &c.f.cfg.Closed
-	if j.client >= 0 && int(j.Attempts) <= cc.Retries {
+	client := c.clientOf(j)
+	if client >= 0 && int(j.Attempts) <= cc.Retries {
 		j.state = jsPending
 		shift := uint(j.Attempts - 1)
 		if shift > 20 {
@@ -681,9 +682,20 @@ func (c *loopCtl) fail(j *JobRecord, now uint64, terminal uint8) {
 	}
 	j.state = terminal
 	c.l.remaining--
-	if j.client >= 0 {
-		c.clientAdvance(int(j.client), now, now)
+	if client >= 0 {
+		c.clientAdvance(client, now, now)
 	}
+}
+
+// clientOf is the closed-loop client that owns j, -1 for an open-loop
+// arrival. Closed-loop job ids are client-major (resolveClosed), so the
+// client is the id's quotient by the per-client request count.
+func (c *loopCtl) clientOf(j *JobRecord) int {
+	cc := &c.f.cfg.Closed
+	if !cc.Enabled {
+		return -1
+	}
+	return j.ID / cc.Requests
 }
 
 // onRetire advances every closed-loop client whose request just
@@ -691,8 +703,8 @@ func (c *loopCtl) fail(j *JobRecord, now uint64, terminal uint8) {
 // member references).
 func (c *loopCtl) onRetire(fl *inflight, now uint64) {
 	for _, j := range fl.jobs {
-		if j.client >= 0 {
-			c.clientAdvance(int(j.client), now, j.Complete)
+		if client := c.clientOf(j); client >= 0 {
+			c.clientAdvance(client, now, j.Complete)
 		}
 	}
 }
@@ -842,11 +854,10 @@ func (c *loopCtl) provision(d int) {
 // client-major (job id = client * Requests + request), each client's
 // sequence a sub-slice of the arena. Names and SLO tags come from
 // per-client streams derived only from the seed and the client id, and
-// each distinct name resolves once into the appInfo its jobs share, as
-// in resolve. Submission cycles are stamped at submit time.
+// each job looks its name up in the application table, as in resolve.
+// Submission cycles are stamped at submit time.
 func (f *Fleet) resolveClosed() ([]JobRecord, [][]JobRecord, error) {
 	cc := f.cfg.Closed
-	infos := make(map[string]*appInfo)
 	jobs := make([]JobRecord, cc.Clients*cc.Requests)
 	perClient := make([][]JobRecord, cc.Clients)
 	for c := range perClient {
@@ -855,12 +866,12 @@ func (f *Fleet) resolveClosed() ([]JobRecord, [][]JobRecord, error) {
 		reqs := jobs[c*cc.Requests : (c+1)*cc.Requests]
 		for r := range reqs {
 			name := cc.Universe[names.Intn(len(cc.Universe))]
-			info, err := f.appInfoFor(infos, name)
+			app, err := f.appIndex(name)
 			if err != nil {
 				return nil, nil, err
 			}
 			j := &reqs[r]
-			j.ID, j.Name, j.app, j.client = c*cc.Requests+r, name, info, int32(c)
+			j.ID, j.Name, j.app = c*cc.Requests+r, name, app
 			if cc.LatencyFrac > 0 && slo.Float64() < cc.LatencyFrac {
 				j.SLO, j.Deadline = Latency, cc.Deadline
 			}

@@ -34,7 +34,7 @@ func (f *Fleet) windowFor(q *jobQueue, t int) int {
 	prefix := q.window(MaxWindow)
 	var counts [classify.NumClasses]int
 	for _, j := range prefix {
-		counts[j.class(t)]++
+		counts[f.class(j, t)]++
 	}
 	h := 0.0
 	for _, n := range counts {
@@ -80,10 +80,12 @@ type dispatcher struct {
 	lattice match.Lattice
 	// patBuf is the reused class-pattern scratch for modelReport.
 	patBuf match.Pattern
-	// free pools retired modeled flights for reuse: their member slice
-	// and report buffers keep their capacity, so steady-state dispatch
-	// recycles records instead of allocating one per group.
-	free []*inflight
+	// free pools retired and evicted modeled flights for reuse: their
+	// member slice and report buffers keep their capacity, so
+	// steady-state dispatch recycles records instead of allocating one
+	// per group. flights counts the records newFlight has allocated.
+	free    []*inflight
+	flights int
 }
 
 // newDispatcher builds the per-event-loop scratch state.
@@ -107,14 +109,17 @@ func (d *dispatcher) newFlight() *inflight {
 		d.free = d.free[:n-1]
 		return fl
 	}
+	d.flights++
 	return &inflight{}
 }
 
-// recycle returns a retired modeled flight's record to the pool,
-// keeping the member slice and report buffers (which the modeled
-// engine owns and overwrites wholesale) but dropping every reference.
-// Only retired flights may be recycled: evicted ones remain lazily
-// referenced by the completion heaps until a later peek discards them.
+// recycle returns a modeled flight's record to the pool, keeping the
+// member slice and report buffers (which the modeled engine owns and
+// overwrites wholesale) but dropping every reference. A flight may be
+// recycled only once nothing refers to it: a retired one after retire
+// popped its resolved-heap entry, an evicted one once the resolved
+// heap's peek dropped its stale entry (flightHeap.pool), never at
+// release.
 func (d *dispatcher) recycle(fl *inflight) {
 	jobs := fl.jobs
 	for i := range jobs {
@@ -272,9 +277,9 @@ func (d *dispatcher) formILPGroup(dst []*JobRecord, queue *jobQueue, t int, now 
 	window := queue.window(f.windowFor(queue, t))
 	var counts [classify.NumClasses]int
 	for _, j := range window {
-		counts[j.class(t)]++
+		counts[f.class(j, t)]++
 	}
-	oldest := window[0].class(t)
+	oldest := f.class(window[0], t)
 	var best int
 	if aging := d.agingWeights(window, now); aging != nil {
 		// Waits change every cycle, so the aged efficiencies do not
@@ -282,8 +287,8 @@ func (d *dispatcher) formILPGroup(dst []*JobRecord, queue *jobQueue, t int, now 
 		// zero-allocation contract covers the aging-off path.
 		var classWait [classify.NumClasses]float64
 		for wi, j := range window {
-			if w := aging[wi]; w > classWait[j.class(t)] {
-				classWait[j.class(t)] = w
+			if c := f.class(j, t); aging[wi] > classWait[c] {
+				classWait[c] = aging[wi]
 			}
 		}
 		eff := match.AgedEfficiencies(f.ncPatterns, f.ncEff[t], classWait, f.cfg.Aging)
@@ -302,7 +307,7 @@ func (d *dispatcher) formILPGroup(dst []*JobRecord, queue *jobQueue, t int, now 
 	for _, cls := range f.ncPatterns[best] {
 		found := false
 		for _, cand := range window {
-			if cand.class(t) == cls && !containsJob(dst, cand) {
+			if f.class(cand, t) == cls && !containsJob(dst, cand) {
 				dst = append(dst, cand)
 				found = true
 				break
@@ -379,9 +384,9 @@ func (f *Fleet) buildMatchTables() {
 //
 //simlint:hotpath
 func (f *Fleet) patternEff(t int, members []*JobRecord, extra *JobRecord) float64 {
-	key := classKey(extra.class(t))
+	key := classKey(f.class(extra, t))
 	for _, m := range members {
-		key += classKey(m.class(t))
+		key += classKey(f.class(m, t))
 	}
 	return f.effAll[t][f.patIndex[key]]
 }

@@ -10,16 +10,19 @@ import (
 	"repro/internal/sched"
 )
 
-// classJobs returns one synthetic job per class, classed the same on
-// every one of types device types — enough to spell any pattern.
-func classJobs(types int) []*JobRecord {
+// classJobs replaces f's class rows with one synthetic application per
+// class, classed the same on every device type, and returns one job of
+// each — enough to spell any pattern.
+func classJobs(f *Fleet) []*JobRecord {
+	for t := range f.classes {
+		f.classes[t] = make([]classify.Class, classify.NumClasses)
+		for c := range f.classes[t] {
+			f.classes[t][c] = classify.Class(c)
+		}
+	}
 	jobs := make([]*JobRecord, classify.NumClasses)
 	for c := range jobs {
-		app := &appInfo{apps: make([]sched.QueuedApp, types)}
-		for t := range app.apps {
-			app.apps[t].Class = classify.Class(c)
-		}
-		jobs[c] = &JobRecord{app: app}
+		jobs[c] = &JobRecord{app: uint16(c)}
 	}
 	return jobs
 }
@@ -31,13 +34,13 @@ func classJobs(types int) []*JobRecord {
 // the members come in.
 func TestPatternEffMatchesEfficiency(t *testing.T) {
 	r := rng.NewStream(0x7AB1E)
-	byClass := classJobs(1)
 	for _, pipe := range []*core.Pipeline{testPipeline(t), pipelineFor(t, tinyConfig())} {
 		for nc := 2; nc <= 10; nc++ {
 			f, err := New(Config{Devices: homo(pipe, 1), NC: nc, Policy: sched.ILP})
 			if err != nil {
 				t.Fatal(err)
 			}
+			byClass := classJobs(f)
 			for size := 2; size <= nc; size++ {
 				for _, p := range match.Patterns(size) {
 					members := make([]*JobRecord, len(p))

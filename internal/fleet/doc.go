@@ -45,10 +45,12 @@
 // same loop serve 4 devices × 60 jobs and 64 devices × 100k jobs. Every
 // run is one event loop (loop.go) over the whole roster, under every
 // engine.
-// Each job is one 96-byte JobRecord: resolve allocates the records as
-// one arena (sim.go), the loop keeps its per-job state in their
-// unexported fields, and Run finalizes them in place and returns the
-// arena as Result.Jobs.
+// Each job is one 80-byte JobRecord: resolve allocates the records as
+// one arena (sim.go), each naming its application by an index into the
+// table New builds, the loop keeps its lifecycle state in their
+// unexported fields and evicted jobs' checkpoints in a side table, and
+// Run finalizes the records in place and returns the arena as
+// Result.Jobs.
 //
 // Config.Engine selects how a dispatched group's completion is learned
 // (engine.go). Cycle simulates every group cycle-accurately — the

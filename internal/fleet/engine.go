@@ -87,7 +87,7 @@ func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*JobRecord, t
 	d.patBuf = d.patBuf[:0]
 	if m != nil && len(members) > 1 {
 		for _, j := range members {
-			d.patBuf = append(d.patBuf, j.class(t))
+			d.patBuf = append(d.patBuf, d.f.class(j, t))
 		}
 	}
 	pat := d.patBuf
@@ -97,7 +97,7 @@ func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*JobRecord, t
 	rep.Cycles = 0
 	rep.SMMoves = 0
 	for i, j := range members {
-		sp := j.app.solo[t]
+		sp := d.f.app(j).solo[t]
 		if !sp.ok {
 			return d.missingSolo(j, t)
 		}
@@ -110,7 +110,7 @@ func (d *dispatcher) modelReport(rep *sched.GroupReport, members []*JobRecord, t
 			end = 1
 		}
 		rep.Apps = append(rep.Apps, j.Name)
-		rep.Classes = append(rep.Classes, j.class(t))
+		rep.Classes = append(rep.Classes, d.f.class(j, t))
 		rep.Stats = append(rep.Stats, stats.App{
 			Name:               j.Name,
 			ThreadInstructions: sp.instrs,
@@ -134,16 +134,17 @@ func (d *dispatcher) missingSolo(j *JobRecord, t int) error {
 // commitModeled resolves a modeled flight at dispatch time: one
 // analytic report and one completion-heap event cover the whole group,
 // where the group's members each used to pay their own allocations.
-// The flight is born resolved, so nothing ever waits on it.
+// The flight is born resolved, so nothing ever waits on it; ck is the
+// loop's checkpoint table the members' ends are scaled by.
 //
 //simlint:hotpath
-func (d *dispatcher) commitModeled(fl *inflight, now uint64, calib float64, resolved *flightHeap) error {
+func (d *dispatcher) commitModeled(fl *inflight, now uint64, calib float64, ck checkpoints, resolved *flightHeap) error {
 	if err := d.modelReport(&fl.rep, fl.jobs, fl.typ, calib); err != nil {
 		return err
 	}
 	fl.modeled = true
 	fl.state = flightResolved
-	fl.complete = now + d.f.flightCycles(fl)
+	fl.complete = now + flightCycles(fl, ck)
 	fl.earliest = fl.complete
 	resolved.push(fl.complete, fl.device, fl)
 	return nil

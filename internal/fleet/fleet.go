@@ -301,6 +301,15 @@ type Fleet struct {
 	order    []int
 	orderPos []int
 
+	// apps is the application table over the roster's universe, one
+	// entry per application in universe order (buildApps); a job record
+	// holds its application's index. appByName maps a name to it, and
+	// classes[t] holds every application's class on device type t, the
+	// dispatcher's hottest lookup, in one compact row.
+	apps      []appInfo
+	appByName map[string]uint16
+	classes   [][]classify.Class
+
 	// Memoized matcher inputs (see buildMatchTables): the class-pattern
 	// lists for every group size up to NC and each pattern's efficiency
 	// per device type. Nil outside the ILP policies and at NC 1, where
@@ -314,7 +323,7 @@ type Fleet struct {
 	// meanSlow[t][cls] is the mean co-run slowdown the type-t
 	// interference matrix predicts for a class-cls job over uniform
 	// NC-1-partner company, averaged across partner classes — the
-	// modeled admission predictor's per-job inflation factor (resolve
+	// modeled admission predictor's per-job inflation factor (buildApps
 	// bakes it into appInfo.coEst). Nil when any type lacks a matrix or
 	// NC < 2; coEst then equals soloEst.
 	meanSlow [][]float64
@@ -354,6 +363,9 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f.buildMatchTables()
 	f.buildSlowTables()
+	if err := f.buildApps(); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 

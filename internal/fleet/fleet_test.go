@@ -140,6 +140,54 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
+// TestFleetRunConcurrentUse runs one Fleet from several goroutines at
+// once. A Fleet is read-only after New, and every run keeps its own
+// state (queue, dispatcher, flight pool, checkpoint table), so each
+// concurrent run must return the summary and eviction trace of a run
+// made alone. The workload evicts, so the checkpoint table is in use;
+// under -race, a write to state the runs share fails the test.
+func TestFleetRunConcurrentUse(t *testing.T) {
+	f, err := New(Config{
+		Devices: homo(testPipeline(t), 4), NC: 2, Policy: sched.ILP, Engine: Modeled,
+		SLO: SLOConfig{Enabled: true, Preempt: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := ArrivalConfig{Kind: Bursty, Jobs: 2000, Rate: 0.3, LatencyFrac: 0.2, Deadline: 30_000, Seed: 1}.Generate(testNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := f.Run(arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alone.Evictions) == 0 {
+		t.Fatal("no evictions; the checkpoint table would go unused")
+	}
+	want := alone.Summary() + alone.EvictionTrace()
+	got := make([]string, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := f.Run(arr)
+			got[i], errs[i] = res.Summary()+res.EvictionTrace(), err
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if got[i] != want {
+			t.Fatalf("concurrent run %d differs from a run made alone:\n%s\n--- alone ---\n%s", i, got[i], want)
+		}
+	}
+}
+
 // TestFleetHeterogeneousDeterminism extends the reproducibility
 // contract to mixed rosters: same seed + same roster (two device
 // generations with independent calibrations) must give byte-identical
@@ -262,8 +310,8 @@ func TestLowerBoundCyclesSound(t *testing.T) {
 				for k := range jobs {
 					members[k] = &jobs[k]
 				}
-				bound := f.lowerBoundCycles(members, 0)
-				g := group(members, 0)
+				bound := f.lowerBoundCycles(members, 0, nil)
+				g := f.group(members, 0)
 				for k, m := range members {
 					if g[k].Arrival != m.ID || g[k].Params.Name != m.Name {
 						t.Fatalf("group member %d is %s arriving at %d, want job %d (%s)", k, g[k].Params.Name, g[k].Arrival, m.ID, m.Name)

@@ -30,7 +30,9 @@ package fleet
 //
 // Flights leave their heaps lazily: eviction and resolution mark the
 // flight's state and peek/pop discard stale roots, so removal never
-// needs an index into the heap.
+// needs an index into the heap. A modeled flight has exactly one
+// entry, in the resolved heap, so when peek drops an evicted modeled
+// flight's stale entry, the flight goes back to the dispatcher's pool.
 //
 // Heap traffic is per flight, never per job: a modeled dispatch commits
 // the whole group as one resolved entry (commitModeled), so an NC-member
@@ -152,20 +154,26 @@ func (q *monoQueue[T]) pop() {
 func (q *monoQueue[T]) len() int { return len(q.v) - q.head }
 
 // flightHeap is a keyHeap of in-flight groups with lazy deletion driven
-// by the live state.
+// by the live state. pool, when set, takes back the evicted modeled
+// flights whose stale entries peek drops.
 type flightHeap struct {
 	keyHeap[*inflight]
 	live flightState
+	pool *dispatcher
 }
 
 // peek returns the minimum live flight, discarding stale roots (evicted
 // or state-transitioned flights), or nil when empty.
 func (h *flightHeap) peek() *inflight {
 	for len(h.v) > 0 {
-		if fl := h.v[0].val; fl.state == h.live {
+		fl := h.v[0].val
+		if fl.state == h.live {
 			return fl
 		}
 		h.removeAt(0)
+		if h.pool != nil && fl.modeled && fl.state == flightEvicted {
+			h.pool.recycle(fl)
+		}
 	}
 	return nil
 }

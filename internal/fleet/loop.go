@@ -64,6 +64,8 @@ type loop struct {
 	remaining int
 	// res accumulates the run's accounting.
 	res Result
+	// ckpt holds the checkpoints of evicted jobs until they complete.
+	ckpt checkpoints
 
 	// The Cycle and Hybrid engines' state. sem bounds the simulation
 	// workers; specWG and speculated track speculative pre-simulation and
@@ -118,15 +120,17 @@ func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 // its arrival stream; closed-loop runs hand perClient's request
 // sequences to the control block instead.
 func (f *Fleet) newLoop(jobs []JobRecord, perClient [][]JobRecord) *loop {
+	disp := f.newDispatcher()
 	l := &loop{
 		f:          f,
 		flightOf:   make([]*inflight, len(f.devType)),
-		queue:      jobQueue{slo: f.cfg.SLO.Enabled},
-		resolved:   flightHeap{live: flightResolved},
+		queue:      jobQueue{slo: f.cfg.SLO.Enabled, apps: f.apps},
+		resolved:   flightHeap{live: flightResolved, pool: disp},
 		unresolved: flightHeap{live: flightPending},
 		idleDevs:   deviceHeap{pos: f.orderPos},
-		disp:       f.newDispatcher(),
+		disp:       disp,
 		res:        f.newResult(),
+		ckpt:       make(checkpoints),
 		remaining:  len(jobs),
 	}
 	if !f.cfg.Closed.Enabled {
@@ -301,7 +305,7 @@ func (l *loop) dispatch() error {
 		l.seq++
 		var err error
 		if f.cfg.Engine == Modeled {
-			err = l.disp.commitModeled(fl, l.now, 1, &l.resolved)
+			err = l.disp.commitModeled(fl, l.now, 1, l.ckpt, &l.resolved)
 		} else {
 			err = l.start(fl)
 		}
@@ -340,15 +344,15 @@ func (l *loop) start(fl *inflight) error {
 			l.hybrid[key] = cal
 		}
 		if cal.started >= f.cfg.HybridWarm {
-			return l.disp.commitModeled(fl, l.now, cal.calibration(), &l.resolved)
+			return l.disp.commitModeled(fl, l.now, cal.calibration(), l.ckpt, &l.resolved)
 		}
 		cal.started++
 		fl.calKey = key
 	}
 	fl.done = make(chan struct{})
-	fl.earliest = l.now + f.lowerBoundCycles(fl.jobs, fl.typ)
+	fl.earliest = l.now + f.lowerBoundCycles(fl.jobs, fl.typ, l.ckpt)
 	l.unresolved.push(fl.earliest, fl.seq, fl)
-	g := group(fl.jobs, fl.typ)
+	g := f.group(fl.jobs, fl.typ)
 	go func() {
 		l.sem <- struct{}{}
 		defer func() { <-l.sem }()
@@ -375,7 +379,7 @@ func (l *loop) await(fl *inflight) error {
 	if fl.err != nil {
 		return fl.err
 	}
-	fl.complete = fl.dispatch + f.flightCycles(fl)
+	fl.complete = fl.dispatch + flightCycles(fl, l.ckpt)
 	if fl.complete < fl.earliest {
 		// The bound was not sound after all — fail loudly rather than
 		// silently reorder events.
@@ -396,11 +400,11 @@ func (l *loop) await(fl *inflight) error {
 // retire pops fl, the resolved heap's root, accounts it into the result
 // and its jobs, and frees its device. All cycle accounting goes
 // through the checkpoint-scaled effective ends, which coincide with the
-// simulated ones for groups of fresh jobs.
+// simulated ones for groups of fresh jobs; a completed job's checkpoint
+// leaves the table.
 //
 //simlint:hotpath
 func (l *loop) retire(fl *inflight) {
-	f := l.f
 	res := &l.res
 	l.resolved.pop()
 	fl.state = flightRetired
@@ -409,7 +413,11 @@ func (l *loop) retire(fl *inflight) {
 		j.Dispatch = fl.dispatch
 		j.Device = fl.device
 		j.state = jsDone
-		end := f.memberEnd(fl, i)
+		end := memberEnd(fl, i, l.ckpt)
+		if j.ckpt {
+			delete(l.ckpt, j.ID)
+			j.ckpt = false
+		}
 		groupEnd = max(groupEnd, end)
 		j.Complete = fl.dispatch + end
 	}
@@ -463,7 +471,7 @@ func (l *loop) retire(fl *inflight) {
 // its worker is kept for wait. The caller decides whether the device
 // rejoins the idle heap.
 func (l *loop) release(fl *inflight, triggerID int) {
-	l.f.evict(fl, triggerID, l.now, &l.res)
+	l.f.evict(fl, triggerID, l.now, l.ckpt, &l.res)
 	fl.state = flightEvicted
 	l.flightOf[fl.device] = nil
 	l.flightEpoch++
@@ -555,7 +563,7 @@ func (l *loop) speculate() {
 			continue
 		}
 		l.speculated[sig] = true
-		g := group(members, t)
+		g := f.group(members, t)
 		l.specWG.Add(1)
 		go func() {
 			defer l.specWG.Done()
@@ -591,7 +599,7 @@ func (l *loop) preemptVictim(trigger *JobRecord) *inflight {
 	if first == nil {
 		return nil
 	}
-	run, ok := f.coRunCycles(trigger, first.typ)
+	run, ok := f.coRunCycles(trigger, first.typ, l.ckpt)
 	if !ok {
 		return nil // no solo profile to estimate with; never evict blindly
 	}
@@ -625,10 +633,10 @@ func (l *loop) preemptVictim(trigger *JobRecord) *inflight {
 		// A device already predicted to free at the current cycle gives
 		// eviction no head start over waiting — clearing it would throw
 		// away a (possibly finished) run for zero latency gain.
-		if f.predictedFree(fl) <= now {
+		if f.predictedFree(fl, l.ckpt) <= now {
 			continue
 		}
-		if solo, ok := f.soloCycles(trigger, fl.typ); !ok || now+solo > deadline {
+		if solo, ok := f.soloCycles(trigger, fl.typ, l.ckpt); !ok || now+solo > deadline {
 			continue
 		}
 		if victim == nil || fl.dispatch > victim.dispatch ||
@@ -665,7 +673,7 @@ func (l *loop) scanFirstToFree() (*inflight, uint64) {
 		if fl == nil || (l.ctl != nil && !l.ctl.deviceUp(fl.device)) {
 			continue
 		}
-		free := f.predictedFree(fl)
+		free := f.predictedFree(fl, l.ckpt)
 		if first == nil || free < firstFree ||
 			(free == firstFree && f.orderPos[fl.device] < f.orderPos[first.device]) {
 			first, firstFree = fl, free

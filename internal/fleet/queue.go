@@ -29,6 +29,9 @@ type jobQueue struct {
 	seg [2]jobRun
 	// slo selects SLO-aware ordering (latency before batch).
 	slo bool
+	// apps is the fleet's application table, which work and cowork read
+	// their estimates from.
+	apps []appInfo
 	// scratch assembles windows that span both runs.
 	scratch []*JobRecord
 	// latency counts waiting Latency-class jobs, maintained by the
@@ -99,8 +102,9 @@ func (q *jobQueue) insert(j *JobRecord) {
 	if j.SLO == Latency {
 		q.latency++
 	}
-	q.work += j.app.soloEst
-	q.cowork += j.app.coEst
+	app := &q.apps[j.app]
+	q.work += app.soloEst
+	q.cowork += app.coEst
 	j.state = jsWaiting
 	r := &q.seg[q.runOf(j)]
 	v := r.live()
@@ -121,8 +125,9 @@ func (q *jobQueue) unqueue(j *JobRecord) {
 	if j.SLO == Latency {
 		q.latency--
 	}
-	q.work -= j.app.soloEst
-	q.cowork -= j.app.coEst
+	app := &q.apps[j.app]
+	q.work -= app.soloEst
+	q.cowork -= app.coEst
 }
 
 // advance pops the first n waiting jobs (the FCFS/Serial paths, whose

@@ -27,9 +27,9 @@ func refBefore(slo bool, a, b *JobRecord) bool {
 // the one data structure whose bugs would not crash but silently
 // reorder dispatch.
 func TestJobQueueMatchesReference(t *testing.T) {
-	info := &appInfo{soloEst: 3, coEst: 5}
+	apps := []appInfo{{soloEst: 3, coEst: 5}}
 	for _, slo := range []bool{false, true} {
-		q := jobQueue{slo: slo}
+		q := jobQueue{slo: slo, apps: apps}
 		var ref []*JobRecord
 		refInsert := func(j *JobRecord) {
 			pos := len(ref)
@@ -86,7 +86,7 @@ func TestJobQueueMatchesReference(t *testing.T) {
 			case op < 5 || len(ref) == 0:
 				// In-order arrival (the common case: append position).
 				arrival += uint64(stream.Intn(8))
-				j := &JobRecord{ID: id, app: info, Arrival: arrival, SLO: SLOClass(stream.Intn(2))}
+				j := &JobRecord{ID: id, Arrival: arrival, SLO: SLOClass(stream.Intn(2))}
 				id++
 				q.insert(j)
 				refInsert(j)
@@ -98,7 +98,7 @@ func TestJobQueueMatchesReference(t *testing.T) {
 					j = gone[k]
 					gone = append(gone[:k], gone[k+1:]...)
 				} else {
-					j = &JobRecord{ID: id, app: info, Arrival: arrival / 2, SLO: SLOClass(stream.Intn(2))}
+					j = &JobRecord{ID: id, Arrival: arrival / 2, SLO: SLOClass(stream.Intn(2))}
 					id++
 				}
 				q.insert(j)
@@ -145,14 +145,13 @@ func TestJobQueueMatchesReference(t *testing.T) {
 // depend on the backlog: a latency arrival appends to its own run and
 // never shifts the batch run.
 func BenchmarkJobQueueInsert(b *testing.B) {
-	info := &appInfo{}
 	for _, backlog := range []int{1 << 10, 1 << 18} {
 		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
-			q := jobQueue{slo: true}
+			q := jobQueue{slo: true, apps: make([]appInfo, 1)}
 			for i := 0; i < backlog; i++ {
-				q.insert(&JobRecord{ID: i, app: info, Arrival: uint64(i), SLO: Batch})
+				q.insert(&JobRecord{ID: i, Arrival: uint64(i), SLO: Batch})
 			}
-			j := &JobRecord{ID: backlog, app: info, Arrival: uint64(backlog), SLO: Latency}
+			j := &JobRecord{ID: backlog, Arrival: uint64(backlog), SLO: Latency}
 			members := []*JobRecord{j}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -14,9 +14,12 @@ import (
 // JobRecord is one job's lifecycle in fleet time (cycles). It is also
 // the only per-job record a run keeps: the event loop runs on it, and
 // its unexported fields are the loop's per-job state, live only during
-// Run and zero in every record Run returns.
+// Run and zero in every record Run returns. The record holds no
+// pointer besides Name's: the application is an index into the fleet's
+// application table, the closed-loop client follows from the ID, and a
+// checkpoint lives in the loop's side table.
 type JobRecord struct {
-	// ID is the arrival index.
+	// ID is the arrival index (client-major in closed-loop runs).
 	ID int
 	// Name identifies the application; Class, below, is its class.
 	Name string
@@ -33,9 +36,9 @@ type JobRecord struct {
 	// Device is which GPU ran the job (to completion).
 	Device int
 	// Class is the application's class. It and the next three fields
-	// take one byte each and share a word with client; Evictions and
-	// Attempts fill the word after, which keeps the record at 96 bytes
-	// (TestJobRecordSize).
+	// take one byte each and share a word with app and ckpt; Evictions
+	// and Attempts fill the word after, which keeps the record at 80
+	// bytes (TestJobRecordSize).
 	Class classify.Class
 	// SLO is the job's service-level class.
 	SLO SLOClass
@@ -44,21 +47,18 @@ type JobRecord struct {
 	// or Abandoned by its client's timeout.
 	Outcome JobOutcome
 	// state is the lifecycle the conservation accounting reads
-	// (jsPending .. jsRejected, control.go); client is the closed-loop
-	// client pool that owns the job, -1 for open-loop arrivals.
-	state  uint8
-	client int32
+	// (jsPending .. jsRejected, control.go); app indexes the fleet's
+	// application table (Fleet.apps, sim.go); ckpt marks a job that has
+	// an entry in the loop's checkpoint table (checkpoints, sim.go).
+	state uint8
+	app   uint16
+	ckpt  bool
 	// Evictions counts how many times the job was preempted before it
 	// completed.
 	Evictions int32
 	// Attempts counts submissions, retries included (always 1 outside
 	// closed-loop runs).
 	Attempts int32
-	// app is the state the job shares with every job of its
-	// application (sim.go). progress is the checkpointed completed
-	// fraction preserved across evictions, in [0, maxCheckpoint].
-	app      *appInfo
-	progress float64
 }
 
 // JobOutcome is a job's terminal state.
@@ -320,18 +320,17 @@ type RunStats struct {
 	Slack stats.Summary
 }
 
-// Stats aggregates the job records in one pass by index. Each SLO
-// class's wait and turnaround cycles share one job-count array per
-// metric — latency samples fill it from the front, batch samples from
-// the back — so the pass allocates without counting first, and one
-// allocation holds both arrays and the scratch the radix sorts use.
-// Each class is sorted once; the fleet-wide summaries merge the two
-// sorted classes into the scratch, the same samples in the same
-// ascending order one sort of all of them would give. The samples are
-// gathered at 32 bits, half the memory and sort traffic, and the pass
-// is redone at 64 bits only when some wait or turnaround does not fit.
-// The records decide the width, so no Result, however built, can
-// truncate a sample.
+// Stats aggregates the job records in two passes by index, waits
+// first and then turnarounds, into one job-count sample array and one
+// scratch of the same size for the radix sorts. In each pass the
+// latency samples fill the array from the front and the batch samples
+// from the back, so it is allocated without counting first. Each class
+// is sorted once; the fleet-wide summary merges the two sorted classes
+// into the scratch, the same samples in the same ascending order one
+// sort of all of them would give. The samples are gathered at 32 bits,
+// half the memory and sort traffic, and the passes are redone at 64
+// bits only when some wait or turnaround does not fit. The records
+// decide the width, so no Result, however built, can truncate a sample.
 func (r Result) Stats() RunStats {
 	if s, ok := runStats[uint32](r.Jobs); ok {
 		return s
@@ -345,9 +344,8 @@ func (r Result) Stats() RunStats {
 func runStats[T uint32 | uint64](jobs []JobRecord) (RunStats, bool) {
 	var s RunStats
 	n := len(jobs)
-	buf := make([]T, 3*n)
-	waits, turns, scratch := buf[:n], buf[n:2*n], buf[2*n:]
-	var slack []int64
+	buf := make([]T, 2*n)
+	samples, scratch := buf[:n], buf[n:]
 	var or uint64
 	lat, batch := 0, n
 	for i := range jobs {
@@ -362,15 +360,14 @@ func runStats[T uint32 | uint64](jobs []JobRecord) (RunStats, bool) {
 			continue
 		}
 		s.Completed++
-		w, t := j.Wait(), j.Turnaround()
-		or |= w | t
+		w := j.Wait()
+		or |= w
 		if j.SLO == Latency {
-			waits[lat], turns[lat] = T(w), T(t)
+			samples[lat] = T(w)
 			lat++
-			slack = append(slack, j.Slack())
 		} else {
 			batch--
-			waits[batch], turns[batch] = T(w), T(t)
+			samples[batch] = T(w)
 		}
 	}
 	if or > uint64(^T(0)) {
@@ -380,19 +377,46 @@ func runStats[T uint32 | uint64](jobs []JobRecord) (RunStats, bool) {
 	if lat > 0 {
 		s.MissRate = float64(s.Misses) / float64(lat)
 	}
-	wait := [2][]T{Latency: waits[:lat], Batch: waits[batch:]}
-	turn := [2][]T{Latency: turns[:lat], Batch: turns[batch:]}
-	for c := range wait {
-		stats.SortUnsigned(wait[c], scratch)
-		stats.SortUnsigned(turn[c], scratch)
-		s.ClassWait[c] = kcycles(wait[c])
-		s.ClassTurnaround[c] = kcycles(turn[c])
+	s.ClassWait, s.Wait = classSummaries(samples, scratch, lat, batch)
+	// The same jobs again, for their turnarounds and, for the latency
+	// class, their deadline slack.
+	slack := make([]int64, 0, lat)
+	lat, batch = 0, n
+	for i := range jobs {
+		j := &jobs[i]
+		if j.Outcome != Done {
+			continue
+		}
+		t := j.Turnaround()
+		or |= t
+		if j.SLO == Latency {
+			samples[lat] = T(t)
+			lat++
+			slack = append(slack, j.Slack())
+		} else {
+			batch--
+			samples[batch] = T(t)
+		}
 	}
-	s.Wait = kcycles(mergeSorted(scratch, wait[Latency], wait[Batch]))
-	s.Turnaround = kcycles(mergeSorted(scratch, turn[Latency], turn[Batch]))
+	if or > uint64(^T(0)) {
+		return s, false
+	}
+	s.ClassTurnaround, s.Turnaround = classSummaries(samples, scratch, lat, batch)
 	slices.Sort(slack)
 	s.Slack = kcycles(slack)
 	return s, true
+}
+
+// classSummaries sorts one metric's samples per SLO class, the latency
+// class in samples[:lat] and the batch class in samples[batch:], and
+// summarizes each class and, merged into scratch, all of them.
+func classSummaries[T uint32 | uint64](samples, scratch []T, lat, batch int) (class [2]stats.Summary, all stats.Summary) {
+	byClass := [2][]T{Latency: samples[:lat], Batch: samples[batch:]}
+	for c := range byClass {
+		stats.SortUnsigned(byClass[c], scratch)
+		class[c] = kcycles(byClass[c])
+	}
+	return class, kcycles(mergeSorted(scratch, byClass[Latency], byClass[Batch]))
 }
 
 // kcycles summarizes ascending cycle counts in kilocycles.

@@ -11,10 +11,11 @@ import (
 
 // appInfo is the state every job of one application shares: the
 // per-type QueuedApp and solo profile, and the type-averaged estimates.
-// resolve builds one per distinct name, so a job's record holds one
-// pointer however many device types the roster has. An application may
-// classify differently across hardware generations, so apps and solo
-// are indexed by device type.
+// New builds one per application of the roster's universe into the
+// fleet's application table (Fleet.apps), so a job's record holds a
+// two-byte index however many device types the roster has. An
+// application may classify differently across hardware generations, so
+// apps and solo are indexed by device type.
 type appInfo struct {
 	// apps holds the QueuedApp handed to each type's scheduler; its
 	// Arrival is meaningless here (group stamps the job's own).
@@ -44,17 +45,20 @@ type soloProfile struct {
 	ok     bool
 }
 
-// class is the job's class on device type t.
-func (j *JobRecord) class(t int) classify.Class { return j.app.apps[t].Class }
+// app is the shared state of j's application.
+func (f *Fleet) app(j *JobRecord) *appInfo { return &f.apps[j.app] }
+
+// class is j's class on device type t.
+func (f *Fleet) class(j *JobRecord, t int) classify.Class { return f.classes[t][j.app] }
 
 // group builds the sched.Group members run as on device type t. Each
 // member's QueuedApp is its application's, with Arrival set to the
 // job's id, so within-group FCFS ordering is exactly what a per-job
 // Queue call would have produced.
-func group(members []*JobRecord, t int) sched.Group {
+func (f *Fleet) group(members []*JobRecord, t int) sched.Group {
 	g := make(sched.Group, len(members))
 	for i, m := range members {
-		g[i] = m.app.apps[t]
+		g[i] = f.app(m).apps[t]
 		g[i].Arrival = m.ID
 	}
 	return g
@@ -64,15 +68,32 @@ func group(members []*JobRecord, t int) sched.Group {
 // (only meaningful for latency jobs).
 func (j *JobRecord) deadlineAbs() uint64 { return j.Arrival + j.Deadline }
 
-// remainingFrac is the share of the job's duration a (re-)dispatch must
-// still execute: everything for a fresh job; for a checkpointed one the
+// checkpoints is a run's checkpoint side table, which the event loop
+// owns: the completed fraction, in (0, maxCheckpoint], that an evicted
+// job preserved, keyed by job ID, kept until the job completes. Only
+// checkpointed jobs have an entry, and JobRecord.ckpt marks them, so a
+// fresh job (nearly every job of a run) never pays a lookup. A nil
+// table reads as no checkpoints.
+type checkpoints map[int]float64
+
+// progress is j's checkpointed fraction (0 for a fresh job).
+func (c checkpoints) progress(j *JobRecord) float64 {
+	if !j.ckpt {
+		return 0
+	}
+	return c[j.ID]
+}
+
+// remainingFrac is the share of j's duration a (re-)dispatch must still
+// execute: everything for a fresh job; for a checkpointed one the
 // un-preserved remainder plus the explicit restart cost (re-reading
 // inputs, replaying the un-checkpointed tail), capped at a full re-run.
-func (j *JobRecord) remainingFrac() float64 {
-	if j.progress == 0 {
+func (c checkpoints) remainingFrac(j *JobRecord) float64 {
+	p := c.progress(j)
+	if p == 0 {
 		return 1
 	}
-	rem := 1 - j.progress + restartFrac
+	rem := 1 - p + restartFrac
 	if rem > 1 {
 		rem = 1
 	}
@@ -80,10 +101,10 @@ func (j *JobRecord) remainingFrac() float64 {
 }
 
 // effectiveCycles scales a simulated per-member completion to the
-// checkpoint model: a job that preserved fraction p of itself only
-// occupies the device for its remaining fraction of the simulated run.
-func (f *Fleet) effectiveCycles(j *JobRecord, end uint64) uint64 {
-	rem := j.remainingFrac()
+// checkpoint model: a job that must still execute fraction rem of
+// itself only occupies the device for that fraction of the simulated
+// run.
+func effectiveCycles(end uint64, rem float64) uint64 {
 	if rem >= 1 {
 		return end
 	}
@@ -143,7 +164,7 @@ type inflight struct {
 //     instruction covers a whole warp.)
 //   - solo profile: a member co-running on an SM partition with memory
 //     contention cannot finish faster than its solo run on the whole
-//     device of the same type. resolve caches every application's
+//     device of the same type. New caches every application's
 //     solo profile per type up front, so the lookup is a slice index;
 //     half the solo duration leaves margin for simulator
 //     nonmonotonicities (partitioning shifts cache and DRAM row
@@ -155,12 +176,13 @@ type inflight struct {
 // enough that the event loop can commit to other devices' completions
 // while this group is still simulating — that is where the fleet's
 // wall-clock concurrency comes from.
-func (f *Fleet) lowerBoundCycles(members []*JobRecord, t int) uint64 {
+func (f *Fleet) lowerBoundCycles(members []*JobRecord, t int, ck checkpoints) uint64 {
 	peak := f.types[t].Config().PeakIPC()
 	bound := 1.0
 	for _, m := range members {
-		lb := float64(m.app.apps[t].Params.TotalInstrs()) / peak
-		if sp := m.app.solo[t]; sp.ok {
+		app := f.app(m)
+		lb := float64(app.apps[t].Params.TotalInstrs()) / peak
+		if sp := app.solo[t]; sp.ok {
 			if solo := float64(sp.cycles) / 2; solo > lb {
 				lb = solo
 			}
@@ -168,7 +190,7 @@ func (f *Fleet) lowerBoundCycles(members []*JobRecord, t int) uint64 {
 		// A checkpointed member's effective runtime is its simulated end
 		// scaled by the remaining fraction, so its bound scales the same
 		// way (end >= lb implies end*rem >= lb*rem).
-		lb *= m.remainingFrac()
+		lb *= ck.remainingFrac(m)
 		if lb > bound {
 			bound = lb
 		}
@@ -179,8 +201,8 @@ func (f *Fleet) lowerBoundCycles(members []*JobRecord, t int) uint64 {
 // finalize completes a settled job's record in place for Run to return
 // — the one place outcome, device and class are decided — and zeroes
 // the loop's private fields, so a returned record holds exported state
-// only. Done is Outcome's zero value, so only the other outcomes are
-// written.
+// only (none of them is a pointer). Done is Outcome's zero value, so
+// only the other outcomes are written.
 func (f *Fleet) finalize(j *JobRecord) {
 	// Open-loop jobs outside control runs never count attempts; report
 	// the one submission they had.
@@ -194,8 +216,8 @@ func (f *Fleet) finalize(j *JobRecord) {
 	default:
 		t = f.devType[j.Device]
 	}
-	j.Class = j.class(t)
-	j.state, j.client, j.app, j.progress = 0, 0, nil, 0
+	j.Class = f.class(j, t)
+	j.state, j.app, j.ckpt = 0, 0, false
 }
 
 // coRunCycles estimates the trigger's co-run duration on device type t:
@@ -207,24 +229,24 @@ func (f *Fleet) finalize(j *JobRecord) {
 // then misses by a small margin, and the rescue never fires.
 //
 //simlint:hotpath
-func (f *Fleet) coRunCycles(j *JobRecord, t int) (uint64, bool) {
-	solo, ok := f.soloCycles(j, t)
+func (f *Fleet) coRunCycles(j *JobRecord, t int, ck checkpoints) (uint64, bool) {
+	solo, ok := f.soloCycles(j, t, ck)
 	if !ok {
 		return 0, false
 	}
 	if f.worstSlow == nil || f.worstSlow[t] == nil {
 		return solo, true
 	}
-	return uint64(float64(solo) * f.worstSlow[t][j.class(t)]), true
+	return uint64(float64(solo) * f.worstSlow[t][f.class(j, t)]), true
 }
 
 // chaosTriggerID is the EvictionRecord.TriggerJob sentinel for
 // evictions forced by a device failure rather than a latency job.
 const chaosTriggerID = -1
 
-// evict checkpoints an aborted flight's members at cycle now and
-// records the eviction, for preemption (triggerID is the latency job's
-// id) and chaos (chaosTriggerID) alike, so a failure wastes exactly
+// evict checkpoints an aborted flight's members at cycle now into ck
+// and records the eviction, for preemption (triggerID is the latency
+// job's id) and chaos (chaosTriggerID) alike, so a failure wastes exactly
 // what a preemption of the same flight would have. Under the Cycle
 // engine the group's simulation keeps running on its worker — its
 // result is discarded, but the memo may still serve a later identical
@@ -236,13 +258,14 @@ const chaosTriggerID = -1
 // capped at maxCheckpoint. Wasted accounts the attempt time the
 // checkpoints do not preserve plus the restart tax the re-dispatch will
 // pay.
-func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
+func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, ck checkpoints, res *Result) {
 	elapsed := now - fl.dispatch
 	rec := EvictionRecord{Cycle: now, Device: fl.device, TriggerJob: triggerID}
 	for _, j := range fl.jobs {
-		before := j.progress
+		before := ck.progress(j)
+		progress := before
 		var solo float64
-		if sp := j.app.solo[fl.typ]; sp.ok {
+		if sp := f.app(j).solo[fl.typ]; sp.ok {
 			solo = float64(sp.cycles)
 		}
 		if solo > 0 {
@@ -262,15 +285,19 @@ func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 					fresh = 0
 				}
 			}
-			j.progress += fresh / solo
-			if j.progress > maxCheckpoint {
-				j.progress = maxCheckpoint
+			progress += fresh / solo
+			if progress > maxCheckpoint {
+				progress = maxCheckpoint
 			}
+		}
+		if progress > 0 {
+			ck[j.ID] = progress
+			j.ckpt = true
 		}
 		j.Evictions++
 		rec.Jobs = append(rec.Jobs, j.ID)
-		rec.Progress = append(rec.Progress, j.progress)
-		waste := float64(elapsed) - (j.progress-before)*solo
+		rec.Progress = append(rec.Progress, progress)
+		waste := float64(elapsed) - (progress-before)*solo
 		if waste < 0 {
 			waste = 0
 		}
@@ -278,8 +305,8 @@ func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 		// remainingFrac at min(restartFrac, progress) of the solo run —
 		// a job with no checkpoint re-runs from scratch and pays none.
 		tax := restartFrac
-		if j.progress < tax {
-			tax = j.progress
+		if progress < tax {
+			tax = progress
 		}
 		waste += tax * solo
 		rec.Wasted += uint64(waste)
@@ -300,7 +327,7 @@ func (f *Fleet) evict(fl *inflight, triggerID int, now uint64, res *Result) {
 // This is deliberately the model's likely free time, not the event
 // loop's (halved) safety bound: the preemption decision wants a
 // realistic estimate, while event ordering needs a provable one.
-func (f *Fleet) predictedFree(fl *inflight) uint64 {
+func (f *Fleet) predictedFree(fl *inflight, ck checkpoints) uint64 {
 	if fl.state == flightResolved {
 		return fl.complete
 	}
@@ -310,11 +337,11 @@ func (f *Fleet) predictedFree(fl *inflight) uint64 {
 	if m != nil {
 		pat = make(match.Pattern, len(fl.jobs))
 		for i, j := range fl.jobs {
-			pat[i] = j.class(fl.typ)
+			pat[i] = f.class(j, fl.typ)
 		}
 	}
 	for i, j := range fl.jobs {
-		solo, ok := f.soloCycles(j, fl.typ)
+		solo, ok := f.soloCycles(j, fl.typ, ck)
 		if !ok {
 			continue
 		}
@@ -331,14 +358,14 @@ func (f *Fleet) predictedFree(fl *inflight) uint64 {
 
 // soloCycles estimates how long job j would run alone on device type t,
 // scaled to its checkpointed remainder. It is the dispatcher's cheapest
-// (and fastest-possible) runtime estimate — resolve cached every
+// (and fastest-possible) runtime estimate — New cached every
 // application's solo profile per type, so this is a slice index.
-func (f *Fleet) soloCycles(j *JobRecord, t int) (uint64, bool) {
-	sp := j.app.solo[t]
+func (f *Fleet) soloCycles(j *JobRecord, t int, ck checkpoints) (uint64, bool) {
+	sp := f.app(j).solo[t]
 	if !sp.ok {
 		return 0, false
 	}
-	c := uint64(math.Ceil(float64(sp.cycles) * j.remainingFrac()))
+	c := uint64(math.Ceil(float64(sp.cycles) * ck.remainingFrac(j)))
 	if c < 1 {
 		c = 1
 	}
@@ -351,36 +378,33 @@ func (f *Fleet) soloCycles(j *JobRecord, t int) (uint64, bool) {
 // event loop's completion ordering (flightCycles) and the final
 // accounting (retire) read ends through this one helper, so the two can
 // never disagree.
-func (f *Fleet) memberEnd(fl *inflight, i int) uint64 {
+func memberEnd(fl *inflight, i int, ck checkpoints) uint64 {
 	e := fl.rep.Cycles
 	if i < len(fl.rep.Stats) && fl.rep.Stats[i].EndCycle > 0 {
 		e = fl.rep.Stats[i].EndCycle
 	}
-	return f.effectiveCycles(fl.jobs[i], e)
+	return effectiveCycles(e, ck.remainingFrac(fl.jobs[i]))
 }
 
 // flightCycles is the group's effective device occupancy: the max of
 // the members' checkpoint-scaled completion cycles (exactly the
 // simulated group makespan when no member carries a checkpoint).
-func (f *Fleet) flightCycles(fl *inflight) uint64 {
+func flightCycles(fl *inflight, ck checkpoints) uint64 {
 	end := uint64(0)
 	for i := range fl.jobs {
-		if e := f.memberEnd(fl, i); e > end {
+		if e := memberEnd(fl, i, ck); e > end {
 			end = e
 		}
 	}
 	return end
 }
 
-// resolve materializes jobs from the arrival stream. Arrival streams
-// repeat a small application universe, so the per-type pipeline work
-// (Queue's workload lookup, the profiler's locked solo-profile table) is
-// done once per distinct name into a shared appInfo, and each job costs
-// one map lookup — resolve cost scales with the universe, not the job
-// count. The records are one arena, a single allocation for the run:
-// the event loop runs on them and Result.Jobs returns them.
+// resolve materializes jobs from the arrival stream into one arena, a
+// single allocation for the run: the event loop runs on the records and
+// Result.Jobs returns them. Each job costs one lookup in the
+// application table New built, so resolve does no per-application
+// pipeline work.
 func (f *Fleet) resolve(arrivals []Arrival) ([]JobRecord, error) {
-	infos := make(map[string]*appInfo)
 	jobs := make([]JobRecord, len(arrivals))
 	for i := range arrivals {
 		a := &arrivals[i]
@@ -388,45 +412,72 @@ func (f *Fleet) resolve(arrivals []Arrival) ([]JobRecord, error) {
 			return nil, fmt.Errorf("fleet: arrivals not in cycle order (job %d at %d after %d)",
 				i, a.Cycle, arrivals[i-1].Cycle)
 		}
-		info, err := f.appInfoFor(infos, a.Name)
+		app, err := f.appIndex(a.Name)
 		if err != nil {
 			return nil, err
 		}
 		// Field by field: the arena is already zeroed, and a composite
 		// literal would be built aside and copied in.
 		j := &jobs[i]
-		j.ID, j.Name, j.app, j.client = i, a.Name, info, -1
+		j.ID, j.Name, j.app = i, a.Name, app
 		j.Arrival, j.SLO, j.Deadline = a.Cycle, a.SLO, a.Deadline
 	}
 	return jobs, nil
 }
 
-// appInfoFor returns name's shared state from infos, building it on
-// the name's first use.
-func (f *Fleet) appInfoFor(infos map[string]*appInfo, name string) (*appInfo, error) {
-	if info := infos[name]; info != nil {
-		return info, nil
+// appIndex is name's index in the application table.
+func (f *Fleet) appIndex(name string) (uint16, error) {
+	i, ok := f.appByName[name]
+	if !ok {
+		return 0, fmt.Errorf("fleet: unknown application %q (not in the roster's calibrated universe)", name)
 	}
-	info, err := f.newAppInfo(name)
-	if err != nil {
-		return nil, err
-	}
-	infos[name] = info
-	return info, nil
+	return i, nil
 }
 
-// newAppInfo builds one application's shared state: its QueuedApp and
-// solo profile on every device type, and the type-averaged estimates.
-func (f *Fleet) newAppInfo(name string) (*appInfo, error) {
+// buildApps builds the application table over the roster's universe,
+// which every device type shares (validate): each application's
+// QueuedApp and solo profile on every device type, and the
+// type-averaged estimates. Called from New after buildSlowTables, whose
+// meanSlow the interference-aware estimate reads.
+func (f *Fleet) buildApps() error {
+	universe := f.types[0].Apps()
+	if len(universe) > math.MaxUint16+1 {
+		return fmt.Errorf("fleet: %d applications exceed the %d a job record can index", len(universe), math.MaxUint16+1)
+	}
+	names := make([]string, len(universe))
+	for i, a := range universe {
+		names[i] = a.Name
+	}
 	nt := len(f.types)
-	info := &appInfo{apps: make([]sched.QueuedApp, nt), solo: make([]soloProfile, nt)}
+	f.apps = make([]appInfo, len(names))
+	for i := range f.apps {
+		f.apps[i] = appInfo{apps: make([]sched.QueuedApp, nt), solo: make([]soloProfile, nt)}
+	}
+	f.classes = make([][]classify.Class, nt)
+	for t, pipe := range f.types {
+		queued, err := pipe.Queue(names)
+		if err != nil {
+			return err
+		}
+		f.classes[t] = make([]classify.Class, len(names))
+		for i, q := range queued {
+			f.apps[i].apps[t] = q
+			f.classes[t][i] = q.Class
+		}
+	}
+	f.appByName = make(map[string]uint16, len(names))
+	for i, name := range names {
+		f.appByName[name] = uint16(i)
+		f.estimate(&f.apps[i], name)
+	}
+	return nil
+}
+
+// estimate fills info's solo profiles from each type's profiler memo
+// and its type-averaged estimates.
+func (f *Fleet) estimate(info *appInfo, name string) {
 	est, cnt := uint64(0), uint64(0)
 	for t, pipe := range f.types {
-		queued, err := pipe.Queue([]string{name})
-		if err != nil {
-			return nil, err
-		}
-		info.apps[t] = queued[0]
 		if r, ok := pipe.Profiler().Peek(name, 0); ok {
 			info.solo[t] = soloProfile{cycles: r.Cycles, instrs: r.ThreadInstructions, ok: true}
 			est += r.Cycles
@@ -434,7 +485,7 @@ func (f *Fleet) newAppInfo(name string) (*appInfo, error) {
 		}
 	}
 	if cnt == 0 {
-		return info, nil
+		return
 	}
 	info.soloEst = est / cnt
 	info.coEst = info.soloEst
@@ -450,5 +501,4 @@ func (f *Fleet) newAppInfo(name string) (*appInfo, error) {
 		}
 		info.coEst = uint64(co / float64(cnt))
 	}
-	return info, nil
 }

@@ -217,7 +217,7 @@ func TestWindowForAdaptive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := &jobQueue{}
+		q := &jobQueue{apps: f.apps}
 		for i := range jobs {
 			q.insert(&jobs[i])
 		}
@@ -294,15 +294,15 @@ func TestCoRunCyclesTable(t *testing.T) {
 			}
 			for i := range jobs {
 				j := &jobs[i]
-				solo, ok := f.soloCycles(j, ty)
-				got, gotOK := f.coRunCycles(j, ty)
-				want := uint64(float64(solo) * refWorstSlow(pipe.Matrix(), j.class(ty), nc))
+				solo, ok := f.soloCycles(j, ty, nil)
+				got, gotOK := f.coRunCycles(j, ty, nil)
+				want := uint64(float64(solo) * refWorstSlow(pipe.Matrix(), f.class(j, ty), nc))
 				if !ok || !gotOK || got != want {
 					t.Errorf("nc=%d type %d %s: coRunCycles %d (%v), want %d", nc, ty, j.Name, got, gotOK, want)
 				}
 			}
 		}
-		if allocs := testing.AllocsPerRun(100, func() { f.coRunCycles(&jobs[0], 1) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { f.coRunCycles(&jobs[0], 1, nil) }); allocs != 0 {
 			t.Fatalf("nc=%d: coRunCycles allocates %.1f times per call, want 0", nc, allocs)
 		}
 	}
